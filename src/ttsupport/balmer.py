@@ -18,6 +18,7 @@ arbitrary formal object is the set of points where that product is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .homalg import PerfectComplex, homology, scalar_cone
 from .modcalc import (
@@ -321,10 +322,14 @@ def _witness_pair(v: SpclSubset) -> tuple[PerfectComplex, PerfectComplex] | None
     of the form Z(x)."""
     if v.is_all:
         return None
-    s = v.closed
-    missing = s.complement().up_to(100)
-    if len(missing) >= 2:
-        return scalar_cone(missing[0]), scalar_cone(missing[1])
+    missing = v.closed.complement()
+    if missing.finite:
+        first_two = missing.primes[:2]
+    else:
+        # all primes but finitely many, so the search ends
+        first_two = tuple(islice(filter(missing.contains, count(2)), 2))
+    if len(first_two) == 2:
+        return scalar_cone(first_two[0]), scalar_cone(first_two[1])
     return None
 
 

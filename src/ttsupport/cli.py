@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import balmer, supportdata, verify
@@ -225,8 +224,8 @@ def cmd_prime(args) -> int:
 
 def cmd_catalogue_spc(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    primes = supportdata.enumerate_primes(cat)
     datum = supportdata.spc_support(cat)
+    primes = datum.space.points
     lines = [f"{len(primes)} prime thick tensor-ideals"]
     payload_primes = []
     for p in primes:
@@ -290,10 +289,7 @@ def cmd_catalogue_universal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("TT_SUPPORT_WORKERS", "1"))
-    report = verify.run_verify(args.seed, args.cases, args.primes_bound, workers)
+    report = verify.run_verify(args.seed, args.cases, args.primes_bound)
     lines = list(report.lines())
     failed = len(report.failures())
     lines.append(
@@ -370,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=int, default=500)
     p.add_argument("--primes-bound", type=int, default=100)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -87,20 +87,8 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
-
     def neg(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.entries))
-
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -112,9 +100,6 @@ class IntMatrix:
         if not self.entries:
             out = ()
         return IntMatrix(self.rows, other.cols, out)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries))
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; row-major on both index pairs."""
@@ -412,9 +397,6 @@ class PerfectComplex:
 
     def degrees(self) -> list[int]:
         return [n for n, _ in self.ranks]
-
-    def total_rank(self) -> int:
-        return sum(r for _, r in self.ranks)
 
     def is_zero(self) -> bool:
         return not self.ranks

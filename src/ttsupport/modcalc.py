@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .znum import GENERIC, PointSet, PrimeSet, SpecZPoint, is_prime
+from .znum import PointSet, PrimeSet, SpecZPoint, is_prime
 
 __all__ = [
     "Cyclic",
@@ -37,9 +37,6 @@ __all__ = [
     "kunneth",
     "supp_cyclic",
     "supp_mod",
-    "shift_graded",
-    "sum_graded",
-    "is_zero",
 ]
 
 _KIND_ORDER = {"free": 0, "torsion": 1, "prufer": 2}
@@ -363,18 +360,6 @@ def supp_mod(m: Module) -> PointSet:
     return out
 
 
-def shift_graded(x: GradedModule, k: int) -> GradedModule:
-    return x.shift(k)
-
-
-def sum_graded(x: GradedModule, y: GradedModule) -> GradedModule:
-    return x.plus(y)
-
-
-def is_zero(x: GradedModule) -> bool:
-    return x.is_zero()
-
-
 def localize_point(x: SpecZPoint, m: Module) -> Module:
     """The stalk of a module at a point; the localisation oracle for supports.
 
@@ -395,6 +380,3 @@ def localize_point(x: SpecZPoint, m: Module) -> Module:
         elif c.kind == "prufer" and c.primes.contains(p):
             out.append((Cyclic.prufer(PrimeSet.of([p])), mult))
     return Module.of(out)
-
-
-GENERIC_POINT = GENERIC

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 MAX_OBJECTS = 24
+# Bound on the posets random_subset_catalogue draws for one catalogue.
+MAX_DRAWS = 100_000
 
 
 class CatalogueError(ValueError):
@@ -219,9 +221,6 @@ class FiniteSpace:
     def leq(self, x, y) -> bool:
         return (x, y) in self.order
 
-    def specialisations(self, x) -> set:
-        return {y for y in self.points if self.leq(x, y)}
-
     def is_spcl_closed(self, subset: frozenset) -> bool:
         return all(self.leq(x, y) <= (y in subset) for x in subset for y in self.points)
 
@@ -339,7 +338,10 @@ def spc_support(c: Catalogue) -> SupportDatum:
     """The spectrum with its universal support: points are the primes,
     specialisation is reverse inclusion, and an object is supported at the
     primes that omit it."""
-    primes = enumerate_primes(c)
+    return _spectrum(c, enumerate_primes(c))
+
+
+def _spectrum(c: Catalogue, primes: list[frozenset[int]]) -> SupportDatum:
     order = [(p, q) for p in primes for q in primes if q <= p]
     space = FiniteSpace.of(primes, order)
     sigma = [frozenset(p for p in primes if i not in p) for i in range(c.size)]
@@ -447,12 +449,12 @@ def universal_map(d: SupportDatum, c: Catalogue, uniqueness_limit: int = 2_000_0
     """The canonical comparison with the spectrum: x goes to the objects not
     supported at x.  Verifies the image is prime, the support identity, and
     (by exhaustive search at desk scale) that no other map satisfies it."""
-    primes = enumerate_primes(c)
+    spc = spc_support(c)
+    primes = spc.space.points
     prime_set = set(primes)
+    supp = spc.sigma
     records = []
     mapping = []
-    spc = spc_support(c)
-    supp = spc.sigma
     for x in d.space.points:
         fx = frozenset(i for i in range(c.size) if x not in d.sigma[i])
         mapping.append((x, fx))
@@ -527,8 +529,10 @@ def thomason_lattice(s: FiniteSpace) -> list[frozenset]:
 def classify(c: Catalogue) -> Report:
     """Verify the lattice bijection between thick tensor-ideals and
     specialisation-closed subsets of the spectrum."""
+    # The ideals come from the scan, never from the supports, so the checks
+    # below compare two independent constructions.
     ideals = enumerate_ideals(c)
-    datum = spc_support(c)
+    datum = _spectrum(c, [i for i in ideals if _is_prime(c, i)])
     subsets = thomason_lattice(datum.space)
     supp = datum.sigma
 
@@ -597,11 +601,47 @@ def five_object_model() -> Catalogue:
     )
 
 
+def _has_up_set_count(n_objects: int, max_points: int) -> bool:
+    """Whether some poset on 2..max_points points has exactly n_objects
+    up-sets.
+
+    Posets on 0..k-1, numbered along a linear extension, are kept as their
+    lists of up-sets (bitmasks).  A new top point k whose strict down-set is
+    the complement of an up-set w has the up-sets u <= w (k left out) and
+    u | k for every old u.  A new point only adds up-sets, so a poset with
+    more than n_objects of them is not grown further.
+    """
+    level = [[0, 1]]  # the one-point poset
+    for k in range(1, max_points):
+        grown = []
+        for ups in level:
+            for w in ups:
+                below = [u for u in ups if not u & ~w]
+                count = len(ups) + len(below)
+                if count == n_objects:
+                    return True
+                if count < n_objects and k + 1 < max_points:
+                    grown.append(below + [u | 1 << k for u in ups])
+        level = grown
+    return False
+
+
 def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int = 6) -> Catalogue:
     """A random valid catalogue: the lattice of specialisation-closed subsets
     of a random finite poset, with intersection as tensor, unions as
-    triangles and containments as summands."""
-    while True:
+    triangles and containments as summands.
+
+    Raises ValueError when n_objects exceeds MAX_OBJECTS, when no poset on
+    2..max_points points has n_objects up-sets, or when MAX_DRAWS random
+    posets all miss that count.
+    """
+    if n_objects > MAX_OBJECTS:
+        raise CatalogueError(f"n_objects={n_objects} exceeds the bound {MAX_OBJECTS}")
+    if not _has_up_set_count(n_objects, max_points):
+        raise ValueError(
+            f"n_objects={n_objects}: no poset on 2..{max_points} points has that many up-sets"
+        )
+    for _ in range(MAX_DRAWS):
         npts = rng.randint(2, max_points)
         pts = list(range(npts))
         rel = {(x, x) for x in pts}
@@ -645,3 +685,4 @@ def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int 
             summands=summands,
             triangles=triangles,
         )
+    raise ValueError(f"n_objects={n_objects}: no catalogue found in {MAX_DRAWS} draws")

@@ -22,8 +22,6 @@ __all__ = [
     "PointSet",
     "v_of_point",
     "z_of_point",
-    "primeset_algebra",
-    "spcl_lattice",
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -418,33 +416,3 @@ def z_of_point(x: SpecZPoint) -> SpclSubset:
     if x.is_generic:
         return SpclSubset.closed_points(PrimeSet.all_primes())
     return SpclSubset.closed_points(PrimeSet.cofinite([x.p]))
-
-
-def primeset_algebra(a: PrimeSet, b: PrimeSet, op: str) -> PrimeSet:
-    """Set algebra dispatcher: op in {'union', 'intersect', 'difference'}."""
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "difference":
-        return a.difference(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def spcl_lattice(
-    a: SpclSubset,
-    op: str,
-    b: SpclSubset | None = None,
-    x: SpecZPoint | None = None,
-) -> SpclSubset | bool:
-    """Lattice dispatcher: 'join', 'meet' and 'leq' take a second subset,
-    'contains_point' takes a point."""
-    if op in ("join", "meet", "leq"):
-        if b is None:
-            raise ValueError(f"{op} needs a second subset")
-        return getattr(a, op)(b)
-    if op == "contains_point":
-        if x is None:
-            raise ValueError("contains_point needs a point")
-        return a.contains_point(x)
-    raise ValueError(f"unknown op {op!r}")

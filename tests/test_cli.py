@@ -1,15 +1,22 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from ttsupport import supportdata
+from ttsupport.balmer import supp_object
 from ttsupport.cli import main
-from ttsupport.homalg import PerfectComplex
+from ttsupport.homalg import PerfectComplex, homology, tensor_chain
 from ttsupport.modcalc import Cyclic, GradedModule
 from ttsupport.supportdata import five_object_model
-from ttsupport.znum import PrimeSet, SpclSubset
+from ttsupport.znum import PrimeSet, SpclSubset, primes_up_to
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify_seed42_cases60_primes50.txt"
 
 
 @pytest.fixture()
@@ -130,6 +137,27 @@ class TestCommands:
         assert code == 1
         assert "not prime" in out
 
+    @pytest.mark.parametrize(
+        "flags, closed",
+        [
+            (["--closed-except", "101,103"], PrimeSet.cofinite([101, 103])),
+            (["--closed-except", "7,101"], PrimeSet.cofinite([7, 101])),
+            (
+                ["--closed", ",".join(map(str, primes_up_to(100)))],
+                PrimeSet.of(primes_up_to(100)),
+            ),
+        ],
+    )
+    def test_prime_witness_beyond_100(self, capsys, flags, closed):
+        code, out, _ = run(capsys, "--format", "json", "prime", *flags)
+        assert code == 1
+        cones = [PerfectComplex.from_json(c) for c in json.loads(out)["witness"]]
+        assert len(cones) == 2
+        v = SpclSubset.closed_points(closed).point_set()
+        for c in cones:
+            assert not supp_object(homology(c)).leq(v)
+        assert supp_object(homology(tensor_chain(*cones))).leq(v)
+
     def test_catalogue_spc(self, capsys, samples):
         code, out, _ = run(capsys, "catalogue-spc", samples["model5"])
         assert code == 0
@@ -226,24 +254,12 @@ class TestVerifyCommand:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_workers_do_not_change_output(self, capsys):
-        results = []
-        for workers in ("1", "3"):
-            code, out, _ = run(
-                capsys,
-                "verify",
-                "--seed",
-                "11",
-                "--cases",
-                "30",
-                "--primes-bound",
-                "30",
-                "--workers",
-                workers,
-            )
-            assert code == 0
-            results.append(out)
-        assert results[0] == results[1]
+    def test_matches_committed_snapshot(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--seed", "42", "--cases", "60", "--primes-bound", "50"
+        )
+        assert code == 0
+        assert out.encode("utf-8") == GOLDEN_VERIFY.read_bytes()
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -254,3 +270,47 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 24
+
+
+@pytest.fixture(params=["model5", "random"])
+def catalogue_path(request, tmp_path):
+    if request.param == "model5":
+        return str(ROOT / "samples" / "model5.json")
+    path = tmp_path / "random.json"
+    cat = supportdata.random_subset_catalogue(random.Random(7), 12)
+    path.write_text(json.dumps(cat.to_json()))
+    return str(path)
+
+
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """Catalogues passed to supportdata.enumerate_ideals, one per call."""
+    calls = []
+    real = supportdata.enumerate_ideals
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(supportdata, "enumerate_ideals", counted)
+    return calls
+
+
+class TestEnumerationCounts:
+    def test_catalogue_spc_enumerates_once(self, capsys, catalogue_path, enumerations):
+        code, _, _ = run(capsys, "catalogue-spc", catalogue_path)
+        assert code == 0
+        assert len(enumerations) == 1
+
+    def test_catalogue_universal_enumerates_at_most_twice(
+        self, capsys, catalogue_path, enumerations
+    ):
+        code, _, _ = run(capsys, "catalogue-universal", catalogue_path)
+        assert code == 0
+        assert 1 <= len(enumerations) <= 2
+
+    def test_classify_enumerates_once(self, catalogue_path, enumerations):
+        with open(catalogue_path, encoding="utf-8") as fh:
+            cat = supportdata.Catalogue.from_json(json.load(fh))
+        assert supportdata.classify(cat).passed
+        assert len(enumerations) == 1

@@ -9,11 +9,8 @@ from ttsupport.modcalc import (
     Cyclic,
     GradedModule,
     Module,
-    is_zero,
     kunneth,
     localize_point,
-    shift_graded,
-    sum_graded,
     supp_mod,
     tensor_mod,
     tensor_modules,
@@ -318,12 +315,12 @@ class TestSupport:
 
 class TestGradedOps:
     def test_is_zero(self):
-        assert is_zero(GradedModule.zero())
-        assert not is_zero(GradedModule.unit())
+        assert GradedModule.zero().is_zero()
+        assert not GradedModule.unit().is_zero()
 
     def test_shift(self):
-        assert shift_graded(GradedModule.of({0: [Z]}), 2) == GradedModule.of({-2: [Z]})
+        assert GradedModule.of({0: [Z]}).shift(2) == GradedModule.of({-2: [Z]})
 
     def test_sum_multiplicities(self):
         x = GradedModule.of({0: [Cyclic.torsion(2, 1)]})
-        assert sum_graded(x, x) == GradedModule.of({0: [(Cyclic.torsion(2, 1), 2)]})
+        assert x.plus(x) == GradedModule.of({0: [(Cyclic.torsion(2, 1), 2)]})

@@ -1,4 +1,6 @@
 import random
+import signal
+from itertools import combinations
 
 import pytest
 
@@ -263,6 +265,80 @@ class TestClassification:
         for _ in range(4):
             cat = random_subset_catalogue(rng, rng.choice([6, 8, 12]))
             assert classify(cat).passed
+
+
+class _Expired(Exception):
+    pass
+
+
+def _deadline(seconds: int, fn):
+    """Run fn, raising TimeoutError if it is still running after seconds."""
+
+    def expire(signum, frame):
+        raise _Expired
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    except _Expired:
+        # raised afresh so that the report does not walk the interrupted frames
+        raise TimeoutError(f"still running after {seconds} s") from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _up_set_counts_by_brute_force(max_points: int) -> set[int]:
+    """Up-set counts of every order on 2..max_points points that refines the
+    natural order, from every set of generating pairs."""
+    counts = set()
+    for n in range(2, max_points + 1):
+        pairs = list(combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for gens in combinations(pairs, r):
+                above = {x: {x} for x in range(n)}
+                for x in reversed(range(n)):
+                    for a, b in gens:
+                        if a == x:
+                            above[x] |= above[b]
+                counts.add(
+                    sum(
+                        all(above[x] <= set(s) for x in s)
+                        for k in range(n + 1)
+                        for s in combinations(range(n), k)
+                    )
+                )
+    return counts
+
+
+class TestRandomSubsetCatalogue:
+    @pytest.mark.parametrize("n_objects, max_points", [(2, 6), (63, 6), (19, 5), (7, 3)])
+    def test_unreachable_sizes_rejected(self, n_objects, max_points):
+        with pytest.raises(ValueError):
+            _deadline(5, lambda: random_subset_catalogue(random.Random(0), n_objects, max_points))
+
+    def test_rejects_exactly_the_unreachable_sizes(self):
+        for max_points in (2, 3, 4):
+            reachable = _up_set_counts_by_brute_force(max_points)
+            rng = random.Random(max_points)
+            for n_objects in range(2 ** max_points + 2):
+                if n_objects in reachable:
+                    assert random_subset_catalogue(rng, n_objects, max_points).size == n_objects
+                else:
+                    with pytest.raises(ValueError):
+                        _deadline(5, lambda: random_subset_catalogue(rng, n_objects, max_points))
+
+    def test_stream_unchanged_for_reachable_sizes(self):
+        rng = random.Random(2024)
+        assert [random_subset_catalogue(rng, n).objects for n in (6, 8, 12)] == [
+            ("empty", "v0", "v2", "v02", "v12", "v012"),
+            ("empty", "v0", "v1", "v2", "v01", "v02", "v12", "v012"),
+            (
+                "empty", "v0", "v2", "v3", "v02", "v03", "v13", "v23",
+                "v013", "v023", "v123", "v0123",
+            ),
+        ]
 
 
 class TestFiniteSpace:
