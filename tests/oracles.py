@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: set
 semantics over an explicit prime universe, cofactor-expansion determinants,
-kernel-basis homology, and a plain-set enumeration of catalogue ideals.
+kernel-basis homology, and plain-set enumerations of catalogue ideals and of
+the specialisation-closed subsets of a finite space.
 """
 
 from __future__ import annotations
@@ -146,4 +147,17 @@ def naive_primes(cat) -> list[frozenset[int]]:
         )
         if prime:
             out.append(ideal)
+    return out
+
+
+def naive_thomason_lattice(space) -> list[frozenset]:
+    """All specialisation-closed subsets of a finite space, by a scan over
+    every subset."""
+    pts = list(space.points)
+    out = []
+    for combo in range(1 << len(pts)):
+        subset = frozenset(p for i, p in enumerate(pts) if combo >> i & 1)
+        if space.is_spcl_closed(subset):
+            out.append(subset)
+    out.sort(key=lambda x: (len(x), sorted(map(repr, x))))
     return out

@@ -1,10 +1,13 @@
+import json
 import random
 import signal
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 
-from oracles import naive_ideals, naive_primes
+from oracles import naive_ideals, naive_primes, naive_thomason_lattice
+from ttsupport.cli import main
 from ttsupport.supportdata import (
     Catalogue,
     CatalogueError,
@@ -29,6 +32,55 @@ def field_like_model():
         unit="U",
         tensor={"0": {"0": "0", "U": "0"}, "U": {"0": "0", "U": "U"}},
     )
+
+
+def _random_poset(rng, npts):
+    """Strict up-closure of each point of a random order on range(npts)
+    that refines the natural order."""
+    density = rng.random()
+    above = [{y for y in range(x + 1, npts) if rng.random() < density} for x in range(npts)]
+    for x in reversed(range(npts)):
+        for y in list(above[x]):
+            above[x] |= above[y]
+    return above
+
+
+def _up_sets(npts, above):
+    out = []
+    for combo in range(1 << npts):
+        s = frozenset(p for p in range(npts) if combo >> p & 1)
+        if all(above[x] <= s for x in s):
+            out.append(s)
+    return out
+
+
+def _lattice_tables(ups):
+    """Catalogue.of arguments for the lattice of the up-sets ups: tensor is
+    intersection, smaller up-sets are summands and (a, a | b, b) are
+    triangles."""
+    names = [f"x{i}" for i in range(len(ups))]
+    name = dict(zip(ups, names))
+    return dict(
+        objects=names,
+        zero=name[frozenset()],
+        unit=name[max(ups, key=len)],
+        tensor={name[a]: {name[b]: name[a & b] for b in ups} for a in ups},
+        summands=[(name[a], name[b]) for a in ups for b in ups if b < a],
+        triangles=[(name[a], name[a | b], name[b]) for a in ups for b in ups],
+    )
+
+
+def _chain_up_sets(npts):
+    """The up-sets of the chain 0 < 1 < ... < npts - 1."""
+    return [frozenset(range(k, npts)) for k in range(npts + 1)]
+
+
+def _chain_catalogue(n_objects):
+    return Catalogue.of(**_lattice_tables(_chain_up_sets(n_objects - 1)))
+
+
+def _by_size(sets):
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 class TestValidation:
@@ -100,6 +152,18 @@ class TestValidation:
         again = Catalogue.from_json(cat.to_json())
         assert again == cat
 
+    def test_rotation_orbit_longer_than_three_times_size(self):
+        # The shift has a 3-cycle and a 4-cycle, so the triangle below comes
+        # back to itself after 3 * lcm(3, 4) = 36 rotations, more than 3n = 27.
+        names = ["0", "U", "a0", "a1", "a2", "b0", "b1", "b2", "b3"]
+        tensor = {
+            x: {y: y if x == "U" else x if y == "U" else "0" for y in names} for x in names
+        }
+        shift = {"a0": "a1", "a1": "a2", "a2": "a0", "b0": "b1", "b1": "b2", "b2": "b3", "b3": "b0"}
+        cat = Catalogue.of(names, "0", "U", tensor, shift, triangles=[("a0", "b0", "0")])
+        assert len(cat.triangles) == 36
+        assert enumerate_ideals(cat) == naive_ideals(cat)
+
 
 class TestEnumeration:
     def test_model5_primes(self):
@@ -136,6 +200,53 @@ class TestEnumeration:
         for _ in range(5):
             cat = random_subset_catalogue(rng, rng.choice([4, 6, 8]))
             assert enumerate_primes(cat)
+
+    def test_against_naive_with_shift_summands_and_triangles(self):
+        # Up-set lattices with a random shift that fixes zero and random
+        # subsets of their summands and triangles, so every closure rule is
+        # exercised and the ideals are no longer the up-sets.
+        rng = random.Random(83)
+        seen = {n: 0 for n in range(2, 13)}
+        for _ in range(5000):
+            if min(seen.values()) >= 4:
+                break
+            npts = rng.randint(1, 5)
+            tables = _lattice_tables(_up_sets(npts, _random_poset(rng, npts)))
+            objects = tables["objects"]
+            if len(objects) not in seen or seen[len(objects)] >= 4:
+                continue
+            seen[len(objects)] += 1
+            moved = [x for x in objects if x != tables["zero"] and rng.random() < 0.5]
+            tables["shift"] = dict(zip(moved, rng.sample(moved, len(moved))))
+            # summands and triangles of the lattice are implied by its tensor
+            # table, so a few arbitrary ones are added too
+            keep = rng.random()
+            tables["summands"] = [p for p in tables["summands"] if rng.random() < keep]
+            tables["summands"] += [tuple(rng.sample(objects, 2)) for _ in range(rng.randint(0, 2))]
+            tables["triangles"] = [t for t in tables["triangles"] if rng.random() < keep / 4]
+            tables["triangles"] += [tuple(rng.choices(objects, k=3)) for _ in range(rng.randint(0, 2))]
+            cat = Catalogue.of(**tables)
+            assert enumerate_ideals(cat) == naive_ideals(cat)
+            assert enumerate_primes(cat) == naive_primes(cat)
+        assert min(seen.values()) >= 4, seen
+
+    def test_up_set_lattices_of_16_to_24_objects(self):
+        # The ideals of an up-set lattice are the families {c : c <= U}, one
+        # per up-set U, and its primes the families {c : p not in c}.
+        rng = random.Random(89)
+        spaces = [(23, _chain_up_sets(23))]
+        while len(spaces) < 25:
+            npts = rng.randint(4, 7)
+            ups = _up_sets(npts, _random_poset(rng, npts))
+            if 16 <= len(ups) <= 24:
+                spaces.append((npts, ups))
+        for npts, ups in spaces:
+            rng.shuffle(ups)
+            cat = Catalogue.of(**_lattice_tables(ups))
+            families = [frozenset(i for i, c in enumerate(ups) if c <= u) for u in ups]
+            primes = [frozenset(i for i, c in enumerate(ups) if p not in c) for p in range(npts)]
+            assert enumerate_ideals(cat) == _by_size(families)
+            assert enumerate_primes(cat) == _by_size(primes)
 
     def test_maximal_implies_prime(self):
         rng = random.Random(71)
@@ -219,6 +330,22 @@ class TestUniversalMap:
         assert cat.names_of(result.apply(x1)) == ("0", "B")
         assert cat.names_of(result.apply(x2)) == ("0", "A")
 
+    def test_unique_checked_beyond_two_million_maps(self):
+        # 8 points and 8 primes: 8 ** 8 candidate maps
+        cat = _chain_catalogue(9)
+        result = universal_map(spc_support(cat), cat)
+        assert result.report.passed
+        assert [r.name for r in result.report.records if "unique" in r.name] == ["universal.unique"]
+
+    def test_unique_fails_when_a_point_misses_the_primes(self):
+        # x goes to {0}, which is not a prime of the model
+        cat = five_object_model()
+        space = FiniteSpace.of(["x"], [])
+        sigma = [frozenset() if i == cat.zero else frozenset({"x"}) for i in range(cat.size)]
+        result = universal_map(SupportDatum.of(space, sigma), cat)
+        unique = [r for r in result.report.records if r.name == "universal.unique"]
+        assert len(unique) == 1 and not unique[0].passed
+
     def test_empty_support_advisory(self):
         cat = five_object_model()
         x = "x"
@@ -265,6 +392,44 @@ class TestClassification:
         for _ in range(4):
             cat = random_subset_catalogue(rng, rng.choice([6, 8, 12]))
             assert classify(cat).passed
+
+
+class TestThomasonLattice:
+    def test_against_subset_scan(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            npts = rng.randint(0, 8)
+            above = _random_poset(rng, npts)
+            label = rng.choice([str, lambda x: x, lambda x: frozenset({x, -x})])
+            names = [label(x) for x in range(npts)]
+            points = rng.sample(names, npts)  # listed in no particular order
+            space = FiniteSpace.of(
+                points, [(names[x], names[y]) for x in range(npts) for y in above[x]]
+            )
+            assert thomason_lattice(space) == naive_thomason_lattice(space)
+
+
+class TestTwentyFourObjects:
+    """classify and catalogue-universal at the MAX_OBJECTS cap."""
+
+    def test_classify_under_a_second(self):
+        cat = _chain_catalogue(24)
+        start = perf_counter()
+        report = classify(cat)
+        elapsed = perf_counter() - start
+        assert report.passed
+        assert elapsed < 1.0
+
+    def test_catalogue_universal_under_a_second(self, tmp_path, capsys):
+        path = tmp_path / "chain24.json"
+        path.write_text(json.dumps(_chain_catalogue(24).to_json()))
+        start = perf_counter()
+        code = main(["--format", "json", "catalogue-universal", str(path)])
+        elapsed = perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["passed"] is True
+        assert "universal.unique" in [c["name"] for c in payload["checks"]]
+        assert elapsed < 1.0
 
 
 class _Expired(Exception):
