@@ -46,6 +46,15 @@ def _load_object(path: str) -> GradedModule:
         raise InputError(str(exc))
 
 
+def _homology(c: PerfectComplex, where: str) -> GradedModule:
+    """Homology of an input complex; a torsion prime too large to certify
+    is bad input."""
+    try:
+        return homology(c)
+    except ValueError as exc:
+        raise InputError(f"{where}: homology: {exc}")
+
+
 def _load_complex(path: str) -> PerfectComplex:
     try:
         return PerfectComplex.from_json(_load_json(path), path)
@@ -126,7 +135,7 @@ def _emit_report(args, title: str, report: Report) -> int:
 
 
 def cmd_homology(args) -> int:
-    h = homology(_load_complex(args.complex))
+    h = _homology(_load_complex(args.complex), args.complex)
     _emit(args, [str(h)], {"homology": h.to_json()})
     return 0
 
@@ -142,7 +151,7 @@ def cmd_tensor(args) -> int:
             cb = PerfectComplex.from_json(b, args.right)
         except ValueError as exc:
             raise InputError(str(exc))
-        h = homology(tensor_chain(ca, cb))
+        h = _homology(tensor_chain(ca, cb), f"{args.left} x {args.right}")
     else:
         try:
             h = kunneth(

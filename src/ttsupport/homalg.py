@@ -9,6 +9,7 @@ maps C^n to C^{n+1}, and the shift moves degrees down, (shift C)^n = C^{n+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from sympy import factorint
@@ -489,8 +490,10 @@ def scalar_cone(n: int) -> PerfectComplex:
     return cone(ChainMap.of(u, u, {0: [[n]]}))
 
 
-def _torsion_cyclics(factor: int) -> list[Cyclic]:
-    return [Cyclic.torsion(int(p), int(e)) for p, e in sorted(factorint(factor).items())]
+@lru_cache(maxsize=1024)
+def _torsion_cyclics(factor: int) -> tuple[Cyclic, ...]:
+    """Primary parts of Z/factor; memoised, as the same factors recur."""
+    return tuple(Cyclic.torsion(int(p), int(e)) for p, e in sorted(factorint(factor).items()))
 
 
 def homology(c: PerfectComplex) -> GradedModule:

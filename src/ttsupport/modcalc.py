@@ -136,7 +136,10 @@ class Cyclic:
                 p, k = int(data.get("p")), int(data.get("k"))
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: torsion needs integer p and k") from None
-            return cls.torsion(p, k)
+            try:
+                return cls.torsion(p, k)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         if kind == "prufer":
             return cls.prufer(PrimeSet.from_json(data.get("primes"), f"{where}.primes"))
         raise ValueError(f"{where}.kind: expected 'free', 'torsion' or 'prufer'")
@@ -160,8 +163,12 @@ class Module:
                 raise ValueError("negative multiplicity")
             if mult:
                 counts[c] = counts.get(c, 0) + mult
-        ordered = sorted(counts.items(), key=lambda cm: cm[0].sort_key())
-        return cls(tuple(ordered))
+        return cls._of_counts(counts)
+
+    @classmethod
+    def _of_counts(cls, counts: Mapping[Cyclic, int]) -> "Module":
+        """The canonical form of positive multiplicities keyed by block."""
+        return cls(tuple(sorted(counts.items(), key=lambda cm: cm[0].sort_key())))
 
     @classmethod
     def zero(cls) -> "Module":
@@ -171,7 +178,10 @@ class Module:
         return not self.parts
 
     def plus(self, other: "Module") -> "Module":
-        return Module.of(list(self.parts) + list(other.parts))
+        counts = dict(self.parts)
+        for c, m in other.parts:
+            counts[c] = counts.get(c, 0) + m
+        return Module._of_counts(counts)
 
     def cyclics(self) -> list[Cyclic]:
         out = []
@@ -258,6 +268,11 @@ class GradedModule:
         return cls.of(out)
 
 
+def _one(c: Cyclic) -> Module:
+    """A single block, which is already in canonical form."""
+    return Module(((c, 1),))
+
+
 def _pair(a: Cyclic, b: Cyclic) -> tuple[Cyclic, Cyclic]:
     if _KIND_ORDER[a.kind] <= _KIND_ORDER[b.kind]:
         return a, b
@@ -269,18 +284,18 @@ def tensor_mod(a: Cyclic, b: Cyclic) -> Module:
     x, y = _pair(a, b)
     if x.kind == "free":
         if y.kind == "free":
-            return Module.of([Cyclic.free(x.primes.union(y.primes))])
+            return _one(Cyclic.free(x.primes.union(y.primes)))
         if y.kind == "torsion":
             if x.primes.contains(y.p):
                 return Module.zero()
-            return Module.of([y])
+            return _one(y)
         rest = y.primes.difference(x.primes)
-        return Module.zero() if rest.is_empty() else Module.of([Cyclic.prufer(rest)])
+        return Module.zero() if rest.is_empty() else _one(Cyclic.prufer(rest))
     if x.kind == "torsion":
         if y.kind == "torsion":
             if x.p != y.p:
                 return Module.zero()
-            return Module.of([Cyclic.torsion(x.p, min(x.k, y.k))])
+            return _one(Cyclic.torsion(x.p, min(x.k, y.k)))
         return Module.zero()  # torsion x prufer: prufer groups are divisible
     return Module.zero()  # prufer x prufer
 
@@ -294,30 +309,29 @@ def tor_mod(a: Cyclic, b: Cyclic) -> Module:
         if y.kind == "torsion":
             if x.p != y.p:
                 return Module.zero()
-            return Module.of([Cyclic.torsion(x.p, min(x.k, y.k))])
+            return _one(Cyclic.torsion(x.p, min(x.k, y.k)))
         if y.primes.contains(x.p):
-            return Module.of([x])
+            return _one(x)
         return Module.zero()
     common = x.primes.intersect(y.primes)
-    return Module.zero() if common.is_empty() else Module.of([Cyclic.prufer(common)])
+    return Module.zero() if common.is_empty() else _one(Cyclic.prufer(common))
 
 
-def _bilinear(op, x: Module, y: Module) -> Module:
-    total = Module.zero()
+def _bilinear(op, x: Module, y: Module, counts: dict[Cyclic, int]) -> dict[Cyclic, int]:
+    """Add op of every pair of blocks of x and y into counts; return counts."""
     for a, ma in x.parts:
         for b, mb in y.parts:
-            piece = op(a, b)
-            if not piece.is_zero():
-                total = total.plus(Module.of((c, m * ma * mb) for c, m in piece.parts))
-    return total
+            for c, m in op(a, b).parts:
+                counts[c] = counts.get(c, 0) + m * ma * mb
+    return counts
 
 
 def tensor_modules(x: Module, y: Module) -> Module:
-    return _bilinear(tensor_mod, x, y)
+    return Module._of_counts(_bilinear(tensor_mod, x, y, {}))
 
 
 def tor_modules(x: Module, y: Module) -> Module:
-    return _bilinear(tor_mod, x, y)
+    return Module._of_counts(_bilinear(tor_mod, x, y, {}))
 
 
 def kunneth(x: GradedModule, y: GradedModule) -> GradedModule:
@@ -326,17 +340,14 @@ def kunneth(x: GradedModule, y: GradedModule) -> GradedModule:
     H^n(X x Y) collects the tensors of H^i X and H^j Y with i + j = n and
     the Tor terms with i + j = n + 1.
     """
-    out: dict[int, Module] = {}
-
-    def put(n: int, m: Module) -> None:
-        if not m.is_zero():
-            out[n] = out.get(n, Module.zero()).plus(m)
-
+    out: dict[int, dict[Cyclic, int]] = {}
     for i, mi in x.graded:
         for j, mj in y.graded:
-            put(i + j, tensor_modules(mi, mj))
-            put(i + j - 1, tor_modules(mi, mj))
-    return GradedModule.of(out)
+            _bilinear(tensor_mod, mi, mj, out.setdefault(i + j, {}))
+            _bilinear(tor_mod, mi, mj, out.setdefault(i + j - 1, {}))
+    return GradedModule(
+        tuple(sorted((n, Module._of_counts(c)) for n, c in out.items() if c))
+    )
 
 
 def supp_cyclic(c: Cyclic) -> PointSet:

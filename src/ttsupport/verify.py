@@ -520,7 +520,10 @@ def check_supp_agreement(ctx: VerifyContext) -> CheckRecord:
     rng = ctx.rng("supp-agree")
     failures = []
     cases = 0
-    probe = [GENERIC] + [SpecZPoint.closed(p) for p in (2, 3, 5, 31)]
+    probe = [
+        (x, balmer.gamma_point(x).value)
+        for x in [GENERIC] + [SpecZPoint.closed(p) for p in (2, 3, 5, 31)]
+    ]
     for _ in range(ctx.cases):
         c, _ = randgen.random_complex(rng, max_cells=3)
         h = homology(c)
@@ -531,9 +534,9 @@ def check_supp_agreement(ctx: VerifyContext) -> CheckRecord:
         cases += 1
         if supp != hom_supp:
             failures.append(f"abstract vs homological support differ on {h}")
-        for x in probe:
+        for x, gamma_x in probe:
             cases += 1
-            via_gamma = not kunneth(balmer.gamma_point(x).value, h).is_zero()
+            via_gamma = not kunneth(gamma_x, h).is_zero()
             via_stalk = any(
                 not modcalc.localize_point(x, h.module_in(n)).is_zero()
                 for n in h.degrees()

@@ -27,19 +27,24 @@ __all__ = [
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with the witness set below is a proven deterministic test for
-# every n under this bound; larger candidates fall back to trial division,
-# which stays exact but is slow for big inputs (a performance boundary, not a
-# correctness one).
+# every n under this bound.  Above it no proven test is implemented, so
+# is_prime refuses what small divisors do not settle rather than guess or
+# run for days.
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+
+# Below this bound primality is a lookup in a table sieved at import.
+_TABLE_BOUND = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for arbitrary-precision integers."""
-    if n < 2:
-        return False
+    """Deterministic primality test.
+
+    Exact for every n below ``_MR_PROVEN_BOUND``.  At or above it, n with no
+    prime factor up to 37 raises ValueError: no proven test covers it.
+    """
+    if n < _TABLE_BOUND:
+        return n in _PRIME_TABLE
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
         if n % p == 0:
             return False
     if n < _MR_PROVEN_BOUND:
@@ -57,12 +62,10 @@ def is_prime(n: int) -> bool:
             else:
                 return False
         return True
-    f = 41
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    raise ValueError(
+        f"{n} is too large to test for primality: the proven test covers "
+        f"numbers below {_MR_PROVEN_BOUND}"
+    )
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -75,6 +78,9 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, b in enumerate(sieve) if b]
+
+
+_PRIME_TABLE = frozenset(primes_up_to(_TABLE_BOUND - 1))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: set
 semantics over an explicit prime universe, cofactor-expansion determinants,
-kernel-basis homology, and plain-set enumerations of catalogue ideals and of
-the specialisation-closed subsets of a finite space.
+kernel-basis homology, a Kunneth product that re-canonicalises after every
+pair of blocks, and plain-set enumerations of catalogue ideals and of the
+specialisation-closed subsets of a finite space.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from itertools import combinations
 
 from ttsupport.homalg import IntMatrix, PerfectComplex, snf
+from ttsupport.modcalc import GradedModule, Module, tensor_mod, tor_mod
 from ttsupport.znum import PrimeSet, primes_up_to
 
 
@@ -106,6 +108,37 @@ def homology_pair(c: PerfectComplex, n: int) -> tuple[int, list[int]]:
     facs = snf(rel).invariant_factors
     torsion = [f for f in facs if f > 1]
     return k - len(facs), torsion
+
+
+def _naive_plus(a: Module, b: Module) -> Module:
+    return Module.of(list(a.parts) + list(b.parts))
+
+
+def naive_bilinear(op, x: Module, y: Module) -> Module:
+    """Bilinear extension of a block table, folded one pair at a time."""
+    total = Module.zero()
+    for a, ma in x.parts:
+        for b, mb in y.parts:
+            piece = op(a, b)
+            if not piece.is_zero():
+                total = _naive_plus(total, Module.of((c, m * ma * mb) for c, m in piece.parts))
+    return total
+
+
+def naive_kunneth(x: GradedModule, y: GradedModule) -> GradedModule:
+    """Derived tensor of formal objects by the pairwise fold: every block
+    pair's tensor and Tor are added into a freshly canonicalised module."""
+    out: dict[int, Module] = {}
+
+    def put(n: int, m: Module) -> None:
+        if not m.is_zero():
+            out[n] = _naive_plus(out.get(n, Module.zero()), m)
+
+    for i, mi in x.graded:
+        for j, mj in y.graded:
+            put(i + j, naive_bilinear(tensor_mod, mi, mj))
+            put(i + j - 1, naive_bilinear(tor_mod, mi, mj))
+    return GradedModule.of(out)
 
 
 def naive_ideals(cat) -> list[frozenset[int]]:

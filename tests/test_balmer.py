@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
+from ttsupport import balmer
 from ttsupport.balmer import (
+    Idempotent,
     NotPrimeError,
     gamma_point,
     gamma_v,
@@ -37,6 +39,7 @@ from ttsupport.znum import (
     PrimeSet,
     SpclSubset,
     SpecZPoint,
+    primes_up_to,
 )
 
 Z = Cyclic.free(PrimeSet.none())
@@ -102,6 +105,25 @@ class TestGammaPoint:
             direct = gamma_point(x).value
             assembled = kunneth(gamma_v(v_of_point(x)).value, l_v(z_of_point(x)).value)
             assert direct == assembled
+
+    def test_memoised_matches_formula(self):
+        from ttsupport.znum import v_of_point, z_of_point
+
+        points = [GENERIC] + [SpecZPoint.closed(p) for p in primes_up_to(100)]
+        gamma_point.cache_clear()
+        for _ in range(2):  # the second pass reads the memo
+            for x in points:
+                formula = kunneth(gamma_v(v_of_point(x)).value, l_v(z_of_point(x)).value)
+                assert gamma_point(x) == Idempotent("point", None, x, formula)
+                assert gamma_point(x) == gamma_point.__wrapped__(x)
+        assert gamma_point.cache_info().hits >= len(points)
+
+    def test_memo_is_bounded(self):
+        maxsize = gamma_point.cache_info().maxsize
+        assert maxsize is not None
+        for p in primes_up_to(10 * maxsize)[: maxsize + 10]:
+            gamma_point(SpecZPoint.closed(p))
+        assert gamma_point.cache_info().currsize == maxsize
 
     def test_idempotency(self):
         for x in [SpecZPoint.closed(2), SpecZPoint.closed(3), SpecZPoint.closed(5), GENERIC]:
@@ -207,6 +229,34 @@ class TestTriangleCheck:
 
     def test_whole_space_trivial(self):
         assert localization_triangle_check(SpclSubset.whole_space()).passed
+
+    def test_unit_injects_from_koszul_tower(self, monkeypatch):
+        probed = []
+        real_homology = balmer.homology
+
+        def spy(c):
+            probed.append(c)
+            return real_homology(c)
+
+        monkeypatch.setattr(balmer, "homology", spy)
+        rep = localization_triangle_check(closed_except(3, 17))
+        assert "triangle.unit-injects" in [r.name for r in rep.records]
+        assert rep.passed
+        # every prime of S up to the probe bound: 2, 5, 7, 11, 13
+        assert probed == [scalar_cone(p) for p in (2, 5, 7, 11, 13)]
+
+    def test_unit_injects_fails_on_kernel(self, monkeypatch):
+        real_homology = balmer.homology
+
+        def with_kernel(c):
+            h = real_homology(c)
+            return h.plus(GradedModule.of({-1: [Cyclic.torsion(2, 1)]}))
+
+        monkeypatch.setattr(balmer, "homology", with_kernel)
+        rep = localization_triangle_check(closed(2, 3))
+        failed = [r.name for r in rep.failures()]
+        assert failed == ["triangle.unit-injects"]
+        assert "ker(Z --2--> Z) = Z/2" in rep.failures()[0].detail
 
     def test_all_closed_points_gives_q_mod_z(self):
         v = closed_except()

@@ -6,17 +6,22 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
+from deadline import within
 from ttsupport import supportdata
 from ttsupport.balmer import supp_object
 from ttsupport.cli import main
 from ttsupport.homalg import PerfectComplex, homology, tensor_chain
 from ttsupport.modcalc import Cyclic, GradedModule
 from ttsupport.supportdata import five_object_model
-from ttsupport.znum import PrimeSet, SpclSubset, primes_up_to
+from ttsupport.znum import _MR_PROVEN_BOUND, PrimeSet, SpclSubset, primes_up_to
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify_seed42_cases60_primes50.txt"
+# the first prime past the bound of the proven primality test
+BEYOND_PROVEN = sympy.nextprime(_MR_PROVEN_BOUND)
+GOLDEN_VERIFY_DEFAULT = ROOT / "tests" / "golden" / "verify_seed42_cases500_primes100.txt"
 
 
 @pytest.fixture()
@@ -222,6 +227,37 @@ class TestErrors:
         assert code == 2
         assert "prime" in err
 
+    @pytest.mark.parametrize(
+        "block, location",
+        [
+            ({"kind": "torsion", "p": str(BEYOND_PROVEN), "k": 1}, ".0[1]"),
+            ({"kind": "free", "invert": {"mode": "finite", "primes": [str(BEYOND_PROVEN)]}},
+             ".0[1].invert.primes"),
+        ],
+    )
+    def test_prime_beyond_proven_bound_is_rejected(self, capsys, tmp_path, block, location):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"0": [{"kind": "torsion", "p": "2", "k": 1}, block]}))
+        code, _, err = within(5, lambda: run(capsys, "support", "--object", str(path)))
+        assert code == 2
+        assert f"{path}{location}: " in err
+        assert str(_MR_PROVEN_BOUND) in err
+
+    def test_homology_with_torsion_beyond_proven_bound_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "huge_complex.json"
+        path.write_text(json.dumps(
+            {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[str(BEYOND_PROVEN)]]}}
+        ))
+        code, _, err = within(5, lambda: run(capsys, "homology", str(path)))
+        assert code == 2
+        assert f"{path}: homology: " in err
+        assert str(_MR_PROVEN_BOUND) in err
+
+    def test_point_beyond_proven_bound_is_rejected(self, capsys):
+        code, _, err = within(5, lambda: run(capsys, "idempotent", "--point", str(BEYOND_PROVEN)))
+        assert code == 2
+        assert str(_MR_PROVEN_BOUND) in err
+
 
 class TestVerifyCommand:
     def test_small_verify_passes(self, capsys):
@@ -260,6 +296,11 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert out.encode("utf-8") == GOLDEN_VERIFY.read_bytes()
+
+    def test_matches_committed_snapshot_at_default_sizes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--seed", "42")
+        assert code == 0
+        assert out.encode("utf-8") == GOLDEN_VERIFY_DEFAULT.read_bytes()
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -19,7 +19,8 @@ from ttsupport.homalg import (
     unit_complex,
 )
 from ttsupport.modcalc import Cyclic, GradedModule
-from ttsupport.randgen import random_chain_map, random_complex
+from ttsupport import homalg
+from ttsupport.randgen import _primary_parts, random_chain_map, random_complex
 from ttsupport.znum import PrimeSet
 
 Z = Cyclic.free(PrimeSet.none())
@@ -120,6 +121,27 @@ class TestHomology:
         assert homology(scalar_cone(12)) == GradedModule.of(
             {0: [Cyclic.torsion(2, 2), Cyclic.torsion(3, 1)]}
         )
+
+    def test_torsion_factorisations_are_memoised(self, monkeypatch):
+        calls = []
+        real = homalg.factorint
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(homalg, "factorint", counting)
+        homalg._torsion_cyclics.cache_clear()
+        for _ in range(3):
+            assert homology(scalar_cone(360)) == GradedModule.of(
+                {0: [Cyclic.torsion(2, 3), Cyclic.torsion(3, 2), Cyclic.torsion(5, 1)]}
+            )
+        assert calls == [360]
+        cached = homalg._torsion_cyclics(360)
+        assert isinstance(cached, tuple)  # callers cannot change the memo
+        assert homalg._torsion_cyclics.cache_info().maxsize is not None
+        for n in range(2, 300):
+            assert homalg._torsion_cyclics(n) == tuple(_primary_parts(n))
 
     def test_against_kernel_oracle(self):
         rng = random.Random(7)

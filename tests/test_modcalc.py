@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,14 @@ from ttsupport.modcalc import (
     tor_mod,
     tor_modules,
 )
-from ttsupport.randgen import random_complex, random_graded, random_module
+from oracles import naive_bilinear, naive_kunneth
+from ttsupport.randgen import (
+    random_complex,
+    random_cyclic,
+    random_engineered_graded,
+    random_graded,
+    random_module,
+)
 from ttsupport.znum import GENERIC, PointSet, PrimeSet, SpecZPoint
 
 Z = Cyclic.free(PrimeSet.none())
@@ -324,3 +332,70 @@ class TestGradedOps:
     def test_sum_multiplicities(self):
         x = GradedModule.of({0: [Cyclic.torsion(2, 1)]})
         assert x.plus(x) == GradedModule.of({0: [(Cyclic.torsion(2, 1), 2)]})
+
+
+def _with_repeats(rng: random.Random) -> GradedModule:
+    """A graded object whose modules list blocks again and again, some of
+    them in several degrees at once."""
+    blocks = [random_cyclic(rng) for _ in range(rng.randint(1, 3))]
+    degrees = rng.sample(range(-2, 3), rng.randint(1, 3))
+    return GradedModule.of(
+        {
+            n: Module.of([(rng.choice(blocks), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))])
+            for n in degrees
+        }
+    )
+
+
+class TestOnePassCanonicalForms:
+    """kunneth, tensor_modules and tor_modules against the pairwise fold."""
+
+    @staticmethod
+    def inputs(seed: int, n: int):
+        rng = random.Random(seed)
+        makers = (random_graded, random_engineered_graded, _with_repeats)
+        for i in range(n):
+            x = makers[i % 3](rng)
+            y = makers[(i // 3) % 3](rng)
+            if i % 17 == 0:
+                x = GradedModule.zero()
+            yield x, y
+
+    def test_kunneth_matches_pairwise_fold(self):
+        seen_zero = seen_repeats = 0
+        for x, y in self.inputs(2024, 600):
+            seen_zero += x.is_zero() or y.is_zero()
+            seen_repeats += any(mult > 1 for g in (x, y) for _, m in g.graded for _, mult in m.parts)
+            assert kunneth(x, y) == naive_kunneth(x, y), (x, y)
+        assert seen_zero >= 30 and seen_repeats >= 200
+
+    def test_module_products_match_pairwise_fold(self):
+        cases = 0
+        for x, y in self.inputs(7, 600):
+            for (_, a), (_, b) in product(x.graded, y.graded):
+                cases += 1
+                assert tensor_modules(a, b) == naive_bilinear(tensor_mod, a, b)
+                assert tor_modules(a, b) == naive_bilinear(tor_mod, a, b)
+        assert cases >= 500
+        zero = Module.zero()
+        rng = random.Random(8)
+        for _ in range(50):
+            m = random_module(rng)
+            assert tensor_modules(zero, m) == tor_modules(m, zero) == zero
+
+    def test_plus_matches_concatenation(self):
+        rng = random.Random(9)
+        for _ in range(500):
+            a, b = random_module(rng), random_module(rng)
+            assert a.plus(b) == Module.of(list(a.parts) + list(b.parts))
+
+    def test_results_are_canonical(self):
+        for x, y in self.inputs(11, 200):
+            for n, m in kunneth(x, y).graded:
+                keys = [c.sort_key() for c, _ in m.parts]
+                assert keys == sorted(set(keys))
+                assert all(mult > 0 for _, mult in m.parts)
+
+    def test_of_still_rejects_negative_multiplicity(self):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            Module.of([(Z, -1)])

@@ -1,11 +1,11 @@
 import json
 import random
-import signal
 from itertools import combinations
 from time import perf_counter
 
 import pytest
 
+from deadline import within
 from oracles import naive_ideals, naive_primes, naive_thomason_lattice
 from ttsupport.cli import main
 from ttsupport.supportdata import (
@@ -432,28 +432,6 @@ class TestTwentyFourObjects:
         assert elapsed < 1.0
 
 
-class _Expired(Exception):
-    pass
-
-
-def _deadline(seconds: int, fn):
-    """Run fn, raising TimeoutError if it is still running after seconds."""
-
-    def expire(signum, frame):
-        raise _Expired
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        return fn()
-    except _Expired:
-        # raised afresh so that the report does not walk the interrupted frames
-        raise TimeoutError(f"still running after {seconds} s") from None
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _up_set_counts_by_brute_force(max_points: int) -> set[int]:
     """Up-set counts of every order on 2..max_points points that refines the
     natural order, from every set of generating pairs."""
@@ -481,7 +459,7 @@ class TestRandomSubsetCatalogue:
     @pytest.mark.parametrize("n_objects, max_points", [(2, 6), (63, 6), (19, 5), (7, 3)])
     def test_unreachable_sizes_rejected(self, n_objects, max_points):
         with pytest.raises(ValueError):
-            _deadline(5, lambda: random_subset_catalogue(random.Random(0), n_objects, max_points))
+            within(5, lambda: random_subset_catalogue(random.Random(0), n_objects, max_points))
 
     def test_rejects_exactly_the_unreachable_sizes(self):
         for max_points in (2, 3, 4):
@@ -492,7 +470,7 @@ class TestRandomSubsetCatalogue:
                     assert random_subset_catalogue(rng, n_objects, max_points).size == n_objects
                 else:
                     with pytest.raises(ValueError):
-                        _deadline(5, lambda: random_subset_catalogue(rng, n_objects, max_points))
+                        within(5, lambda: random_subset_catalogue(rng, n_objects, max_points))
 
     def test_stream_unchanged_for_reachable_sizes(self):
         rng = random.Random(2024)

@@ -1,7 +1,12 @@
+import math
+
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
+from deadline import within
 from oracles import primeset_members
+from ttsupport import znum
 from ttsupport.znum import (
     GENERIC,
     PointSet,
@@ -41,6 +46,33 @@ class TestPrimality:
     def test_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime((2**31 - 1) * (2**19 - 1))
+
+    def test_table_and_miller_rabin_agree_with_sieve(self):
+        top = znum._TABLE_BOUND + 200
+        primes = set(primes_up_to(top))
+        for n in range(-5, top + 1):
+            assert is_prime(n) == (n in primes), n
+
+    def test_table_agrees_with_trial_division(self):
+        for n in range(-znum._TABLE_BOUND, znum._TABLE_BOUND):
+            by_trial = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert is_prime(n) == by_trial, n
+
+    def test_just_below_the_proven_bound(self):
+        bound = znum._MR_PROVEN_BOUND
+        p = sympy.prevprime(bound)
+        q = sympy.prevprime(math.isqrt(bound))
+        assert within(5, lambda: is_prime(p))
+        assert not within(5, lambda: is_prime(q * q))
+
+    def test_rejects_numbers_beyond_the_proven_bound(self):
+        # this prime once sent is_prime into about 49 hours of trial division
+        p = sympy.nextprime(znum._MR_PROVEN_BOUND)
+        for n in (znum._MR_PROVEN_BOUND, p):
+            with pytest.raises(ValueError, match=str(znum._MR_PROVEN_BOUND)):
+                within(5, lambda: is_prime(n))
+        # a small divisor still settles any size
+        assert not is_prime(37 * p) and not is_prime(2**100)
 
 
 class TestPrimeSet:
@@ -98,6 +130,14 @@ class TestPrimeSet:
         assert PrimeSet.from_json({"mode": "finite", "primes": ["101"]}) == PrimeSet.of([101])
         with pytest.raises(ValueError, match="mode"):
             PrimeSet.from_json({"mode": "open", "primes": []})
+
+    def test_json_rejects_primes_beyond_the_proven_bound(self):
+        p = sympy.nextprime(znum._MR_PROVEN_BOUND)
+        data = {"mode": "finite", "primes": ["2", str(p)]}
+        with pytest.raises(ValueError) as caught:
+            within(5, lambda: PrimeSet.from_json(data, "S"))
+        assert str(caught.value).startswith("S.primes: ")
+        assert str(znum._MR_PROVEN_BOUND) in str(caught.value)
 
 
 class TestPoints:
