@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import balmer, supportdata, verify
 from .homalg import PerfectComplex, homology, tensor_chain
@@ -315,7 +316,11 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call
+    in the process; each parse still returns a fresh namespace.  Only a
+    process that calls ``main`` more than once gains from the sharing."""
     parser = argparse.ArgumentParser(
         prog="ttsupport",
         description="Exact support theory for the derived category of the integers.",
@@ -380,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -1,7 +1,8 @@
 """Exact integer linear algebra and perfect complexes over Z.
 
-Matrices carry arbitrary-precision integers; Smith normal form with
-unimodular transforms is the engine behind every homology computation.
+Matrices carry arbitrary-precision integers.  Homology reads invariant
+factors computed modulo a determinantal divisor, so their entries stay
+bounded; Smith normal form with unimodular transforms is exact over Z.
 Complexes use the cohomological convention: the differential in degree n
 maps C^n to C^{n+1}, and the shift moves degrees down, (shift C)^n = C^{n+1}.
 """
@@ -10,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from math import gcd, prod
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from sympy import factorint
 
@@ -94,13 +97,12 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries
+        cols = list(zip(*other.entries)) if other.entries else [()] * other.cols
+        return IntMatrix(
+            self.rows,
+            other.cols,
+            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries),
         )
-        if not self.entries:
-            out = ()
-        return IntMatrix(self.rows, other.cols, out)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; row-major on both index pairs."""
@@ -180,14 +182,14 @@ def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _diagonalize(a: list[list[int]], track: bool) -> tuple[list[int], list[list[int]] | None, list[list[int]] | None]:
+def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Reduce a in place to diagonal form with divisibility chain.
 
-    Returns (diagonal, u, v); u and v are None when track is False.
+    Returns (diagonal, u, v) with u * a_before * v = a_after.
     """
     nrows, ncols = len(a), len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if track else None
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] if track else None
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def row_combine(i1: int, i2: int, col: int) -> None:
         # Zero a[i2][col] using a[i1][col]; keeps u in sync.
@@ -197,18 +199,16 @@ def _diagonalize(a: list[list[int]], track: bool) -> tuple[list[int], list[list[
         if p != 0 and q % p == 0:
             f = -(q // p)
             a[i2] = [x + f * y for x, y in zip(a[i2], a[i1])]
-            if track:
-                u[i2] = [x + f * y for x, y in zip(u[i2], u[i1])]
+            u[i2] = [x + f * y for x, y in zip(u[i2], u[i1])]
             return
         g, x, y = xgcd(p, q)
         pg, qg = p // g, q // g
         r1, r2 = a[i1], a[i2]
         a[i1] = [x * s + y * t for s, t in zip(r1, r2)]
         a[i2] = [-qg * s + pg * t for s, t in zip(r1, r2)]
-        if track:
-            s1, s2 = u[i1], u[i2]
-            u[i1] = [x * s + y * t for s, t in zip(s1, s2)]
-            u[i2] = [-qg * s + pg * t for s, t in zip(s1, s2)]
+        s1, s2 = u[i1], u[i2]
+        u[i1] = [x * s + y * t for s, t in zip(s1, s2)]
+        u[i2] = [-qg * s + pg * t for s, t in zip(s1, s2)]
 
     def col_combine(j1: int, j2: int, row: int) -> None:
         p, q = a[row][j1], a[row][j2]
@@ -218,9 +218,8 @@ def _diagonalize(a: list[list[int]], track: bool) -> tuple[list[int], list[list[
             f = -(q // p)
             for r in a:
                 r[j2] += f * r[j1]
-            if track:
-                for r in v:
-                    r[j2] += f * r[j1]
+            for r in v:
+                r[j2] += f * r[j1]
             return
         g, x, y = xgcd(p, q)
         pg, qg = p // g, q // g
@@ -228,11 +227,10 @@ def _diagonalize(a: list[list[int]], track: bool) -> tuple[list[int], list[list[
             s, t = r[j1], r[j2]
             r[j1] = x * s + y * t
             r[j2] = -qg * s + pg * t
-        if track:
-            for r in v:
-                s, t = r[j1], r[j2]
-                r[j1] = x * s + y * t
-                r[j2] = -qg * s + pg * t
+        for r in v:
+            s, t = r[j1], r[j2]
+            r[j1] = x * s + y * t
+            r[j2] = -qg * s + pg * t
 
     t = 0
     limit = min(nrows, ncols)
@@ -247,11 +245,9 @@ def _diagonalize(a: list[list[int]], track: bool) -> tuple[list[int], list[list[
         if best is None:
             break
         _swap_rows(a, t, best[0])
-        if track:
-            _swap_rows(u, t, best[0])
+        _swap_rows(u, t, best[0])
         _swap_cols(a, t, best[1])
-        if track:
-            _swap_cols(v, t, best[1])
+        _swap_cols(v, t, best[1])
         while True:
             for i in range(t + 1, nrows):
                 row_combine(t, i, t)
@@ -273,12 +269,10 @@ def _diagonalize(a: list[list[int]], track: bool) -> tuple[list[int], list[list[
             if bad is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            if track:
-                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if track:
-                u[t] = [-x for x in u[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
     diag = [a[i][i] for i in range(limit)]
     return diag, u, v
@@ -287,7 +281,7 @@ def _diagonalize(a: list[list[int]], track: bool) -> tuple[list[int], list[list[
 def snf(m: IntMatrix) -> SNFResult:
     """Smith normal form with transforms: u*m*v = d, both unimodular."""
     a = [list(row) for row in m.entries]
-    diag, u, v = _diagonalize(a, track=True)
+    diag, u, v = _diagonalize(a)
     d = IntMatrix.of(a) if a else IntMatrix.zeros(m.rows, m.cols)
     if m.rows == 0 or m.cols == 0:
         d = IntMatrix.zeros(m.rows, m.cols)
@@ -304,13 +298,121 @@ def snf(m: IntMatrix) -> SNFResult:
     return result
 
 
+def _rank_and_minor(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
+    """Rank r and |det| of a nonsingular r x r minor, by one fraction-free
+    (Bareiss) pass with row pivoting.
+
+    ``determinant`` stays a separate square-only elimination: it is the
+    oracle that checks invariant factors against minors.
+    """
+    # The rows not yet taken as pivots, on the columns not yet eliminated.
+    rest = list(rows)
+    rank, prev = 0, 1
+    while rest and rest[0]:
+        for i, row in enumerate(rest):
+            if row[0]:
+                break
+        else:
+            rest = [row[1:] for row in rest]
+            continue
+        top = rest.pop(i)
+        p, tail = top[0], top[1:]
+        reduced = []
+        for row in rest:
+            q = row[0]
+            reduced.append([(x * p - q * y) // prev for x, y in zip(row[1:], tail)])
+        rest = reduced
+        prev = p
+        rank += 1
+    return rank, abs(prev)
+
+
 def smith_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only (no transforms); faster path for homology."""
+    """Invariant factors only (no transforms); the path homology takes.
+
+    Entries are kept modulo M = 2D, where D is |det| of a nonsingular r x r
+    minor and r the rank (Hafner--McCurley 1991; Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4).  Each invariant factor
+    divides D, so over Z/M it survives as itself, and M stands for a zero
+    (2D rather than D, so that a factor equal to D is not taken for one).
+    No entry grows past M.
+    """
     if m.rows == 0 or m.cols == 0:
         return ()
-    a = [list(row) for row in m.entries]
-    diag, _, _ = _diagonalize(a, track=False)
-    return tuple(x for x in diag if x != 0)
+    rank, det = _rank_and_minor(m.entries)
+    if rank == 0:
+        return ()
+    mod = 2 * det
+    rows = [row for row in ([x % mod for x in r] for r in m.entries) if any(row)]
+    diag = []
+    while rows:
+        if len(rows) == 1:
+            # One row left: over Z/M its only factor is the gcd of its entries.
+            diag.append(gcd(mod, *rows[0]))
+            break
+        # Pivot on the entry of least gcd with M: a unit of Z/M if any.
+        least = mod
+        for i, row in enumerate(rows):
+            for k, x in enumerate(row):
+                if x:
+                    g = gcd(x, mod)
+                    if g < least:
+                        least, pi, j = g, i, k
+                        if g == 1:
+                            break
+            if least == 1:
+                break
+        top = rows.pop(pi)
+        p = top[j]
+        while True:
+            # Clear column j with unimodular row operations.
+            rest = []
+            for row in rows:
+                q = row[j]
+                if q:
+                    if q % p == 0:
+                        f = q // p
+                        row = [(x - f * y) % mod for x, y in zip(row, top)]
+                    else:
+                        g, s, t = xgcd(p, q)
+                        a, b = p // g, q // g
+                        top, row = (
+                            [(s * x + t * y) % mod for x, y in zip(top, row)],
+                            [(a * y - b * x) % mod for x, y in zip(top, row)],
+                        )
+                        p = g
+                    if not any(row):
+                        continue
+                rest.append(row)
+            rows = rest
+            least = gcd(p, mod)
+            if least == 1 or not any(x % least for x in top):
+                break
+            # The pivot does not divide its row over Z/M: column operations
+            # put the gcd there, a proper divisor of the old one, and the
+            # column has to be cleared again.
+            for k, q in enumerate(top):
+                if q % least:
+                    g, s, t = xgcd(p, q)
+                    a, b = p // g, q // g
+                    for row in rows + [top]:
+                        x, y = row[j], row[k]
+                        row[j], row[k] = (s * x + t * y) % mod, (a * y - b * x) % mod
+                    p = g
+                    least = gcd(p, mod)
+        # The pivot divides its row and is alone in its column: drop both.
+        diag.append(least)
+        for row in rows:
+            del row[j]
+    # diag(a, b) ~ diag(gcd, lcm): fold into a chain, then drop the zeros.
+    for i in range(len(diag)):
+        for k in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[k])
+            diag[i], diag[k] = g, diag[i] // g * diag[k]
+    factors = tuple(x for x in diag if x != mod)
+    if len(factors) != rank or det % prod(factors):
+        raise AssertionError("modular smith form internal check failed")
+    return factors
 
 
 def determinant(m: IntMatrix) -> int:

@@ -110,6 +110,16 @@ class PrimeSet:
         return cls(finite, tuple(sorted(set(primes))))
 
     @classmethod
+    def _checked(cls, finite: bool, primes: Iterable[int]) -> "PrimeSet":
+        """Canonical form of primes taken from sets already validated: the
+        set algebra below builds its results here, without re-testing each
+        prime.  Outside input goes through the validating constructors."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "finite", finite)
+        object.__setattr__(out, "primes", tuple(sorted(primes)))
+        return out
+
+    @classmethod
     def cofinite(cls, excluded: Iterable[int] = ()) -> "PrimeSet":
         return cls.of(excluded, finite=False)
 
@@ -141,25 +151,25 @@ class PrimeSet:
     def union(self, other: "PrimeSet") -> "PrimeSet":
         a, b = set(self.primes), set(other.primes)
         if self.finite and other.finite:
-            return PrimeSet.of(a | b)
+            return PrimeSet._checked(True, a | b)
         if self.finite:
-            return PrimeSet.of(b - a, finite=False)
+            return PrimeSet._checked(False, b - a)
         if other.finite:
-            return PrimeSet.of(a - b, finite=False)
-        return PrimeSet.of(a & b, finite=False)
+            return PrimeSet._checked(False, a - b)
+        return PrimeSet._checked(False, a & b)
 
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
         a, b = set(self.primes), set(other.primes)
         if self.finite and other.finite:
-            return PrimeSet.of(a & b)
+            return PrimeSet._checked(True, a & b)
         if self.finite:
-            return PrimeSet.of(a - b)
+            return PrimeSet._checked(True, a - b)
         if other.finite:
-            return PrimeSet.of(b - a)
-        return PrimeSet.of(a | b, finite=False)
+            return PrimeSet._checked(True, b - a)
+        return PrimeSet._checked(False, a | b)
 
     def complement(self) -> "PrimeSet":
-        return PrimeSet(not self.finite, self.primes)
+        return PrimeSet._checked(not self.finite, self.primes)
 
     def difference(self, other: "PrimeSet") -> "PrimeSet":
         return self.intersect(other.complement())

@@ -11,7 +11,7 @@ import sympy
 from deadline import within
 from ttsupport import supportdata
 from ttsupport.balmer import supp_object
-from ttsupport.cli import main
+from ttsupport.cli import build_parser, main
 from ttsupport.homalg import PerfectComplex, homology, tensor_chain
 from ttsupport.modcalc import Cyclic, GradedModule
 from ttsupport.supportdata import five_object_model
@@ -257,6 +257,44 @@ class TestErrors:
         code, _, err = within(5, lambda: run(capsys, "idempotent", "--point", str(BEYOND_PROVEN)))
         assert code == 2
         assert str(_MR_PROVEN_BOUND) in err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; the calls that share it
+    must not see each other's arguments."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = f"SystemExit({exc.code})"
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_shared_parser_matches_a_fresh_one(self, capsys, samples):
+        argvs = [
+            ["--format", "json", "homology", samples["mult2"]],
+            ["homology", samples["mult3"]],
+            ["homology", samples["bad"]],
+            ["homology"],
+            ["--format", "json", "tensor", samples["mult2"], samples["mult3"]],
+            ["prime", "--point", "3"],
+            ["prime", "--closed-except", "2"],
+        ]
+        shared = [self.outcome(capsys, argv) for argv in argvs]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, "SystemExit(2)", 0, 0, 0]
+        json.loads(shared[0][1])
+        assert shared[1][1] == "{1: Z/3}\n"  # --format json did not stick
+        assert "point: (2)" in shared[6][1]  # nor did --point 3
+        assert "differentials.0" in shared[2][2]
+        assert "usage:" in shared[3][2]
 
 
 class TestVerifyCommand:

@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deadline import within
 from oracles import cofactor_det, gcd_of_minors, homology_pair
 from ttsupport.homalg import (
     ChainMap,
     IntMatrix,
     PerfectComplex,
     cone,
+    determinant,
     direct_sum,
     homology,
     scalar_cone,
@@ -85,6 +88,195 @@ class TestSNF:
         big = 10**40
         res = snf(IntMatrix.of([[big, 1], [0, big]]))
         assert res.invariant_factors == (1, big * big)
+
+
+def _assert_minor_oracle(m, factors):
+    """factors is the divisibility chain whose prefix products are the gcds
+    of the k x k minors, and the rank is the number of factors."""
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    gcds = gcd_of_minors(m)
+    prefix = 1
+    for i, d in enumerate(factors):
+        prefix *= d
+        assert prefix == gcds[i]
+    assert all(g == 0 for g in gcds[len(factors):])
+
+
+def _low_rank(rng, rows, cols, rank, bound):
+    """A rows x cols matrix of rank at most `rank`, often with a zero row
+    or a zero column."""
+    basis = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        out.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(cols)])
+    if rng.random() < 0.5:
+        out[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for row in out:
+            row[j] = 0
+    return IntMatrix.of(out)
+
+
+def _scrambled(rng, rows, cols, chain):
+    """U * diag(chain) * V for random unimodular U, V: its invariant factors
+    are `chain` by construction."""
+    a = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(chain):
+        a[i][i] = d
+    for _ in range(4 * (rows + cols)):
+        i, k = rng.sample(range(rows), 2)
+        f = rng.randint(-2, 2)
+        a[i] = [x + f * y for x, y in zip(a[i], a[k])]
+        j, l = rng.sample(range(cols), 2)
+        f = rng.randint(-2, 2)
+        for row in a:
+            row[j] += f * row[l]
+    rng.shuffle(a)
+    return IntMatrix.of(a)
+
+
+class TestSmithFactors:
+    """The modular smith_factors against snf with transforms and against the
+    minor-gcd oracle, neither of which shares code with it."""
+
+    def check(self, m):
+        got = smith_factors(m)
+        assert got == snf(m).invariant_factors, m.entries
+        _assert_minor_oracle(m, got)
+
+    def test_random_up_to_six(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            bound = rng.choice([1, 2, 9, 100])
+            self.check(IntMatrix.of([[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]))
+        for _ in range(6):
+            self.check(IntMatrix.of([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]))
+
+    def test_rank_deficient_with_zero_rows_and_columns(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            if r * c > 25:
+                r = min(r, 4)
+            self.check(_low_rank(rng, r, c, rng.randint(0, min(r, c)), rng.choice([3, 9])))
+
+    def test_single_rows_and_columns(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            row = [rng.choice([0, 0, 4, 6, 10, 15, -12, 35]) for _ in range(n)]
+            self.check(IntMatrix.of([row]))
+            self.check(IntMatrix.of([[x] for x in row]))
+
+    def test_entries_near_ten_to_the_forty(self):
+        rng = random.Random(43)
+        big = 10**40
+        for _ in range(40):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            self.check(IntMatrix.of([[big + rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]))
+        self.check(IntMatrix.of([[big, 1], [0, big]]))
+        self.check(IntMatrix.of([[2 * big, 0], [0, 3 * big]]))
+
+    def test_last_factor_equal_to_the_minor(self):
+        # M = 2D: a factor equal to D must not be read as a zero
+        assert smith_factors(IntMatrix.of([[5]])) == (5,)
+        assert smith_factors(IntMatrix.of([[-5]])) == (5,)
+        assert smith_factors(IntMatrix.of([[1, 0], [0, 12]])) == (1, 12)
+        assert smith_factors(IntMatrix.of([[2, 0], [0, 2]])) == (2, 2)
+        assert smith_factors(IntMatrix.of([[0, 0, 7], [0, 0, 0]])) == (7,)
+        assert smith_factors(IntMatrix.of([[4, 0], [0, 0]])) == (4,)
+        assert smith_factors(IntMatrix.of([[0, 0], [0, 0]])) == ()
+
+    def test_forty_by_forty_is_bounded(self, monkeypatch):
+        rng = random.Random(44)
+        widest = [0]
+        real = homalg.xgcd
+
+        def spying(a, b):
+            widest[0] = max(widest[0], abs(a), abs(b))
+            return real(a, b)
+
+        monkeypatch.setattr(homalg, "xgcd", spying)
+        for _ in range(3):
+            m = IntMatrix.of([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
+            widest[0] = 0
+            factors = within(5, lambda: smith_factors(m))
+            det = abs(determinant(m))
+            assert math.prod(factors) == det != 0
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+            # full rank, so D = |det m|: every entry the eliminations combine
+            # stays below M = 2D
+            assert 0 < widest[0] < 2 * det
+
+    def test_rank_deficient_at_forty_scale(self):
+        rng = random.Random(45)
+        chain = (1,) * 20 + (2, 2, 6, 12, 12, 60, 360)
+        m = _scrambled(rng, 34, 40, chain)
+        assert within(5, lambda: smith_factors(m)) == chain
+
+
+class TestDeterminant:
+    def test_against_cofactor_expansion(self):
+        # determinant is the oracle of verify's minor checks: row exchanges,
+        # singular matrices and zero pivots included
+        rng = random.Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = _low_rank(rng, n, n, rng.choice([n, n, n - 1]), rng.choice([1, 9, 10**20]))
+            assert determinant(m) == cofactor_det(m), m.entries
+        assert determinant(IntMatrix.of([[0, 1], [1, 0]])) == -1
+        assert determinant(IntMatrix.of([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+        assert determinant(IntMatrix.zeros(0, 0)) == 1
+        with pytest.raises(ValueError, match="square"):
+            determinant(IntMatrix.zeros(2, 3))
+
+
+class TestProductKernel:
+    def test_against_naive_product(self):
+        rng = random.Random(46)
+        for _ in range(200):
+            r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+            bound = rng.choice([9, 10**30])
+            a = IntMatrix(r, k, tuple(tuple(rng.randint(-bound, bound) for _ in range(k)) for _ in range(r)))
+            b = IntMatrix(k, c, tuple(tuple(rng.randint(-bound, bound) for _ in range(c)) for _ in range(k)))
+            want = tuple(
+                tuple(sum(a[i, t] * b[t, j] for t in range(k)) for j in range(c)) for i in range(r)
+            )
+            assert a.mul(b) == IntMatrix(r, c, want)
+
+    def test_empty_shapes(self):
+        for k in (0, 1, 3):
+            assert IntMatrix.zeros(0, k).mul(IntMatrix.zeros(k, 0)) == IntMatrix.zeros(0, 0)
+            assert IntMatrix.zeros(k, 0).mul(IntMatrix.zeros(0, k)) == IntMatrix.zeros(k, k)
+            assert IntMatrix.zeros(0, k).mul(IntMatrix.zeros(k, 2)) == IntMatrix.zeros(0, 2)
+            assert IntMatrix.zeros(2, 0).mul(IntMatrix.zeros(0, k)) == IntMatrix.zeros(2, k)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            IntMatrix.zeros(2, 3).mul(IntMatrix.zeros(2, 3))
+
+    # Nonzero, but zero modulo 2^64 and modulo the Mersenne prime 2^61 - 1:
+    # a check reduced modulo either would let it pass.
+    HIDDEN = (2**61 - 1) << 64
+
+    def test_d_squared_is_checked_exactly(self):
+        a, b = 10**40 + 7, 3 * 10**40 + 1
+        PerfectComplex.of({0: 1, 1: 2, 2: 1}, {0: [[a], [b]], 1: [[b, -a]]})
+        with pytest.raises(ValueError, match="d twice"):
+            PerfectComplex.of({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[self.HIDDEN, 5]]})
+
+    def test_chain_map_commutation_is_checked_exactly(self):
+        a, b = 2**61 - 1, 2**64
+        src = PerfectComplex.of({0: 1, 1: 1}, {0: [[a]]})
+        dst = PerfectComplex.of({0: 1, 1: 1}, {0: [[b]]})
+        ChainMap.of(src, dst, {0: [[a]], 1: [[b]]})
+        with pytest.raises(ValueError, match="not a chain map at degree 0"):
+            # d f - f d = b (a + 1) - b a = 2^64
+            ChainMap.of(src, dst, {0: [[a + 1]], 1: [[b]]})
+        with pytest.raises(ValueError, match="not a chain map at degree 0"):
+            # d f - f d = b a - (b + HIDDEN) a
+            ChainMap.of(src, dst, {0: [[a]], 1: [[b + self.HIDDEN]]})
 
 
 class TestComplexValidation:

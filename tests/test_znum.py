@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import sympy
@@ -84,6 +85,14 @@ class TestPrimeSet:
             PrimeSet.of([4])
         with pytest.raises(ValueError):
             PrimeSet(True, (3, 2))
+        # the set algebra skips the re-test; the public constructors do not
+        for build in (
+            lambda: PrimeSet(False, (2, 9)),
+            lambda: PrimeSet.cofinite([15]),
+            lambda: PrimeSet.from_json({"mode": "cofinite", "primes": ["21"]}),
+        ):
+            with pytest.raises(ValueError, match="not prime"):
+                build()
 
     def test_union_finite(self):
         assert PrimeSet.of([2, 3]).union(PrimeSet.of([3, 5])) == PrimeSet.of([2, 3, 5])
@@ -130,6 +139,31 @@ class TestPrimeSet:
         assert PrimeSet.from_json({"mode": "finite", "primes": ["101"]}) == PrimeSet.of([101])
         with pytest.raises(ValueError, match="mode"):
             PrimeSet.from_json({"mode": "open", "primes": []})
+
+    def test_set_algebra_equals_validated_construction(self):
+        rng = random.Random(5150)
+        pool = primes_up_to(400) + [sympy.nextprime(10**12), sympy.nextprime(10**18)]
+
+        def draw():
+            ps = rng.sample(pool, rng.randint(0, 8))
+            return PrimeSet.of(ps) if rng.random() < 0.5 else PrimeSet.cofinite(ps)
+
+        def validated(ps):
+            return PrimeSet.of(ps.primes) if ps.finite else PrimeSet.cofinite(ps.primes)
+
+        for _ in range(400):
+            a, b = draw(), draw()
+            for got in (a.union(b), a.intersect(b), a.difference(b), a.complement()):
+                assert got == validated(got)
+                assert type(got.primes) is tuple and list(got.primes) == sorted(set(got.primes))
+
+    def test_set_algebra_does_not_retest_primes(self, monkeypatch):
+        a, b = PrimeSet.of([2, 3, 101]), PrimeSet.cofinite([3, 7, 103])
+        calls = []
+        monkeypatch.setattr(znum, "is_prime", lambda n: calls.append(n) or True)
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            x.union(y), x.intersect(y), x.difference(y), x.complement()
+        assert calls == []
 
     def test_json_rejects_primes_beyond_the_proven_bound(self):
         p = sympy.nextprime(znum._MR_PROVEN_BOUND)
