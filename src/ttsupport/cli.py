@@ -38,9 +38,10 @@ def _load_object(path: str) -> GradedModule:
     data = _load_json(path)
     if isinstance(data, dict) and "ranks" in data:
         try:
-            return homology(PerfectComplex.from_json(data, path))
+            c = PerfectComplex.from_json(data, path)
         except ValueError as exc:
             raise InputError(str(exc))
+        return _homology(c, path)
     try:
         return GradedModule.from_json(data, path)
     except ValueError as exc:
@@ -48,8 +49,9 @@ def _load_object(path: str) -> GradedModule:
 
 
 def _homology(c: PerfectComplex, where: str) -> GradedModule:
-    """Homology of an input complex; a torsion prime too large to certify
-    is bad input."""
+    """Homology of an input complex; an invariant factor that cannot be
+    factored (a torsion prime too large to certify, or a split beyond the
+    factoriser's budget) is bad input."""
     try:
         return homology(c)
     except ValueError as exc:

@@ -15,10 +15,8 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from sympy import factorint
-
 from .modcalc import Cyclic, GradedModule, Module
-from .znum import PrimeSet
+from .znum import PrimeSet, factorint
 
 __all__ = [
     "IntMatrix",
@@ -594,7 +592,12 @@ def scalar_cone(n: int) -> PerfectComplex:
 
 @lru_cache(maxsize=1024)
 def _torsion_cyclics(factor: int) -> tuple[Cyclic, ...]:
-    """Primary parts of Z/factor; memoised, as the same factors recur."""
+    """Primary parts of Z/factor; memoised, as the same factors recur.
+
+    ``znum.factorint`` factors it, or raises ValueError for a factor it
+    cannot settle: a prime past the proven primality bound, or a split
+    beyond its rho budget.
+    """
     return tuple(Cyclic.torsion(int(p), int(e)) for p, e in sorted(factorint(factor).items()))
 
 

@@ -1,4 +1,9 @@
-"""Prime sets, points of Spec Z, and specialisation-closed subsets.
+"""Primes and factorisation, prime sets, points of Spec Z, and
+specialisation-closed subsets.
+
+Primality is decided by a proven test below a stated bound, and integers
+are factorised under a fixed work budget; what falls past either is
+refused with ValueError rather than guessed or left running.
 
 Finite and cofinite sets of rational primes are the computable fragment of
 Spec Z used by the rest of the toolkit: localisation loci, torsion loci and
@@ -10,10 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
 __all__ = [
     "is_prime",
+    "factorint",
     "primes_up_to",
     "PrimeSet",
     "SpecZPoint",
@@ -48,24 +55,30 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     if n < _MR_PROVEN_BOUND:
-        d = n - 1
-        r = (d & -d).bit_length() - 1
-        d >>= r
-        for a in _SMALL_PRIMES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(r - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    raise ValueError(
+        return all(_is_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    raise _beyond_proven(n)
+
+
+def _beyond_proven(n: int) -> ValueError:
+    return ValueError(
         f"{n} is too large to test for primality: the proven test covers "
         f"numbers below {_MR_PROVEN_BOUND}"
     )
+
+
+def _is_strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round to base a, for odd n > a."""
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -80,7 +93,117 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
-_PRIME_TABLE = frozenset(primes_up_to(_TABLE_BOUND - 1))
+_TABLE_PRIMES = tuple(primes_up_to(_TABLE_BOUND - 1))
+_PRIME_TABLE = frozenset(_TABLE_PRIMES)
+
+# Pollard-Brent rho takes at most this many steps of its map in one call of
+# factorint, summed over every cofactor it splits.  That finds prime factors
+# up to about 2^40, and refuses a 140-bit product of two 70-bit primes after
+# about 3 s on a 2-core Xeon.
+_RHO_BUDGET = 1 << 22
+# Rho does not start on a cofactor wider than this: its steps, and the
+# probable-prime test before them, grow in cost with the width.
+_RHO_MAX_BITS = 256
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorisation of n as {prime: exponent}, as sympy.factorint
+    gives it: {} for 1, {0: 1} for 0, and -1 as a factor of negative n.
+
+    Trial division removes the primes below 2^16.  Each cofactor below
+    ``_MR_PROVEN_BOUND`` is settled by ``is_prime``, and a composite one is
+    split by Pollard-Brent rho.  A cofactor at or above the bound gets one
+    strong probable-prime test: a composite goes on to rho, and one that
+    looks prime raises ``is_prime``'s ValueError, as no proven test covers
+    it.  Rho takes at most ``_RHO_BUDGET`` steps in all and starts on no
+    cofactor wider than ``_RHO_MAX_BITS``; past either, ValueError.
+    """
+    if n == 0:
+        return {0: 1}
+    factors: dict[int, int] = {}
+    if n < 0:
+        factors[-1] = 1
+        n = -n
+    for p in _TABLE_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 1
+            n //= p
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    if n > 1:
+        _split_cofactor(n, factors)
+    return factors
+
+
+def _split_cofactor(n: int, factors: dict[int, int]) -> None:
+    """Add to factors the prime factors of n > 1 that trial division left:
+    n is prime or has no prime factor below 2^16."""
+    budget = _RHO_BUDGET
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if m < _MR_PROVEN_BOUND:
+            if is_prime(m):
+                factors[m] = factors.get(m, 0) + 1
+                continue
+        elif m.bit_length() > _RHO_MAX_BITS:
+            raise ValueError(
+                f"cannot factor {n}: its cofactor {m} has no prime factor "
+                f"below {_TABLE_BOUND} and is wider than {_RHO_MAX_BITS} bits"
+            )
+        elif _is_strong_probable_prime(m, 2):
+            raise _beyond_proven(m)
+        d, budget = _rho(m, budget)
+        if d is None:
+            what = str(m) if m == n else f"its cofactor {m}"
+            raise ValueError(
+                f"cannot factor {n}: Pollard-Brent rho found no factor of "
+                f"{what} within its budget of {_RHO_BUDGET} steps"
+            )
+        pending += (d, m // d)
+
+
+def _rho(n: int, budget: int) -> tuple[int | None, int]:
+    """A proper factor of the odd composite n, or None, by Pollard-Brent
+    rho (Brent 1980) on x -> x^2 + c, and the steps left of budget.
+
+    Brent's cycle search doubles its stride r; the differences x - y are
+    multiplied together and share one gcd per batch of 128 steps.  A batch
+    whose gcd overshoots to n is replayed one step at a time; when even
+    that gives n, the next c is tried.
+    """
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, g, q = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            if budget < 2 * r:
+                return None, budget
+            budget -= 2 * r
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r <<= 1
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, budget
 
 
 @dataclass(frozen=True)

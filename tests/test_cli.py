@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from deadline import within
-from ttsupport import supportdata
+from ttsupport import supportdata, znum
 from ttsupport.balmer import supp_object
 from ttsupport.cli import build_parser, main
 from ttsupport.homalg import PerfectComplex, homology, tensor_chain
@@ -243,15 +243,34 @@ class TestErrors:
         assert f"{path}{location}: " in err
         assert str(_MR_PROVEN_BOUND) in err
 
-    def test_homology_with_torsion_beyond_proven_bound_is_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command", [["homology"], ["support", "--object"], ["ltg", "--object"]],
+        ids=["homology", "support", "ltg"],
+    )
+    def test_homology_with_torsion_beyond_proven_bound_is_rejected(
+        self, capsys, tmp_path, command
+    ):
         path = tmp_path / "huge_complex.json"
         path.write_text(json.dumps(
             {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[str(BEYOND_PROVEN)]]}}
         ))
-        code, _, err = within(5, lambda: run(capsys, "homology", str(path)))
+        code, _, err = within(5, lambda: run(capsys, *command, str(path)))
         assert code == 2
         assert f"{path}: homology: " in err
         assert str(_MR_PROVEN_BOUND) in err
+
+    def test_homology_beyond_the_factoring_budget_is_rejected(self, capsys, tmp_path):
+        # a 140-bit product of two 70-bit primes, too hard for rho's budget
+        rng = random.Random(70)
+        p, q = (sympy.nextprime(rng.randrange(2**69, 2**70)) for _ in range(2))
+        path = tmp_path / "semiprime_complex.json"
+        path.write_text(json.dumps(
+            {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[str(p * q)]]}}
+        ))
+        code, _, err = within(30, lambda: run(capsys, "homology", str(path)))
+        assert code == 2
+        assert f"{path}: homology: cannot factor {p * q}" in err
+        assert f"budget of {znum._RHO_BUDGET} steps" in err
 
     def test_point_beyond_proven_bound_is_rejected(self, capsys):
         code, _, err = within(5, lambda: run(capsys, "idempotent", "--point", str(BEYOND_PROVEN)))
@@ -295,6 +314,24 @@ class TestParserReuse:
         assert "point: (2)" in shared[6][1]  # nor did --point 3
         assert "differentials.0" in shared[2][2]
         assert "usage:" in shared[3][2]
+
+
+def test_importing_the_cli_loads_no_sympy():
+    # sympy is a test oracle only; the runtime needs nothing beyond Python
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ttsupport.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:

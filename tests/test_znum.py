@@ -7,13 +7,15 @@ from hypothesis import given, strategies as st
 
 from deadline import within
 from oracles import primeset_members
-from ttsupport import znum
+from ttsupport import homalg, znum
+from ttsupport.cli import main
 from ttsupport.znum import (
     GENERIC,
     PointSet,
     PrimeSet,
     SpclSubset,
     SpecZPoint,
+    factorint,
     is_prime,
     primes_up_to,
     v_of_point,
@@ -74,6 +76,86 @@ class TestPrimality:
                 within(5, lambda: is_prime(n))
         # a small divisor still settles any size
         assert not is_prime(37 * p) and not is_prime(2**100)
+
+
+class TestFactorint:
+    """znum.factorint against sympy.factorint, an independent oracle."""
+
+    def test_seeded_range(self):
+        for n in range(-300, 5000):
+            assert factorint(n) == sympy.factorint(n), n
+        rng = random.Random(61)
+        for _ in range(400):
+            n = rng.getrandbits(rng.randint(2, 70)) + 2
+            assert factorint(n) == sympy.factorint(n), n
+
+    def test_prime_powers(self):
+        for p in (2, 3, 251, 65521, 65537, 1000003, 2**31 - 1, sympy.nextprime(2**40)):
+            for k in range(1, 6):
+                assert factorint(p**k) == {p: k}, (p, k)
+        assert factorint(2**64 * 65537**3) == {2: 64, 65537: 3}
+
+    def test_strong_pseudoprimes_and_carmichael_numbers(self):
+        # strong pseudoprimes to base 2, the last one also to bases 3, 5, 7;
+        # then Carmichael numbers; then a strong pseudoprime to every base up
+        # to 23 whose factors all lie past the trial-division table
+        for n in (2047, 3277, 4033, 3215031751, 561, 41041, 825265, 3825123056546413051):
+            assert factorint(n) == sympy.factorint(n), n
+        assert factorint(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
+
+    def test_products_of_two_primes_near_2_40(self):
+        rng = random.Random(40)
+        for _ in range(3):
+            p, q = (sympy.nextprime(rng.randrange(2**39, 2**40)) for _ in range(2))
+            assert within(20, lambda: factorint(p * q)) == sympy.factorint(p * q)
+
+    def test_every_number_verify_factors(self, capsys, monkeypatch):
+        seen = set()
+        real = homalg.factorint
+
+        def recording(n):
+            seen.add(n)
+            return real(n)
+
+        monkeypatch.setattr(homalg, "factorint", recording)
+        homalg._torsion_cyclics.cache_clear()
+        assert main(["verify", "--seed", "42"]) == 0
+        capsys.readouterr()
+        assert len(seen) == 55  # distinct invariant factors, at most 8 bits
+        for n in seen:
+            assert real(n) == sympy.factorint(n), n
+
+    def test_beyond_the_budget_is_refused_on_time(self):
+        # two 70-bit primes: their 140-bit product is past the proven bound
+        # and fails the probable-prime test, and rho would need about 2^35
+        # steps to split it
+        rng = random.Random(70)
+        p, q = (sympy.nextprime(rng.randrange(2**69, 2**70)) for _ in range(2))
+        with pytest.raises(ValueError) as caught:
+            within(30, lambda: factorint(p * q))
+        assert str(p * q) in str(caught.value)
+        assert f"budget of {znum._RHO_BUDGET} steps" in str(caught.value)
+
+    def test_budget_bounds_composites_below_the_proven_bound(self, monkeypatch):
+        monkeypatch.setattr(znum, "_RHO_BUDGET", 1000)
+        n = sympy.nextprime(2**30) * sympy.nextprime(2**31)
+        with pytest.raises(ValueError, match="budget of 1000 steps"):
+            factorint(n)
+
+    def test_refuses_what_looks_prime_past_the_proven_bound(self):
+        # the bound is itself a strong pseudoprime to every base up to 37:
+        # no proven test covers it, so it is refused rather than called prime
+        bound = znum._MR_PROVEN_BOUND
+        for n in (sympy.nextprime(bound), bound, 2 * sympy.nextprime(bound)):
+            with pytest.raises(ValueError, match=f"covers numbers below {bound}"):
+                within(5, lambda: factorint(n))
+        # trial division alone still settles any size
+        assert factorint(2**100 * 3**5 * 65521) == {2: 100, 3: 5, 65521: 1}
+
+    def test_refuses_wide_cofactors_at_once(self):
+        p, q = sympy.nextprime(2**129), sympy.nextprime(2**130)
+        with pytest.raises(ValueError, match=f"wider than {znum._RHO_MAX_BITS} bits"):
+            within(5, lambda: factorint(p * q))
 
 
 class TestPrimeSet:
