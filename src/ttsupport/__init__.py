@@ -31,8 +31,6 @@ from .homalg import (
     unit_complex,
 )
 from .balmer import (
-    Idempotent,
-    LocSubcatCode,
     gamma_point,
     gamma_v,
     l_v,

@@ -9,9 +9,9 @@ attached to V(x) and Z(x) isolates a single point x, and the support of an
 arbitrary formal object is the set of points where that product is nonzero.
 
 >>> from .znum import SpecZPoint
->>> print(gamma_point(SpecZPoint.closed(2)).value)
+>>> print(gamma_point(SpecZPoint.closed(2)))
 {1: Z(2^oo)}
->>> print(gamma_point(SpecZPoint.generic()).value)
+>>> print(gamma_point(SpecZPoint.generic()))
 {0: Q}
 """
 
@@ -41,8 +41,6 @@ from .znum import (
 )
 
 __all__ = [
-    "Idempotent",
-    "LocSubcatCode",
     "gamma_v",
     "l_v",
     "gamma_point",
@@ -62,24 +60,11 @@ __all__ = [
     "residue_field",
 ]
 
-# A localising subcategory is recorded by its subset of Spec Z.
-LocSubcatCode = PointSet
-
 # Small primes that pointwise checks probe beyond those an input names.
 _PROBE_BOUND = 13
 
 
-@dataclass(frozen=True)
-class Idempotent:
-    """A tensor-idempotent object: its flavor and its computed value."""
-
-    flavor: str  # "gamma" | "l" | "point"
-    subset: SpclSubset | None
-    point: SpecZPoint | None
-    value: GradedModule
-
-
-def gamma_v(v: SpclSubset) -> Idempotent:
+def gamma_v(v: SpclSubset) -> GradedModule:
     """Acyclisation idempotent for V: the part of the unit supported on V.
 
     For V the whole space this is the unit itself; for closed points with
@@ -88,36 +73,32 @@ def gamma_v(v: SpclSubset) -> Idempotent:
     subsets of S realises the cofinite case).
     """
     if v.is_all:
-        return Idempotent("gamma", v, None, GradedModule.unit())
+        return GradedModule.unit()
     s = v.closed
     if s.is_empty():
-        value = GradedModule.zero()
-    else:
-        value = GradedModule.of({1: [Cyclic.prufer(s)]})
-    return Idempotent("gamma", v, None, value)
+        return GradedModule.zero()
+    return GradedModule.of({1: [Cyclic.prufer(s)]})
 
 
-def l_v(v: SpclSubset) -> Idempotent:
+def l_v(v: SpclSubset) -> GradedModule:
     """Localisation idempotent for V: the unit localised away from V.
 
     For closed points with prime set S this is Z[S^-1] in degree 0 (homology
     of the Cech complex); for the whole space it vanishes.
     """
     if v.is_all:
-        return Idempotent("l", v, None, GradedModule.zero())
-    s = v.closed
-    return Idempotent("l", v, None, GradedModule.of({0: [Cyclic.free(s)]}))
+        return GradedModule.zero()
+    return GradedModule.of({0: [Cyclic.free(v.closed)]})
 
 
 @lru_cache(maxsize=256)
-def gamma_point(x: SpecZPoint) -> Idempotent:
+def gamma_point(x: SpecZPoint) -> GradedModule:
     """Point idempotent: gamma of V(x) tensored with l of Z(x).
 
     Memoised per point: the value is immutable and the same few points are
     asked for again and again.
     """
-    value = kunneth(gamma_v(v_of_point(x)).value, l_v(z_of_point(x)).value)
-    return Idempotent("point", None, x, value)
+    return kunneth(gamma_v(v_of_point(x)), l_v(z_of_point(x)))
 
 
 def supp_object(x: GradedModule) -> PointSet:
@@ -142,7 +123,7 @@ def localization_triangle_check(v: SpclSubset) -> Report:
     gamma vanishes, the localisation map is injective, and its cokernel is
     the Prufer family of S.  The two idempotents must also tensor to zero.
     """
-    g, l = gamma_v(v).value, l_v(v).value
+    g, l = gamma_v(v), l_v(v)
     records = []
     if v.is_all:
         records.append(check("triangle.unit", g == GradedModule.unit(), g, GradedModule.unit()))
@@ -169,7 +150,7 @@ def localization_triangle_check(v: SpclSubset) -> Report:
     return Report.of(records)
 
 
-def _probe_points(x: GradedModule, extra_bound: int = _PROBE_BOUND) -> list[SpecZPoint]:
+def _probe_points(x: GradedModule) -> list[SpecZPoint]:
     """Generic point, every prime named in x, and small primes beyond."""
     named: set[int] = set()
     for _, m in x.graded:
@@ -178,7 +159,7 @@ def _probe_points(x: GradedModule, extra_bound: int = _PROBE_BOUND) -> list[Spec
                 named.add(c.p)
             else:
                 named.update(c.primes.primes)
-    named.update(primes_up_to(extra_bound))
+    named.update(primes_up_to(_PROBE_BOUND))
     return [GENERIC] + [SpecZPoint.closed(p) for p in sorted(named)]
 
 
@@ -200,7 +181,7 @@ def ltg_check(x: GradedModule) -> Report:
             union = union.union(supp_mod(Module.of([c])))
     records.append(check("ltg.union-of-local-supports", union == s, union, s))
     for pt in _probe_points(x):
-        gx = kunneth(gamma_point(pt).value, x)
+        gx = kunneth(gamma_point(pt), x)
         local_supp = supp_object(gx)
         records.append(
             check(
@@ -254,7 +235,7 @@ def residue_check(x: SpecZPoint, obj: GradedModule) -> Report:
     return Report.of(records)
 
 
-def sigma_loc(gens: list[GradedModule]) -> LocSubcatCode:
+def sigma_loc(gens: list[GradedModule]) -> PointSet:
     """Subset code of the localising subcategory generated by the objects:
     the union of their supports (local pieces of generators exhaust the
     support of everything they build)."""
@@ -264,18 +245,18 @@ def sigma_loc(gens: list[GradedModule]) -> LocSubcatCode:
     return out
 
 
-def tau_loc(w: LocSubcatCode, x: GradedModule) -> bool:
+def tau_loc(w: PointSet, x: GradedModule) -> bool:
     """Membership in the localising subcategory coded by the subset w."""
     return supp_object(x).leq(w)
 
 
-def sigma_of_tau(w: LocSubcatCode) -> LocSubcatCode:
+def sigma_of_tau(w: PointSet) -> PointSet:
     """Support of the subcategory coded by w, assembled from the canonical
     generators attached to the points of w; equals w because every point
     idempotent is nonzero."""
     out = PointSet.empty()
     if w.generic:
-        gen = gamma_point(GENERIC).value
+        gen = gamma_point(GENERIC)
         if not gen.is_zero():
             out = out.union(supp_object(gen))
     if not w.closed.is_empty():

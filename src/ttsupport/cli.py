@@ -123,6 +123,28 @@ def _add_subset_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+# Below this many cases, the checks that run cases // 10 of them (tensor-commutes
+# and kunneth-laws) would run none and still report a pass.
+MIN_CASES = 10
+# --primes-bound sizes a sieve and one homology probe per prime; at this limit
+# verify takes about 2 s, at 10^6 the prime command alone takes 20 s.
+MAX_PRIMES_BOUND = 10_000
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an integer of at least lo, and at most hi if given."""
+    limit = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo or (hi is not None and n > hi):
+            raise argparse.ArgumentTypeError(f"must be {limit}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _emit(args, human_lines: list[str], payload: dict) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -174,13 +196,13 @@ def cmd_support(args) -> int:
 
 def cmd_idempotent(args) -> int:
     if args.point is not None:
-        idem = balmer.gamma_point(_parse_point(args.point))
-        name = f"gamma at point {idem.point}"
+        x = _parse_point(args.point)
+        value = balmer.gamma_point(x)
+        name = f"gamma at point {x}"
     else:
         v = _subset_from_args(args)
-        idem = balmer.l_v(v) if args.flavor == "l" else balmer.gamma_v(v)
+        value = balmer.l_v(v) if args.flavor == "l" else balmer.gamma_v(v)
         name = f"{args.flavor} at {v}"
-    value = idem.value
     square = kunneth(value, value)
     ok = square == value
     lines = [f"{name}: {value}", f"idempotency: {'pass' if ok else 'FAIL'}"]
@@ -366,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prime", help="point/prime dictionary in both directions")
     p.add_argument("--point", help="a prime, or 'generic'")
     _add_subset_flags(p)
-    p.add_argument("--primes-bound", type=int, default=100)
+    p.add_argument("--primes-bound", type=_int_in(2, MAX_PRIMES_BOUND), default=100)
     p.set_defaults(func=cmd_prime)
 
     p = sub.add_parser("catalogue-spc", help="spectrum of a finite catalogue")
@@ -380,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full property suite")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cases", type=int, default=500)
-    p.add_argument("--primes-bound", type=int, default=100)
+    p.add_argument("--cases", type=_int_in(MIN_CASES), default=500)
+    p.add_argument("--primes-bound", type=_int_in(2, MAX_PRIMES_BOUND), default=100)
     p.set_defaults(func=cmd_verify)
     return parser
 

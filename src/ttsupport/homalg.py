@@ -171,42 +171,33 @@ class SNFResult:
     invariant_factors: tuple[int, ...]
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def snf(m: IntMatrix) -> SNFResult:
+    """Smith normal form with transforms: u*m*v = d, both unimodular.
 
-
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Reduce a in place to diagonal form with divisibility chain.
-
-    Returns (diagonal, u, v) with u * a_before * v = a_after.
+    One elimination runs on a single list of rows: the rows of [m | I], then
+    the m.cols rows of I (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 2.4).  Row operations act on whole rows of [m | I], so they
+    carry u along; column operations act on the first m.cols entries of
+    every row, so they carry v along.
     """
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    nrows, ncols = m.rows, m.cols
+    a = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.entries)]
+    a += [[int(j == k) for k in range(ncols)] for j in range(ncols)]
 
     def row_combine(i1: int, i2: int, col: int) -> None:
-        # Zero a[i2][col] using a[i1][col]; keeps u in sync.
+        # Zero a[i2][col] using a[i1][col].
         p, q = a[i1][col], a[i2][col]
         if q == 0:
             return
+        r1, r2 = a[i1], a[i2]
         if p != 0 and q % p == 0:
             f = -(q // p)
-            a[i2] = [x + f * y for x, y in zip(a[i2], a[i1])]
-            u[i2] = [x + f * y for x, y in zip(u[i2], u[i1])]
+            a[i2] = [x + f * y for x, y in zip(r2, r1)]
             return
         g, x, y = xgcd(p, q)
         pg, qg = p // g, q // g
-        r1, r2 = a[i1], a[i2]
         a[i1] = [x * s + y * t for s, t in zip(r1, r2)]
         a[i2] = [-qg * s + pg * t for s, t in zip(r1, r2)]
-        s1, s2 = u[i1], u[i2]
-        u[i1] = [x * s + y * t for s, t in zip(s1, s2)]
-        u[i2] = [-qg * s + pg * t for s, t in zip(s1, s2)]
 
     def col_combine(j1: int, j2: int, row: int) -> None:
         p, q = a[row][j1], a[row][j2]
@@ -216,8 +207,6 @@ def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[l
             f = -(q // p)
             for r in a:
                 r[j2] += f * r[j1]
-            for r in v:
-                r[j2] += f * r[j1]
             return
         g, x, y = xgcd(p, q)
         pg, qg = p // g, q // g
@@ -225,27 +214,20 @@ def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[l
             s, t = r[j1], r[j2]
             r[j1] = x * s + y * t
             r[j2] = -qg * s + pg * t
-        for r in v:
-            s, t = r[j1], r[j2]
-            r[j1] = x * s + y * t
-            r[j2] = -qg * s + pg * t
 
-    t = 0
     limit = min(nrows, ncols)
-    while t < limit:
-        # Minimal-absolute-value pivot keeps intermediate entries tame.
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    for t in range(limit):
+        # Minimal-absolute-value pivot, the first in row-major order; it keeps
+        # intermediate entries tame.
+        pivots = [
+            (abs(x), i, j) for i in range(t, nrows) for j, x in enumerate(a[i][t:ncols], t) if x
+        ]
+        if not pivots:
             break
-        _swap_rows(a, t, best[0])
-        _swap_rows(u, t, best[0])
-        _swap_cols(a, t, best[1])
-        _swap_cols(v, t, best[1])
+        _, i, j = min(pivots)
+        a[t], a[i] = a[i], a[t]
+        for r in a:
+            r[t], r[j] = r[j], r[t]
         while True:
             for i in range(t + 1, nrows):
                 row_combine(t, i, t)
@@ -256,44 +238,21 @@ def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[l
                     continue
             # Pivot must divide the rest of the submatrix for the chain.
             pivot = a[t][t]
-            bad = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % pivot:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next(
+                (i for i in range(t + 1, nrows) for j in range(t + 1, ncols) if a[i][j] % pivot),
+                None,
+            )
             if bad is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    diag = [a[i][i] for i in range(limit)]
-    return diag, u, v
-
-
-def snf(m: IntMatrix) -> SNFResult:
-    """Smith normal form with transforms: u*m*v = d, both unimodular."""
-    a = [list(row) for row in m.entries]
-    diag, u, v = _diagonalize(a)
-    d = IntMatrix.of(a) if a else IntMatrix.zeros(m.rows, m.cols)
-    if m.rows == 0 or m.cols == 0:
-        d = IntMatrix.zeros(m.rows, m.cols)
-    um = IntMatrix.of(u) if u else IntMatrix.identity(m.rows)
-    vm = IntMatrix.of(v) if v else IntMatrix.identity(m.cols)
-    if m.rows == 0:
-        um = IntMatrix.identity(0)
-    if m.cols == 0:
-        vm = IntMatrix.identity(0)
-    factors = tuple(x for x in diag if x != 0)
-    result = SNFResult(um, d, vm, factors)
-    if um.mul(m).mul(vm) != d:
+    d = IntMatrix(nrows, ncols, tuple(tuple(r[:ncols]) for r in a[:nrows]))
+    u = IntMatrix(nrows, nrows, tuple(tuple(r[ncols:]) for r in a[:nrows]))
+    v = IntMatrix(ncols, ncols, tuple(tuple(r) for r in a[nrows:]))
+    if u.mul(m).mul(v) != d:
         raise AssertionError("smith normal form internal check failed")
-    return result
+    return SNFResult(u, d, v, tuple(a[i][i] for i in range(limit) if a[i][i]))
 
 
 def _rank_and_minor(rows: Iterable[Sequence[int]]) -> tuple[int, int]:

@@ -11,7 +11,6 @@ byte for byte.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .homalg import ChainMap, IntMatrix, PerfectComplex, snf
 from .modcalc import Cyclic, GradedModule, Module, kunneth
@@ -33,38 +32,38 @@ __all__ = [
 ]
 
 
-def random_primeset(rng: random.Random, pool: Sequence[int] = SMALL_PRIMES, max_len: int = 3) -> PrimeSet:
-    n = rng.randint(0, max_len)
-    picked = rng.sample(list(pool), min(n, len(pool)))
+def random_primeset(rng: random.Random) -> PrimeSet:
+    """At most three of SMALL_PRIMES, as a finite or a cofinite set."""
+    picked = rng.sample(SMALL_PRIMES, rng.randint(0, 3))
     return PrimeSet.of(picked, finite=rng.random() < 0.5)
 
 
-def random_spcl(rng: random.Random, pool: Sequence[int] = SMALL_PRIMES) -> SpclSubset:
+def random_spcl(rng: random.Random) -> SpclSubset:
     if rng.random() < 0.15:
         return SpclSubset.whole_space()
-    return SpclSubset.closed_points(random_primeset(rng, pool))
+    return SpclSubset.closed_points(random_primeset(rng))
 
 
-def random_cyclic(rng: random.Random, pool: Sequence[int] = SMALL_PRIMES) -> Cyclic:
+def random_cyclic(rng: random.Random) -> Cyclic:
     roll = rng.random()
     if roll < 0.34:
-        return Cyclic.free(random_primeset(rng, pool))
+        return Cyclic.free(random_primeset(rng))
     if roll < 0.72:
-        return Cyclic.torsion(rng.choice(list(pool)), rng.randint(1, 4))
-    fam = random_primeset(rng, pool)
+        return Cyclic.torsion(rng.choice(SMALL_PRIMES), rng.randint(1, 4))
+    fam = random_primeset(rng)
     if fam.is_empty():
-        fam = PrimeSet.of([rng.choice(list(pool))])
+        fam = PrimeSet.of([rng.choice(SMALL_PRIMES)])
     return Cyclic.prufer(fam)
 
 
-def random_module(rng: random.Random, max_parts: int = 3) -> Module:
-    return Module.of(
-        (random_cyclic(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, max_parts))
-    )
+def random_module(rng: random.Random) -> Module:
+    """At most three cyclic parts, each of multiplicity one or two."""
+    return Module.of((random_cyclic(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 3)))
 
 
-def random_graded(rng: random.Random, max_degrees: int = 3) -> GradedModule:
-    degrees = rng.sample(range(-3, 4), rng.randint(0, max_degrees))
+def random_graded(rng: random.Random) -> GradedModule:
+    """Modules in at most three of the degrees -3..3."""
+    degrees = rng.sample(range(-3, 4), rng.randint(0, 3))
     return GradedModule.of({n: random_module(rng) for n in degrees})
 
 
@@ -83,7 +82,7 @@ def random_engineered_graded(rng: random.Random) -> GradedModule:
         from .balmer import gamma_v, l_v
 
         v = random_spcl(rng)
-        return kunneth(gamma_v(v).value, l_v(v).value)
+        return kunneth(gamma_v(v), l_v(v))
     if roll < 0.4:
         s = random_primeset(rng)
         x = GradedModule.of({0: [Cyclic.prufer(s)]} if not s.is_empty() else {})
@@ -108,35 +107,36 @@ def _primary_parts(m: int) -> list[Cyclic]:
     return out
 
 
-def random_complex(
-    rng: random.Random,
-    max_cells: int = 4,
-    max_rank: int = 4,
-    entry_bound: int = 9,
-    degree_span: tuple[int, int] = (-2, 2),
-    shears: int = 3,
-) -> tuple[PerfectComplex, GradedModule]:
-    """A bounded complex with known homology.
+# Shape of random_complex: degrees _LO.._HI, at most _MAX_RANK generators in a
+# degree, differential entries of absolute value at most _ENTRY_BOUND, and at
+# most _SHEARS basis shears.
+_LO, _HI = -2, 2
+_MAX_RANK = 4
+_ENTRY_BOUND = 9
+_SHEARS = 3
+
+
+def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectComplex, GradedModule]:
+    """A bounded complex of at most max_cells cells, with known homology.
 
     Returns the complex and its homology (computed from the cell structure,
     independently of any Smith-form machinery).
     """
-    lo, hi = degree_span
     for _ in range(64):
         ranks: dict[int, int] = {}
         cells = []  # ("free", d) or ("mult", d, m)
         for _ in range(rng.randint(1, max_cells)):
             if rng.random() < 0.35:
-                d = rng.randint(lo, hi)
-                if ranks.get(d, 0) >= max_rank:
+                d = rng.randint(_LO, _HI)
+                if ranks.get(d, 0) >= _MAX_RANK:
                     continue
                 cells.append(("free", d, 0))
                 ranks[d] = ranks.get(d, 0) + 1
             else:
-                d = rng.randint(lo, hi - 1)
-                if ranks.get(d, 0) >= max_rank or ranks.get(d + 1, 0) >= max_rank:
+                d = rng.randint(_LO, _HI - 1)
+                if ranks.get(d, 0) >= _MAX_RANK or ranks.get(d + 1, 0) >= _MAX_RANK:
                     continue
-                m = rng.choice([x for x in range(-entry_bound, entry_bound + 1) if x != 0])
+                m = rng.choice([x for x in range(-_ENTRY_BOUND, _ENTRY_BOUND + 1) if x != 0])
                 cells.append(("mult", d, m))
                 ranks[d] = ranks.get(d, 0) + 1
                 ranks[d + 1] = ranks.get(d + 1, 0) + 1
@@ -164,7 +164,7 @@ def random_complex(
                     homology_parts.setdefault(d + 1, []).extend(_primary_parts(m))
         mats = {d: [row[:] for row in rows] for d, rows in diffs.items()}
         ok = True
-        for _ in range(rng.randint(0, shears)):
+        for _ in range(rng.randint(0, _SHEARS)):
             d = rng.choice(list(ranks))
             r = ranks[d]
             if r < 2:
@@ -179,7 +179,7 @@ def random_complex(
                 rows = mats[d - 1]
                 rows[i] = [x - s * y for x, y in zip(rows[i], rows[j])]
         for rows in mats.values():
-            if any(abs(x) > entry_bound for row in rows for x in row):
+            if any(abs(x) > _ENTRY_BOUND for row in rows for x in row):
                 ok = False
                 break
         if not ok:

@@ -304,8 +304,8 @@ def check_idempotent_laws(ctx: VerifyContext) -> CheckRecord:
     failures = []
     family = _idempotent_family()
     for v in family:
-        g = balmer.gamma_v(v).value
-        l = balmer.l_v(v).value
+        g = balmer.gamma_v(v)
+        l = balmer.l_v(v)
         if kunneth(g, g) != g:
             failures.append(f"gamma not idempotent at {v}")
         if kunneth(l, l) != l:
@@ -321,7 +321,7 @@ def check_closed_forms(ctx: VerifyContext) -> CheckRecord:
     cases = 0
     for p in (2, 3, 5, 7):
         v = SpclSubset.closed_points(PrimeSet.of([p]))
-        val = balmer.gamma_v(v).value
+        val = balmer.gamma_v(v)
         # degree-0 part vanishes (the unit embeds into its localisation)
         if not val.module_in(0).is_zero():
             failures.append(f"H0 of the Koszul complex at {p} nonzero")
@@ -335,7 +335,7 @@ def check_closed_forms(ctx: VerifyContext) -> CheckRecord:
             failures.append(f"gamma value at {p} is {val}")
     for excluded in ((), (2,), (2, 5)):
         s = PrimeSet.cofinite(excluded)
-        val = balmer.gamma_v(SpclSubset.closed_points(s)).value
+        val = balmer.gamma_v(SpclSubset.closed_points(s))
         fam = val.module_in(1)
         for q in znum.primes_up_to(min(ctx.primes_bound, 100)):
             cases += 1
@@ -359,8 +359,8 @@ def check_separation(ctx: VerifyContext) -> CheckRecord:
         v = randgen.random_spcl(rng)
         x = randgen.random_graded(rng)
         sx = balmer.supp_object(x)
-        g = balmer.supp_object(kunneth(balmer.gamma_v(v).value, x))
-        l = balmer.supp_object(kunneth(balmer.l_v(v).value, x))
+        g = balmer.supp_object(kunneth(balmer.gamma_v(v), x))
+        l = balmer.supp_object(kunneth(balmer.l_v(v), x))
         if g != sx.intersect(v.point_set()):
             failures.append(f"gamma separation failed: V={v}, X={x}")
         if l != sx.intersect(v.complement()):
@@ -398,10 +398,10 @@ def check_gamma_uniqueness(ctx: VerifyContext) -> CheckRecord:
                 SpclSubset.closed_points(PrimeSet.cofinite([p])),
             ),
         ]
-        want = balmer.gamma_point(SpecZPoint.closed(p)).value
+        want = balmer.gamma_point(SpecZPoint.closed(p))
         for v, w in pairs:
             cases += 1
-            got = kunneth(balmer.gamma_v(v).value, balmer.l_v(w).value)
+            got = kunneth(balmer.gamma_v(v), balmer.l_v(w))
             isolated = v.point_set().intersect(w.point_set().complement())
             if isolated != PointSet.singleton(SpecZPoint.closed(p)):
                 failures.append(f"pair ({v}; {w}) does not isolate ({p})")
@@ -409,10 +409,10 @@ def check_gamma_uniqueness(ctx: VerifyContext) -> CheckRecord:
                 failures.append(f"pair ({v}; {w}) gives {got}, expected {want}")
     cases += 1
     got = kunneth(
-        balmer.gamma_v(SpclSubset.whole_space()).value,
-        balmer.l_v(SpclSubset.closed_points(PrimeSet.all_primes())).value,
+        balmer.gamma_v(SpclSubset.whole_space()),
+        balmer.l_v(SpclSubset.closed_points(PrimeSet.all_primes())),
     )
-    if got != balmer.gamma_point(GENERIC).value:
+    if got != balmer.gamma_point(GENERIC):
         failures.append("generic pair mismatch")
     return _record("balmer.gamma-uniqueness", failures, cases)
 
@@ -477,7 +477,7 @@ def check_residue(ctx: VerifyContext) -> CheckRecord:
     for i in range(n):
         x = points[i % 3]
         if rng.random() < 0.4:
-            obj = kunneth(balmer.gamma_point(x).value, randgen.random_graded(rng))
+            obj = kunneth(balmer.gamma_point(x), randgen.random_graded(rng))
         else:
             obj = randgen.random_graded(rng)
         rep = balmer.residue_check(x, obj)
@@ -521,7 +521,7 @@ def check_supp_agreement(ctx: VerifyContext) -> CheckRecord:
     failures = []
     cases = 0
     probe = [
-        (x, balmer.gamma_point(x).value)
+        (x, balmer.gamma_point(x))
         for x in [GENERIC] + [SpecZPoint.closed(p) for p in (2, 3, 5, 31)]
     ]
     for _ in range(ctx.cases):

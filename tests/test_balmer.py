@@ -5,7 +5,6 @@ import pytest
 
 from ttsupport import balmer
 from ttsupport.balmer import (
-    Idempotent,
     NotPrimeError,
     gamma_point,
     gamma_v,
@@ -57,7 +56,7 @@ def closed_except(*primes):
 class TestClosedForms:
     def test_gamma_at_single_prime_vs_koszul_tower(self):
         for p in (2, 3, 5, 7):
-            got = gamma_v(closed(p)).value
+            got = gamma_v(closed(p))
             assert got == GradedModule.of({1: [Cyclic.prufer(PrimeSet.of([p]))]})
             # the two-term complex Z -> Z[1/p]: degree 0 kernel vanishes and
             # the cokernel is the rising union of Z/p^k; each stage is the
@@ -67,22 +66,22 @@ class TestClosedForms:
                 assert smith_factors(IntMatrix.of([[p**k]])) == (p**k,)
 
     def test_localisation_at_p(self):
-        got = l_v(closed_except(2)).value
+        got = l_v(closed_except(2))
         assert got == GradedModule.of({0: [Cyclic.free(PrimeSet.cofinite([2]))]})
 
     def test_extremes(self):
-        assert gamma_v(SpclSubset.whole_space()).value == GradedModule.unit()
-        assert l_v(SpclSubset.whole_space()).value.is_zero()
-        assert gamma_v(SpclSubset.empty()).value.is_zero()
-        assert l_v(SpclSubset.empty()).value == GradedModule.unit()
+        assert gamma_v(SpclSubset.whole_space()) == GradedModule.unit()
+        assert l_v(SpclSubset.whole_space()).is_zero()
+        assert gamma_v(SpclSubset.empty()).is_zero()
+        assert l_v(SpclSubset.empty()) == GradedModule.unit()
 
     def test_disjoint_gammas_annihilate(self):
-        got = kunneth(gamma_v(closed(2)).value, gamma_v(closed(3)).value)
+        got = kunneth(gamma_v(closed(2)), gamma_v(closed(3)))
         assert got.is_zero()
 
     def test_cofinite_gamma_per_prime(self):
         s = PrimeSet.cofinite([2, 5])
-        val = gamma_v(SpclSubset.closed_points(s)).value
+        val = gamma_v(SpclSubset.closed_points(s))
         fam = val.module_in(1)
         for q in (2, 3, 5, 7, 11, 97):
             in_family = any(c.kind == "prufer" and c.primes.contains(q) for c, _ in fam.parts)
@@ -91,19 +90,19 @@ class TestClosedForms:
 
 class TestGammaPoint:
     def test_closed_point(self):
-        assert gamma_point(SpecZPoint.closed(2)).value == GradedModule.of(
+        assert gamma_point(SpecZPoint.closed(2)) == GradedModule.of(
             {1: [Cyclic.prufer(PrimeSet.of([2]))]}
         )
 
     def test_generic_point(self):
-        assert gamma_point(GENERIC).value == GradedModule.of({0: [Q]})
+        assert gamma_point(GENERIC) == GradedModule.of({0: [Q]})
 
     def test_computed_from_factors(self):
         from ttsupport.znum import v_of_point, z_of_point
 
         for x in [GENERIC, SpecZPoint.closed(3)]:
-            direct = gamma_point(x).value
-            assembled = kunneth(gamma_v(v_of_point(x)).value, l_v(z_of_point(x)).value)
+            direct = gamma_point(x)
+            assembled = kunneth(gamma_v(v_of_point(x)), l_v(z_of_point(x)))
             assert direct == assembled
 
     def test_memoised_matches_formula(self):
@@ -113,8 +112,8 @@ class TestGammaPoint:
         gamma_point.cache_clear()
         for _ in range(2):  # the second pass reads the memo
             for x in points:
-                formula = kunneth(gamma_v(v_of_point(x)).value, l_v(z_of_point(x)).value)
-                assert gamma_point(x) == Idempotent("point", None, x, formula)
+                formula = kunneth(gamma_v(v_of_point(x)), l_v(z_of_point(x)))
+                assert gamma_point(x) == formula
                 assert gamma_point(x) == gamma_point.__wrapped__(x)
         assert gamma_point.cache_info().hits >= len(points)
 
@@ -127,12 +126,12 @@ class TestGammaPoint:
 
     def test_idempotency(self):
         for x in [SpecZPoint.closed(2), SpecZPoint.closed(3), SpecZPoint.closed(5), GENERIC]:
-            v = gamma_point(x).value
+            v = gamma_point(x)
             assert kunneth(v, v) == v
 
     def test_uniqueness_against_alternative_pairs(self):
         for p in (2, 3, 5):
-            want = gamma_point(SpecZPoint.closed(p)).value
+            want = gamma_point(SpecZPoint.closed(p))
             others = [q for q in (2, 3, 5, 7, 11) if q != p][:2]
             pairs = [
                 (closed(p), SpclSubset.empty()),
@@ -143,12 +142,12 @@ class TestGammaPoint:
             for v, w in pairs:
                 isolated = v.point_set().intersect(w.point_set().complement())
                 assert isolated == PointSet.singleton(SpecZPoint.closed(p))
-                assert kunneth(gamma_v(v).value, l_v(w).value) == want
+                assert kunneth(gamma_v(v), l_v(w)) == want
         # the generic point admits exactly one such pair
         got = kunneth(
-            gamma_v(SpclSubset.whole_space()).value, l_v(closed_except()).value
+            gamma_v(SpclSubset.whole_space()), l_v(closed_except())
         )
-        assert got == gamma_point(GENERIC).value
+        assert got == gamma_point(GENERIC)
 
 
 class TestIdempotentLaws:
@@ -160,7 +159,7 @@ class TestIdempotentLaws:
                 family.append(SpclSubset.closed_points(PrimeSet.of(combo)))
                 family.append(SpclSubset.closed_points(PrimeSet.cofinite(combo)))
         for v in family:
-            g, l = gamma_v(v).value, l_v(v).value
+            g, l = gamma_v(v), l_v(v)
             assert kunneth(g, g) == g
             assert kunneth(l, l) == l
             assert kunneth(g, l).is_zero()
@@ -182,7 +181,7 @@ class TestSupportObject:
             (SpecZPoint.closed(5), False),
             (GENERIC, False),
         ]:
-            assert (not kunneth(gamma_point(pt).value, x).is_zero()) == expect
+            assert (not kunneth(gamma_point(pt), x).is_zero()) == expect
 
     def test_agreement_with_homological_support(self):
         from ttsupport.modcalc import supp_mod
@@ -202,8 +201,8 @@ class TestSupportObject:
             v = random_spcl(rng)
             x = random_graded(rng)
             sx = supp_object(x)
-            assert supp_object(kunneth(gamma_v(v).value, x)) == sx.intersect(v.point_set())
-            assert supp_object(kunneth(l_v(v).value, x)) == sx.intersect(v.complement())
+            assert supp_object(kunneth(gamma_v(v), x)) == sx.intersect(v.point_set())
+            assert supp_object(kunneth(l_v(v), x)) == sx.intersect(v.complement())
 
     def test_zero_detection(self):
         rng = random.Random(37)
@@ -262,7 +261,7 @@ class TestTriangleCheck:
         v = closed_except()
         rep = localization_triangle_check(v)
         assert rep.passed
-        assert gamma_v(v).value == GradedModule.of(
+        assert gamma_v(v) == GradedModule.of(
             {1: [Cyclic.prufer(PrimeSet.all_primes())]}
         )
 
@@ -271,14 +270,14 @@ class TestLtg:
     def test_six_torsion(self):
         x = GradedModule.of({0: [Cyclic.torsion(2, 1), Cyclic.torsion(3, 1)]})
         assert ltg_check(x).passed
-        assert kunneth(gamma_point(SpecZPoint.closed(2)).value, x) == GradedModule.of(
+        assert kunneth(gamma_point(SpecZPoint.closed(2)), x) == GradedModule.of(
             {0: [Cyclic.torsion(2, 1)]}
         )
-        assert kunneth(gamma_point(SpecZPoint.closed(3)).value, x) == GradedModule.of(
+        assert kunneth(gamma_point(SpecZPoint.closed(3)), x) == GradedModule.of(
             {0: [Cyclic.torsion(3, 1)]}
         )
-        assert kunneth(gamma_point(SpecZPoint.closed(5)).value, x).is_zero()
-        assert kunneth(gamma_point(GENERIC).value, x).is_zero()
+        assert kunneth(gamma_point(SpecZPoint.closed(5)), x).is_zero()
+        assert kunneth(gamma_point(GENERIC), x).is_zero()
 
     def test_zero_object(self):
         assert ltg_check(GradedModule.zero()).passed
@@ -286,7 +285,7 @@ class TestLtg:
     def test_rationals(self):
         x = GradedModule.of({0: [Q]})
         assert supp_object(x) == PointSet.singleton(GENERIC)
-        assert kunneth(gamma_point(GENERIC).value, x) == x
+        assert kunneth(gamma_point(GENERIC), x) == x
         assert ltg_check(x).passed
 
     def test_random(self):
@@ -322,7 +321,7 @@ class TestResidue:
         for i in range(200):
             x = points[i % 3]
             if rng.random() < 0.5:
-                obj = kunneth(gamma_point(x).value, random_graded(rng))
+                obj = kunneth(gamma_point(x), random_graded(rng))
             else:
                 obj = random_graded(rng)
             assert residue_check(x, obj).passed

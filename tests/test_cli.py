@@ -11,7 +11,7 @@ import sympy
 from deadline import within
 from ttsupport import supportdata, znum
 from ttsupport.balmer import supp_object
-from ttsupport.cli import build_parser, main
+from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
 from ttsupport.homalg import PerfectComplex, homology, tensor_chain
 from ttsupport.modcalc import Cyclic, GradedModule
 from ttsupport.supportdata import five_object_model
@@ -277,6 +277,37 @@ class TestErrors:
         assert code == 2
         assert str(_MR_PROVEN_BOUND) in err
 
+    @pytest.mark.parametrize(
+        "argv, flag, limit",
+        [
+            (["verify", "--cases", "-8"], "--cases", f"at least {MIN_CASES}"),
+            (["verify", "--cases", str(MIN_CASES - 1)], "--cases", f"at least {MIN_CASES}"),
+            (["verify", "--primes-bound", "1"], "--primes-bound", f"[2, {MAX_PRIMES_BOUND}]"),
+            (["verify", "--primes-bound", "1000000000"], "--primes-bound",
+             f"[2, {MAX_PRIMES_BOUND}]"),
+            (["prime", "--closed-except", "5", "--primes-bound", "1000000000"], "--primes-bound",
+             f"[2, {MAX_PRIMES_BOUND}]"),
+        ],
+        ids=["cases-negative", "cases-too-few", "verify-bound-low", "verify-bound-high",
+             "prime-bound-high"],
+    )
+    def test_out_of_range_sizes_are_rejected(self, capsys, argv, flag, limit):
+        with pytest.raises(SystemExit) as caught:
+            within(5, lambda: main(argv))
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err
+        assert limit in err
+
+    def test_primes_bound_at_the_limit_runs(self, capsys):
+        code, out, _ = within(
+            10,
+            lambda: run(capsys, "prime", "--closed-except", "5", "--primes-bound",
+                        str(MAX_PRIMES_BOUND)),
+        )
+        assert code == 0
+        assert "point: (5)" in out
+
 
 class TestParserReuse:
     """main() builds its parser once per process; the calls that share it
@@ -339,6 +370,11 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--seed", "3", "--cases", "40", "--primes-bound", "30")
         assert code == 0
         assert "0 failed" in out
+
+    def test_fewest_cases_run_every_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--cases", str(MIN_CASES), "--primes-bound", "30")
+        assert code == 0
+        assert " (0 cases)" not in out
 
     def test_byte_identical_across_processes(self, tmp_path):
         env = dict(os.environ)

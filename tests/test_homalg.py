@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -88,6 +90,57 @@ class TestSNF:
         big = 10**40
         res = snf(IntMatrix.of([[big, 1], [0, big]]))
         assert res.invariant_factors == (1, big * big)
+
+
+def _scrambled_rank12(rng):
+    """A 13 x 13 matrix of rank 12, the shape of the dense-homology snf ops:
+    a diagonal with a few torsion factors, scrambled by transvections on
+    both sides."""
+    diag = [1] * 9 + [rng.choice((2, 3, 5, 7)) * rng.choice((1, 2, 3)) for _ in range(3)] + [0]
+    a = [[diag[i] if i == j else 0 for j in range(13)] for i in range(13)]
+    for _ in range(39):
+        i, j = rng.sample(range(13), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        i, j = rng.sample(range(13), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in a:
+            row[j] += c * row[i]
+    return IntMatrix.of(a)
+
+
+def _snf_corpus():
+    rng = random.Random(7021)
+    shapes = [(r, c) for r in range(9) for c in range(9)]
+    out = [IntMatrix(r, c, tuple((0,) * c for _ in range(r))) for r, c in shapes]
+    for r, c in shapes:
+        for bound in (1, 9, 1000):
+            # some rows and columns left zero, so rank-deficient shapes occur
+            dead_rows = {i for i in range(r) if rng.random() < 0.15}
+            dead_cols = {j for j in range(c) if rng.random() < 0.15}
+            out.append(IntMatrix(r, c, tuple(
+                tuple(0 if i in dead_rows or j in dead_cols else rng.randint(-bound, bound)
+                      for j in range(c))
+                for i in range(r)
+            )))
+    out.extend(_scrambled_rank12(rng) for _ in range(4))
+    return out
+
+
+# SHA-256 of the (u, d, v, invariant_factors) that snf returned on the corpus
+# when this test was written.  Valid transforms are not unique; this pins the
+# pivot rule and the order of operations, so that a rewrite of snf which
+# changes them is a deliberate choice rather than an accident.
+SNF_CORPUS_DIGEST = "b68c53910fd580a272782dbed5df815a5b2b6f8dab835873ee1b52374b9ae187"
+
+
+def test_snf_transforms_pinned():
+    results = []
+    for m in _snf_corpus():
+        res = snf(m)
+        results.append([res.u.entries, res.d.entries, res.v.entries, res.invariant_factors])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == SNF_CORPUS_DIGEST
 
 
 def _assert_minor_oracle(m, factors):
