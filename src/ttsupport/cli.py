@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 
 from . import balmer, supportdata, verify
-from .homalg import PerfectComplex, homology, tensor_chain
+from .homalg import PerfectComplex, homology
 from .modcalc import GradedModule, kunneth
 from .report import Report
 from .znum import GENERIC, PrimeSet, SpclSubset, SpecZPoint
@@ -33,19 +33,23 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _load_object(path: str) -> GradedModule:
-    """A graded module file, or a complex file (taken up to homology)."""
-    data = _load_json(path)
-    if isinstance(data, dict) and "ranks" in data:
-        try:
-            c = PerfectComplex.from_json(data, path)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        return _homology(c, path)
+def _is_complex(data: object) -> bool:
+    return isinstance(data, dict) and "ranks" in data
+
+
+def _to_object(data: object, path: str) -> GradedModule:
+    """A graded module as it is, or a complex taken up to homology."""
     try:
+        if _is_complex(data):
+            return _homology(PerfectComplex.from_json(data, path), path)
         return GradedModule.from_json(data, path)
     except ValueError as exc:
         raise InputError(str(exc))
+
+
+def _load_object(path: str) -> GradedModule:
+    """A graded module file, or a complex file (taken up to homology)."""
+    return _to_object(_load_json(path), path)
 
 
 def _homology(c: PerfectComplex, where: str) -> GradedModule:
@@ -166,24 +170,11 @@ def cmd_homology(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    """Derived tensor: over Z, the Kunneth product of the inputs' homologies."""
     a, b = _load_json(args.left), _load_json(args.right)
-    chain = isinstance(a, dict) and "ranks" in a
-    if chain != (isinstance(b, dict) and "ranks" in b):
+    if _is_complex(a) != _is_complex(b):
         raise InputError("tensor: both inputs must be complexes or both graded modules")
-    if chain:
-        try:
-            ca = PerfectComplex.from_json(a, args.left)
-            cb = PerfectComplex.from_json(b, args.right)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        h = _homology(tensor_chain(ca, cb), f"{args.left} x {args.right}")
-    else:
-        try:
-            h = kunneth(
-                GradedModule.from_json(a, args.left), GradedModule.from_json(b, args.right)
-            )
-        except ValueError as exc:
-            raise InputError(str(exc))
+    h = kunneth(_to_object(a, args.left), _to_object(b, args.right))
     _emit(args, [str(h)], {"tensor-homology": h.to_json()})
     return 0
 

@@ -205,19 +205,23 @@ class FiniteSpace:
     @classmethod
     def of(cls, points: Sequence, order: Iterable[tuple]) -> "FiniteSpace":
         pts = tuple(points)
-        rel = set(order)
-        for x in pts:
-            rel.add((x, x))
+        index = {x: i for i, x in enumerate(pts)}
+        rel = set(order) | {(x, x) for x in pts}
         for x, y in rel:
-            if x not in pts or y not in pts:
+            if x not in index or y not in index:
                 raise ValueError(f"order: unknown point in pair ({x}, {y})")
         for x, y in rel:
             if x != y and (y, x) in rel:
                 raise ValueError(f"order: not antisymmetric at ({x}, {y})")
-        for x, y in list(rel):
-            for y2, z in list(rel):
-                if y == y2 and (x, z) not in rel:
-                    raise ValueError(f"order: not transitive at ({x}, {y}, {z})")
+        # up[x]: bitmask of the points above x; x <= y needs up[y] within up[x]
+        up = dict.fromkeys(pts, 0)
+        for x, y in rel:
+            up[x] |= 1 << index[y]
+        for x, y in rel:
+            missing = up[y] & ~up[x]
+            if missing:
+                z = pts[missing.bit_length() - 1]
+                raise ValueError(f"order: not transitive at ({x}, {y}, {z})")
         return cls(pts, frozenset(rel))
 
     def leq(self, x, y) -> bool:

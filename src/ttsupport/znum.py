@@ -474,10 +474,6 @@ class PointSet:
         return cls(False, PrimeSet.none())
 
     @classmethod
-    def everything(cls) -> "PointSet":
-        return cls(True, PrimeSet.all_primes())
-
-    @classmethod
     def singleton(cls, x: SpecZPoint) -> "PointSet":
         if x.is_generic:
             return cls(True, PrimeSet.none())

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 import sympy
 
+import sample_commands
 from deadline import within
-from ttsupport import supportdata, znum
+from ttsupport import balmer, randgen, supportdata, znum
 from ttsupport.balmer import supp_object
 from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
 from ttsupport.homalg import PerfectComplex, homology, tensor_chain
-from ttsupport.modcalc import Cyclic, GradedModule
+from ttsupport.modcalc import Cyclic, GradedModule, kunneth
 from ttsupport.supportdata import five_object_model
 from ttsupport.znum import _MR_PROVEN_BOUND, PrimeSet, SpclSubset, primes_up_to
 
@@ -197,6 +198,106 @@ class TestCommands:
         assert "f(x1) = {0, B}" in out
         assert "f(x2) = {0, A}" in out
 
+    def test_catalogue_universal_with_a_long_chain_datum(self, capsys, samples, tmp_path):
+        # checking transitivity pair by pair of pairs took minutes here
+        points = [f"x{i}" for i in range(300)]
+        datum = {
+            "points": points,
+            "order": [[x, y] for i, x in enumerate(points) for y in points[i + 1:]],
+            "sigma": {"0": [], "U": points, "A": points, "B": [], "S": points},
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(datum))
+        code, out, _ = within(
+            5, lambda: run(capsys, "catalogue-universal", samples["model5"], "--datum", str(path))
+        )
+        assert code == 0
+        assert "[pass] universal.unique" in out
+
+
+@pytest.mark.parametrize(
+    "entry", sample_commands.load_golden(), ids=lambda entry: " ".join(entry["argv"])
+)
+def test_sample_command_matches_golden(monkeypatch, entry):
+    monkeypatch.chdir(ROOT)
+    assert sample_commands.run_in_process(entry["argv"]) == entry
+
+
+def test_golden_lists_every_sample_command():
+    assert [entry["argv"] for entry in sample_commands.load_golden()] == sample_commands.argvs()
+
+
+def _unimodular(rng, n):
+    """A seeded unimodular n x n matrix and its inverse, as products of shears."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for row in u:  # u <- u (1 + c e_ij)
+            row[j] += c * row[i]
+        inv[i] = [a - c * b for a, b in zip(inv[i], inv[j])]  # inv <- (1 - c e_ij) inv
+    return u, inv
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+# torsion of the diagonal entries of a scrambled complex, by (prime, exponent)
+_TORSION = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
+
+
+def _scrambled_complex(rng, ranks, diagonal_ranks):
+    """A complex with ranks[n] in degree n and differentials of rank
+    diagonal_ranks[n], each B(n+1) D(n) B(n)^-1 for seeded unimodular B and
+    a diagonal D; returns it with its homology, read off the diagonals."""
+    bases = [_unimodular(rng, r) for r in ranks]
+    diffs = {}
+    parts = {n: [] for n in range(len(ranks))}
+    for n, r in enumerate(diagonal_ranks):
+        into = diagonal_ranks[n - 1] if n else 0  # coordinates hit by D(n-1)
+        d = [[0] * ranks[n] for _ in range(ranks[n + 1])]
+        for i in range(r):
+            entry = rng.choice([1, 1, 2, 3, 4, 5])
+            d[i][into + i] = entry
+            if entry != 1:
+                parts[n + 1].append(Cyclic.torsion(*_TORSION[entry]))
+        diffs[n] = _matmul(_matmul(bases[n + 1][0], d), bases[n][1])
+    for n, rank in enumerate(ranks):
+        hit = diagonal_ranks[n - 1] if n else 0
+        leaving = diagonal_ranks[n] if n < len(diagonal_ranks) else 0
+        parts[n] += [Cyclic.free(PrimeSet.none())] * (rank - hit - leaving)
+    c = PerfectComplex.of(dict(enumerate(ranks)), diffs)
+    return c, GradedModule.of(parts)
+
+
+class TestTensor:
+    def test_matches_homology_of_the_total_complex(self, capsys, tmp_path):
+        rng = random.Random(8)
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        for _ in range(200):
+            (a, _), (b, _) = (randgen.random_complex(rng, max_cells=3) for _ in range(2))
+            left.write_text(json.dumps(a.to_json()))
+            right.write_text(json.dumps(b.to_json()))
+            code, out, _ = run(capsys, "--format", "json", "tensor", str(left), str(right))
+            assert code == 0
+            assert json.loads(out)["tensor-homology"] == homology(tensor_chain(a, b)).to_json()
+
+    def test_large_complexes_do_not_multiply_out(self, capsys, tmp_path):
+        # the total complex of two 9-20-20-9 complexes has ranks up to 962
+        rng = random.Random(920)
+        paths, expected = [], []
+        for name in ("left", "right"):
+            c, h = _scrambled_complex(rng, [9, 20, 20, 9], [8, 11, 8])
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(c.to_json()))
+            paths.append(str(path))
+            expected.append(h)
+        code, out, _ = within(5, lambda: run(capsys, "--format", "json", "tensor", *paths))
+        assert code == 0
+        assert json.loads(out)["tensor-homology"] == kunneth(*expected).to_json()
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -244,8 +345,14 @@ class TestErrors:
         assert str(_MR_PROVEN_BOUND) in err
 
     @pytest.mark.parametrize(
-        "command", [["homology"], ["support", "--object"], ["ltg", "--object"]],
-        ids=["homology", "support", "ltg"],
+        "command",
+        [
+            ["homology"],
+            ["support", "--object"],
+            ["ltg", "--object"],
+            ["tensor", str(ROOT / "samples" / "mult2_complex.json")],
+        ],
+        ids=["homology", "support", "ltg", "tensor"],
     )
     def test_homology_with_torsion_beyond_proven_bound_is_rejected(
         self, capsys, tmp_path, command
@@ -256,7 +363,7 @@ class TestErrors:
         ))
         code, _, err = within(5, lambda: run(capsys, *command, str(path)))
         assert code == 2
-        assert f"{path}: homology: " in err
+        assert err.startswith(f"input error: {path}: homology: ")
         assert str(_MR_PROVEN_BOUND) in err
 
     def test_homology_beyond_the_factoring_budget_is_rejected(self, capsys, tmp_path):
@@ -412,6 +519,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--seed", "42")
         assert code == 0
         assert out.encode("utf-8") == GOLDEN_VERIFY_DEFAULT.read_bytes()
+
+    @pytest.mark.parametrize("probe", ["thick_membership", "tau_loc"])
+    def test_sigma_tau_fails_on_a_wrong_membership_probe(self, capsys, monkeypatch, probe):
+        monkeypatch.setattr(balmer, probe, lambda *args: True)
+        code, out, _ = run(
+            capsys, "--format", "json", "verify", "--cases", str(MIN_CASES), "--primes-bound", "30"
+        )
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert failed == ["17.balmer.sigma-tau-roundtrips"]
 
     def test_json_format(self, capsys):
         code, out, _ = run(
