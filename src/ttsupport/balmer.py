@@ -25,8 +25,8 @@ from .homalg import PerfectComplex, homology, scalar_cone
 from .modcalc import (
     Cyclic,
     GradedModule,
-    Module,
     kunneth,
+    localize_point,
     supp_mod,
 )
 from .report import Report, check
@@ -167,20 +167,30 @@ def ltg_check(x: GradedModule) -> Report:
     """Computable consequences of the local-to-global principle.
 
     (i) the object vanishes exactly when its support is empty; (ii) the
-    support is the union of the supports of its point-local pieces, each of
-    which is concentrated at its point; (iii) a point-local piece is nonzero
-    exactly at points of the support.
+    support is the union of the supports of its stalks: at each probed point
+    it holds the point exactly when some stalk there is nonzero; (iii) each
+    point-local piece is concentrated at its point and is nonzero exactly at
+    points of the support.
     """
     s = supp_object(x)
     records = [
         check("ltg.zero-detection", x.is_zero() == s.is_empty(), x, s),
     ]
-    union = PointSet.empty()
-    for _, m in x.graded:
-        for c, _ in m.parts:
-            union = union.union(supp_mod(Module.of([c])))
-    records.append(check("ltg.union-of-local-supports", union == s, union, s))
-    for pt in _probe_points(x):
+    probes = _probe_points(x)
+    bad = [
+        pt
+        for pt in probes
+        if s.contains(pt) != any(not localize_point(pt, m).is_zero() for _, m in x.graded)
+    ]
+    records.append(
+        check(
+            "ltg.union-of-local-supports",
+            not bad,
+            s,
+            "the stalks at " + ", ".join(map(str, bad)),
+        )
+    )
+    for pt in probes:
         gx = kunneth(gamma_point(pt), x)
         local_supp = supp_object(gx)
         records.append(

@@ -291,14 +291,12 @@ def _load_datum(path: str, cat: supportdata.Catalogue) -> supportdata.SupportDat
 
 def cmd_catalogue_universal(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    if args.datum:
-        datum = _load_datum(args.datum, cat)
-    else:
-        datum = supportdata.spc_support(cat)
+    spc = supportdata.spc_support(cat)
+    datum = _load_datum(args.datum, cat) if args.datum else spc
     axioms = supportdata.check_axioms(datum, cat)
     if not axioms.passed:
         return _emit_report(args, "catalogue-universal", axioms)
-    result = supportdata.universal_map(datum, cat)
+    result = supportdata.universal_map(datum, cat, spc)
     lines = []
     mapping_payload = {}
     for x, fx in result.mapping:

@@ -567,7 +567,7 @@ def check_model5(ctx: VerifyContext) -> CheckRecord:
     rep = supportdata.check_axioms(datum, cat)
     if not rep.passed:
         failures.append("axioms failed on the canonical datum")
-    um = supportdata.universal_map(datum, cat)
+    um = supportdata.universal_map(datum, cat, datum)
     if not um.report.passed:
         failures.append("universal map verification failed")
     if any(um.apply(x) != x for x in datum.space.points):

@@ -43,6 +43,7 @@ COMMANDS = [
     ["prime", "--closed", "2,3"],
     ["catalogue-spc", "samples/model5.json"],
     ["catalogue-universal", "samples/model5.json"],
+    ["catalogue-universal", "samples/model5.json", "--datum", "samples/model5_datum.json"],
 ]
 
 

@@ -293,6 +293,23 @@ class TestLtg:
         for _ in range(60):
             assert ltg_check(random_engineered_graded(rng)).passed
 
+    @pytest.mark.parametrize(
+        "x, dropped",
+        [
+            (GradedModule.of({0: [Cyclic.torsion(2, 1), Cyclic.torsion(3, 1)]}), SpecZPoint.closed(2)),
+            (GradedModule.of({0: [Q]}), GENERIC),
+        ],
+        ids=["closed", "generic"],
+    )
+    def test_union_of_local_supports_fails_when_supp_mod_drops_a_point(
+        self, monkeypatch, x, dropped
+    ):
+        real = balmer.supp_mod
+        others = PointSet.singleton(dropped).complement()
+        monkeypatch.setattr(balmer, "supp_mod", lambda m: real(m).intersect(others))
+        failed = [r.name for r in ltg_check(x).failures()]
+        assert "ltg.union-of-local-supports" in failed
+
 
 class TestResidue:
     def test_torsion_square_decomposes(self):

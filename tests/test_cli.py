@@ -198,6 +198,22 @@ class TestCommands:
         assert "f(x1) = {0, B}" in out
         assert "f(x2) = {0, A}" in out
 
+    def test_catalogue_universal_rejects_a_duplicate_datum_point(self, capsys, samples, tmp_path):
+        datum = {
+            "points": ["p", "p", "q"],
+            "order": [],
+            "sigma": {"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"], "S": ["p", "q"]},
+        }
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(datum))
+        code, out, err = run(
+            capsys, "catalogue-universal", samples["model5"], "--datum", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: {path}: ")
+        assert "duplicate point 'p'" in err
+
     def test_catalogue_universal_with_a_long_chain_datum(self, capsys, samples, tmp_path):
         # checking transitivity pair by pair of pairs took minutes here
         points = [f"x{i}" for i in range(300)]
@@ -565,18 +581,40 @@ def enumerations(monkeypatch):
     return calls
 
 
+def _spectrum_datum_file(catalogue_path, tmp_path):
+    """The catalogue's spectrum written as a --datum file, points named p0, p1, ..."""
+    with open(catalogue_path, encoding="utf-8") as fh:
+        cat = supportdata.Catalogue.from_json(json.load(fh))
+    spc = supportdata.spc_support(cat)
+    name = {p: f"p{k}" for k, p in enumerate(spc.space.points)}
+    datum = {
+        "points": list(name.values()),
+        "order": [[name[x], name[y]] for x, y in spc.space.order if x != y],
+        "sigma": {obj: sorted(name[p] for p in spc.sigma[i]) for i, obj in enumerate(cat.objects)},
+    }
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    return str(path)
+
+
 class TestEnumerationCounts:
     def test_catalogue_spc_enumerates_once(self, capsys, catalogue_path, enumerations):
         code, _, _ = run(capsys, "catalogue-spc", catalogue_path)
         assert code == 0
         assert len(enumerations) == 1
 
-    def test_catalogue_universal_enumerates_at_most_twice(
-        self, capsys, catalogue_path, enumerations
+    @pytest.mark.parametrize("with_datum", [False, True], ids=["spectrum", "datum"])
+    def test_catalogue_universal_enumerates_once(
+        self, capsys, tmp_path, catalogue_path, enumerations, with_datum
     ):
-        code, _, _ = run(capsys, "catalogue-universal", catalogue_path)
+        argv = ["catalogue-universal", catalogue_path]
+        if with_datum:
+            argv += ["--datum", _spectrum_datum_file(catalogue_path, tmp_path)]
+            enumerations.clear()
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert 1 <= len(enumerations) <= 2
+        assert "[pass] universal.unique" in out
+        assert len(enumerations) == 1
 
     def test_classify_enumerates_once(self, catalogue_path, enumerations):
         with open(catalogue_path, encoding="utf-8") as fh:

@@ -7,6 +7,7 @@ import pytest
 
 from deadline import within
 from oracles import naive_ideals, naive_primes, naive_thomason_lattice
+from ttsupport import supportdata
 from ttsupport.cli import main
 from ttsupport.supportdata import (
     Catalogue,
@@ -307,7 +308,7 @@ class TestUniversalMap:
     def test_identity_from_spectrum(self):
         cat = five_object_model()
         datum = spc_support(cat)
-        result = universal_map(datum, cat)
+        result = universal_map(datum, cat, datum)
         assert result.report.passed
         for x in datum.space.points:
             assert result.apply(x) == x
@@ -325,7 +326,7 @@ class TestUniversalMap:
         sigma[idx["S"]] = frozenset({x1, x2})
         datum = SupportDatum.of(space, sigma)
         assert check_axioms(datum, cat).passed
-        result = universal_map(datum, cat)
+        result = universal_map(datum, cat, spc_support(cat))
         assert result.report.passed
         assert cat.names_of(result.apply(x1)) == ("0", "B")
         assert cat.names_of(result.apply(x2)) == ("0", "A")
@@ -333,7 +334,8 @@ class TestUniversalMap:
     def test_unique_checked_beyond_two_million_maps(self):
         # 8 points and 8 primes: 8 ** 8 candidate maps
         cat = _chain_catalogue(9)
-        result = universal_map(spc_support(cat), cat)
+        spc = spc_support(cat)
+        result = universal_map(spc, cat, spc)
         assert result.report.passed
         assert [r.name for r in result.report.records if "unique" in r.name] == ["universal.unique"]
 
@@ -342,7 +344,7 @@ class TestUniversalMap:
         cat = five_object_model()
         space = FiniteSpace.of(["x"], [])
         sigma = [frozenset() if i == cat.zero else frozenset({"x"}) for i in range(cat.size)]
-        result = universal_map(SupportDatum.of(space, sigma), cat)
+        result = universal_map(SupportDatum.of(space, sigma), cat, spc_support(cat))
         unique = [r for r in result.report.records if r.name == "universal.unique"]
         assert len(unique) == 1 and not unique[0].passed
 
@@ -432,6 +434,17 @@ class TestTwentyFourObjects:
         assert elapsed < 1.0
 
 
+class TestBeyondTheCap:
+    def test_boolean_lattice_of_128_objects(self, monkeypatch):
+        # the up-sets of a 7-point antichain: 16384 triangles but only 128
+        # ideals; Close-by-One without inherited failures took about 7 s here
+        monkeypatch.setattr(supportdata, "MAX_OBJECTS", 128)
+        cat = Catalogue.of(**_lattice_tables(_up_sets(7, [set()] * 7)))
+        ideals, report = within(2, lambda: (enumerate_ideals(cat), classify(cat)))
+        assert len(ideals) == 128
+        assert report.passed
+
+
 def _up_set_counts_by_brute_force(max_points: int) -> set[int]:
     """Up-set counts of every order on 2..max_points points that refines the
     natural order, from every set of generating pairs."""
@@ -491,6 +504,10 @@ class TestFiniteSpace:
         with pytest.raises(ValueError, match="transitive"):
             FiniteSpace.of([1, 2, 3], [(1, 2), (2, 3)])
         FiniteSpace.of([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+
+    def test_duplicate_point_rejected(self):
+        with pytest.raises(ValueError, match="duplicate point 'p'"):
+            FiniteSpace.of(["p", "q", "p"], [])
 
     def test_sigma_must_be_closed(self):
         space = FiniteSpace.of(["g", "c"], [("g", "c")])  # c specialises g
