@@ -284,7 +284,7 @@ class CompactPrime:
     defining: SpclSubset  # Z(point); membership is supp inside this
 
     def contains(self, c: PerfectComplex) -> bool:
-        return supp_object(homology(c)).leq(self.defining.point_set())
+        return tau_loc(self.defining.point_set(), homology(c))
 
     def __str__(self) -> str:
         return f"prime at {self.point}"
@@ -374,7 +374,4 @@ def thick_membership(y: PerfectComplex, gens: list[PerfectComplex]) -> bool:
     """Whether y lies in the thick subcategory generated by gens: supports
     decide, since the unit generates everything and the classification is by
     specialisation-closed subsets."""
-    target = PointSet.empty()
-    for g in gens:
-        target = target.union(supp_object(homology(g)))
-    return supp_object(homology(y)).leq(target)
+    return tau_loc(sigma_loc([homology(g) for g in gens]), homology(y))

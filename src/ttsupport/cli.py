@@ -254,14 +254,11 @@ def cmd_catalogue_spc(args) -> int:
     lines = [f"{len(primes)} prime thick tensor-ideals"]
     payload_primes = []
     for p in primes:
-        names = list(cat.names_of(p))
-        lines.append("prime: {" + ", ".join(names) + "}")
-        payload_primes.append(names)
+        lines.append("prime: " + supportdata.point_label(p, cat))
+        payload_primes.append(list(cat.names_of(p)))
     supports = {}
     for i, name in enumerate(cat.objects):
-        pts = sorted(
-            "{" + ", ".join(cat.names_of(p)) + "}" for p in datum.sigma[i]
-        )
+        pts = sorted(supportdata.point_label(p, cat) for p in datum.sigma[i])
         supports[name] = pts
         lines.append(f"supp {name}: [" + "; ".join(pts) + "]")
     _emit(args, lines, {"primes": payload_primes, "supports": supports})

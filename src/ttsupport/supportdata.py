@@ -196,45 +196,49 @@ class Catalogue:
             raise CatalogueError(f"{where}.{exc}") from None
 
 
+def _members(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Finite space given by its specialisation order: leq(x, y) holds when
-    y lies in the closure of x."""
+    """Finite space whose specialisation order is held only as up-set
+    bitmasks: bit j of up[i] is set when points[j] lies above points[i], in
+    its closure (so bit i is set too).  index[x] is the position of x."""
 
     points: tuple
-    order: frozenset[tuple]
-    # index[x]: the position of x in points; up[i]: bitmask of the points
-    # above points[i]
+    up: tuple[int, ...]
     index: Mapping = field(compare=False, repr=False)
-    up: tuple[int, ...] = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, points: Sequence, order: Iterable[tuple]) -> "FiniteSpace":
+        """The space on points in which x <= y for each pair (x, y) of order."""
         pts = tuple(points)
         index = {x: i for i, x in enumerate(pts)}
         if len(index) != len(pts):
             dup = next(x for i, x in enumerate(pts) if index[x] != i)
             raise ValueError(f"points: duplicate point {dup!r}")
-        rel = set(order) | {(x, x) for x in pts}
-        for x, y in rel:
+        up = [1 << i for i in range(len(pts))]
+        for x, y in order:
             if x not in index or y not in index:
                 raise ValueError(f"order: unknown point in pair ({x}, {y})")
-        for x, y in rel:
-            if x != y and (y, x) in rel:
-                raise ValueError(f"order: not antisymmetric at ({x}, {y})")
-        # x <= y needs up[y] within up[x]
-        up = [0] * len(pts)
-        for x, y in rel:
             up[index[x]] |= 1 << index[y]
-        for x, y in rel:
-            missing = up[index[y]] & ~up[index[x]]
-            if missing:
-                z = pts[missing.bit_length() - 1]
-                raise ValueError(f"order: not transitive at ({x}, {y}, {z})")
-        return cls(pts, frozenset(rel), index, tuple(up))
-
-    def leq(self, x, y) -> bool:
-        return (x, y) in self.order
+        for i, above in enumerate(up):
+            for j in _members(above & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise ValueError(f"order: not antisymmetric at ({pts[i]}, {pts[j]})")
+        # x <= y needs up[y] within up[x]
+        for i, above in enumerate(up):
+            for j in _members(above):
+                missing = up[j] & ~above
+                if missing:
+                    z = pts[missing.bit_length() - 1]
+                    raise ValueError(f"order: not transitive at ({pts[i]}, {pts[j]}, {z})")
+        return cls(pts, tuple(up), index)
 
     def is_spcl_closed(self, subset: frozenset) -> bool:
         """Whether subset, a set of points, holds every point above each of
@@ -537,14 +541,11 @@ def thomason_lattice(s: FiniteSpace) -> list[frozenset]:
     closure.
     Both choices are always open, so every branch ends in a distinct subset
     and the cost grows with the number of subsets, not with 2^points."""
-    pts = list(s.points)
-    ups = [0] * len(pts)
-    downs = [0] * len(pts)
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            if s.leq(x, y):
-                ups[i] |= 1 << j
-                downs[j] |= 1 << i
+    pts, ups = s.points, s.up
+    downs = [0] * len(pts)  # the transpose of ups: the points below each point
+    for i, above in enumerate(ups):
+        for j in _members(above):
+            downs[j] |= 1 << i
     out = []
     stack = [(0, (1 << len(pts)) - 1)]
     while stack:
@@ -676,26 +677,21 @@ def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int 
         )
     for _ in range(MAX_DRAWS):
         npts = rng.randint(2, max_points)
-        pts = list(range(npts))
-        rel = {(x, x) for x in pts}
-        for x in pts:
-            for y in pts:
-                if x < y and rng.random() < 0.4:
-                    rel.add((x, y))
-        # transitive closure; x < y in the random order, so antisymmetry holds
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for b2, c in list(rel):
-                    if b == b2 and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        up_sets = []
-        for combo in range(1 << npts):
-            subset = frozenset(p for i, p in enumerate(pts) if combo >> i & 1)
-            if all((y in subset) for x in subset for (x2, y) in rel if x2 == x):
-                up_sets.append(subset)
+        # up[x]: the points above x.  Edges only go up the numbering, so the
+        # order is antisymmetric; closing from the top down reads closed masks.
+        up = [1 << x for x in range(npts)]
+        for x in range(npts):
+            for y in range(x + 1, npts):
+                if rng.random() < 0.4:
+                    up[x] |= 1 << y
+        for x in reversed(range(npts)):
+            for y in _members(up[x] & ~(1 << x)):
+                up[x] |= up[y]
+        up_sets = [
+            frozenset(_members(combo))
+            for combo in range(1 << npts)
+            if all(not up[x] & ~combo for x in _members(combo))
+        ]
         if len(up_sets) != n_objects:
             continue
         up_sets.sort(key=lambda s: (len(s), sorted(s)))
@@ -713,7 +709,7 @@ def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int 
         return Catalogue.of(
             names,
             zero=index[frozenset()],
-            unit=index[frozenset(pts)],
+            unit=index[frozenset(range(npts))],
             tensor=tensor,
             summands=summands,
             triangles=triangles,

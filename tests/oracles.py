@@ -183,14 +183,15 @@ def naive_primes(cat) -> list[frozenset[int]]:
     return out
 
 
-def naive_thomason_lattice(space) -> list[frozenset]:
-    """All specialisation-closed subsets of a finite space, by a scan over
-    every subset."""
-    pts = list(space.points)
+def naive_thomason_lattice(points, order) -> list[frozenset]:
+    """All specialisation-closed subsets of the finite space on points in
+    which x <= y for each pair (x, y) of the transitive relation order, by a
+    scan over every subset."""
+    pts = list(points)
     out = []
     for combo in range(1 << len(pts)):
         subset = frozenset(p for i, p in enumerate(pts) if combo >> i & 1)
-        if space.is_spcl_closed(subset):
+        if all(y in subset for x, y in order if x in subset):
             out.append(subset)
     out.sort(key=lambda x: (len(x), sorted(map(repr, x))))
     return out

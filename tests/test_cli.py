@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import sympy
 
 import sample_commands
 from deadline import within
-from ttsupport import balmer, randgen, supportdata, znum
+from ttsupport import balmer, randgen, supportdata, verify, znum
 from ttsupport.balmer import supp_object
 from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
 from ttsupport.homalg import PerfectComplex, homology, tensor_chain
@@ -213,6 +214,33 @@ class TestCommands:
         assert out == ""
         assert err.startswith(f"input error: {path}: ")
         assert "duplicate point 'p'" in err
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([["p", "s"]], "order: unknown point in pair (p, s)"),
+            ([["p", "q"], ["q", "p"]], "order: not antisymmetric at ("),
+            ([["p", "q"], ["q", "r"]], "order: not transitive at (p, q, r)"),
+        ],
+        ids=["unknown", "two-cycle", "intransitive"],
+    )
+    def test_catalogue_universal_rejects_a_datum_order_that_is_not_a_poset(
+        self, capsys, samples, tmp_path, order, message
+    ):
+        points = ["p", "q", "r"]
+        datum = {
+            "points": points,
+            "order": order,
+            "sigma": {"0": [], "U": points, "A": [], "B": [], "S": points},
+        }
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(datum))
+        code, out, err = run(
+            capsys, "catalogue-universal", samples["model5"], "--datum", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: {path}: {message}")
 
     def test_catalogue_universal_with_a_long_chain_datum(self, capsys, samples, tmp_path):
         # checking transitivity pair by pair of pairs took minutes here
@@ -546,6 +574,22 @@ class TestVerifyCommand:
         failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
         assert failed == ["17.balmer.sigma-tau-roundtrips"]
 
+    def test_supp_agreement_fails_when_homology_drops_torsion(self, monkeypatch):
+        # supp_object and the pointwise probes both read the wrong homology,
+        # so only the support of the homology known from the cells can tell
+        real = verify.homology
+
+        def torsion_free(c):
+            h = real(c)
+            return GradedModule.of(
+                {n: [b for b in h.module_in(n).cyclics() if b.kind != "torsion"] for n in h.degrees()}
+            )
+
+        monkeypatch.setattr(verify, "homology", torsion_free)
+        record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
+        assert not record.passed
+        assert record.detail.startswith("abstract vs homological support differ")
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "verify", "--seed", "3", "--cases", "20",
@@ -586,10 +630,16 @@ def _spectrum_datum_file(catalogue_path, tmp_path):
     with open(catalogue_path, encoding="utf-8") as fh:
         cat = supportdata.Catalogue.from_json(json.load(fh))
     spc = supportdata.spc_support(cat)
-    name = {p: f"p{k}" for k, p in enumerate(spc.space.points)}
+    points = spc.space.points
+    name = {p: f"p{k}" for k, p in enumerate(points)}
     datum = {
         "points": list(name.values()),
-        "order": [[name[x], name[y]] for x, y in spc.space.order if x != y],
+        "order": [
+            [name[x], name[y]]
+            for x, above in zip(points, spc.space.up)
+            for j, y in enumerate(points)
+            if above >> j & 1 and y != x
+        ],
         "sigma": {obj: sorted(name[p] for p in spc.sigma[i]) for i, obj in enumerate(cat.objects)},
     }
     path = tmp_path / "datum.json"
@@ -621,3 +671,13 @@ class TestEnumerationCounts:
             cat = supportdata.Catalogue.from_json(json.load(fh))
         assert supportdata.classify(cat).passed
         assert len(enumerations) == 1
+
+    def test_verify_catalogue_checks(self, enumerations):
+        # model5: the spectrum and classify; each random catalogue: its
+        # ideals, the spectrum and classify
+        ctx = verify.VerifyContext(42, 500, 100)
+        assert verify.check_model5(ctx).passed
+        assert len(enumerations) == 2
+        enumerations.clear()
+        assert verify.check_random_catalogues(ctx).passed
+        assert list(Counter(map(id, enumerations)).values()) == [3] * 5

@@ -405,10 +405,9 @@ class TestThomasonLattice:
             label = rng.choice([str, lambda x: x, lambda x: frozenset({x, -x})])
             names = [label(x) for x in range(npts)]
             points = rng.sample(names, npts)  # listed in no particular order
-            space = FiniteSpace.of(
-                points, [(names[x], names[y]) for x in range(npts) for y in above[x]]
-            )
-            assert thomason_lattice(space) == naive_thomason_lattice(space)
+            order = [(names[x], names[y]) for x in range(npts) for y in above[x]]
+            space = FiniteSpace.of(points, order)
+            assert thomason_lattice(space) == naive_thomason_lattice(points, order)
 
 
 class TestTwentyFourObjects:
@@ -508,6 +507,28 @@ class TestFiniteSpace:
     def test_duplicate_point_rejected(self):
         with pytest.raises(ValueError, match="duplicate point 'p'"):
             FiniteSpace.of(["p", "q", "p"], [])
+
+    def test_up_is_the_reflexive_closure_of_the_pairs(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            npts = rng.randint(0, 9)
+            above = _random_poset(rng, npts)
+            points = rng.sample(range(npts), npts)
+            order = [(x, y) for x in range(npts) for y in above[x]]
+            rng.shuffle(order)
+            space = FiniteSpace.of(points, order)
+            assert space.index == {x: i for i, x in enumerate(points)}
+            for i, x in enumerate(points):
+                got = {points[j] for j in range(npts) if space.up[i] >> j & 1}
+                assert got == above[x] | {x}
+
+    def test_equality_ignores_how_the_pairs_are_listed(self):
+        chain = [("a", "b"), ("b", "c"), ("a", "c")]
+        space = FiniteSpace.of("abc", chain)
+        same = FiniteSpace.of(["a", "b", "c"], chain[::-1] + chain + [("b", "b")])
+        assert space == same and hash(space) == hash(same)
+        assert space != FiniteSpace.of("abc", [("a", "b"), ("a", "c")])
+        assert space != FiniteSpace.of("abc", [])
 
     def test_sigma_must_be_closed(self):
         space = FiniteSpace.of(["g", "c"], [("g", "c")])  # c specialises g
