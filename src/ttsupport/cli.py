@@ -270,14 +270,22 @@ def _load_datum(path: str, cat: supportdata.Catalogue) -> supportdata.SupportDat
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected an object")
     try:
-        points = list(data["points"])
-        order = [tuple(pair) for pair in data.get("order", [])]
+        points = data["points"]
+        if not isinstance(points, list):
+            raise InputError(f"{path}: points: expected a list of point names")
+        order = []
+        for i, pair in enumerate(data.get("order", [])):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InputError(f"{path}: order[{i}]: expected a pair of point names")
+            order.append(tuple(pair))
         space = supportdata.FiniteSpace.of(points, order)
         sigma_raw = data["sigma"]
         sigma = []
         for name in cat.objects:
             if name not in sigma_raw:
                 raise InputError(f"{path}: sigma missing object {name!r}")
+            if not isinstance(sigma_raw[name], list):
+                raise InputError(f"{path}: sigma.{name}: expected a list of point names")
             sigma.append(frozenset(sigma_raw[name]))
         return supportdata.SupportDatum.of(space, sigma)
     except (KeyError, TypeError) as exc:

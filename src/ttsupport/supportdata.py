@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 MAX_OBJECTS = 24
-# Bound on the posets random_subset_catalogue draws for one catalogue.
-MAX_DRAWS = 100_000
 
 
 class CatalogueError(ValueError):
@@ -180,15 +178,34 @@ class Catalogue:
         for key in ("objects", "zero", "unit", "tensor"):
             if key not in data:
                 raise CatalogueError(f"{where}.{key}: missing")
+        if not isinstance(data["objects"], list):
+            raise CatalogueError(f"{where}.objects: expected a list of object names")
+        shift, tensor = data.get("shift"), data["tensor"]
+        if shift is not None and not isinstance(shift, dict):
+            raise CatalogueError(f"{where}.shift: expected an object")
+        if not isinstance(tensor, dict):
+            raise CatalogueError(f"{where}.tensor: expected an object")
+        for a, row in tensor.items():
+            if not isinstance(row, dict):
+                raise CatalogueError(f"{where}.tensor.{a}: expected an object")
+        tuples = {}
+        for key, arity, shape in (("summands", 2, "pair"), ("triangles", 3, "triple")):
+            entries = data.get(key, [])
+            if not isinstance(entries, list):
+                raise CatalogueError(f"{where}.{key}: expected a list")
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, list) or len(entry) != arity:
+                    raise CatalogueError(f"{where}.{key}[{i}]: expected a {shape} of object names")
+            tuples[key] = [tuple(entry) for entry in entries]
         try:
             return cls.of(
                 data["objects"],
                 data["zero"],
                 data["unit"],
-                data["tensor"],
-                data.get("shift"),
-                [tuple(p) for p in data.get("summands", [])],
-                [tuple(t) for t in data.get("triangles", [])],
+                tensor,
+                shift,
+                tuples["summands"],
+                tuples["triangles"],
             )
         except (TypeError, KeyError) as exc:
             raise CatalogueError(f"{where}: malformed table ({exc})") from None
@@ -635,83 +652,60 @@ def five_object_model() -> Catalogue:
     )
 
 
-def _has_up_set_count(n_objects: int, max_points: int) -> bool:
-    """Whether some poset on 2..max_points points has exactly n_objects
-    up-sets.
-
-    Posets on 0..k-1, numbered along a linear extension, are kept as their
-    lists of up-sets (bitmasks).  A new top point k whose strict down-set is
-    the complement of an up-set w has the up-sets u <= w (k left out) and
-    u | k for every old u.  A new point only adds up-sets, so a poset with
-    more than n_objects of them is not grown further.
-    """
-    level = [[0, 1]]  # the one-point poset
-    for k in range(1, max_points):
-        grown = []
-        for ups in level:
-            for w in ups:
-                below = [u for u in ups if not u & ~w]
-                count = len(ups) + len(below)
-                if count == n_objects:
-                    return True
-                if count < n_objects and k + 1 < max_points:
-                    grown.append(below + [u | 1 << k for u in ups])
-        level = grown
-    return False
-
-
 def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int = 6) -> Catalogue:
     """A random valid catalogue: the lattice of specialisation-closed subsets
     of a random finite poset, with intersection as tensor, unions as
     triangles and containments as summands.
 
-    Raises ValueError when n_objects exceeds MAX_OBJECTS, when no poset on
-    2..max_points points has n_objects up-sets, or when MAX_DRAWS random
-    posets all miss that count.
+    The poset comes from one randomised depth-first search.  Posets on
+    0..k-1, numbered along a linear extension, are kept as their lists of
+    up-sets (bitmasks), starting from the one-point poset.  A new top point
+    k whose strict down-set is the complement of an up-set w has the up-sets
+    u <= w (k left out) and u | k for every old u.  A new point only adds
+    up-sets, so the search pushes, in shuffled order, only the extensions
+    with at most n_objects of them, and stops at the first poset on 2 or
+    more points with exactly n_objects.
+
+    Raises ValueError when n_objects exceeds MAX_OBJECTS or when no poset on
+    2..max_points points has n_objects up-sets.
     """
     if n_objects > MAX_OBJECTS:
         raise CatalogueError(f"n_objects={n_objects} exceeds the bound {MAX_OBJECTS}")
-    if not _has_up_set_count(n_objects, max_points):
+    stack = [(1, [0, 1])]
+    while stack:
+        npts, ups = stack.pop()
+        if npts >= 2 and len(ups) == n_objects:
+            break
+        if npts < max_points:
+            grown = []
+            for w in ups:
+                below = [u for u in ups if not u & ~w]
+                if len(ups) + len(below) <= n_objects:
+                    grown.append((npts + 1, below + [u | 1 << npts for u in ups]))
+            rng.shuffle(grown)
+            stack.extend(grown)
+    else:
         raise ValueError(
             f"n_objects={n_objects}: no poset on 2..{max_points} points has that many up-sets"
         )
-    for _ in range(MAX_DRAWS):
-        npts = rng.randint(2, max_points)
-        # up[x]: the points above x.  Edges only go up the numbering, so the
-        # order is antisymmetric; closing from the top down reads closed masks.
-        up = [1 << x for x in range(npts)]
-        for x in range(npts):
-            for y in range(x + 1, npts):
-                if rng.random() < 0.4:
-                    up[x] |= 1 << y
-        for x in reversed(range(npts)):
-            for y in _members(up[x] & ~(1 << x)):
-                up[x] |= up[y]
-        up_sets = [
-            frozenset(_members(combo))
-            for combo in range(1 << npts)
-            if all(not up[x] & ~combo for x in _members(combo))
-        ]
-        if len(up_sets) != n_objects:
-            continue
-        up_sets.sort(key=lambda s: (len(s), sorted(s)))
-        names = ["v" + "".join(str(p) for p in sorted(s)) if s else "empty" for s in up_sets]
-        index = {s: names[i] for i, s in enumerate(up_sets)}
-        tensor = {
-            index[a]: {index[b]: index[a & b] for b in up_sets} for a in up_sets
-        }
-        summands = [
-            (index[a], index[b]) for a in up_sets for b in up_sets if b < a
-        ]
-        triangles = [
-            (index[a], index[a | b], index[b]) for a in up_sets for b in up_sets
-        ]
-        return Catalogue.of(
-            names,
-            zero=index[frozenset()],
-            unit=index[frozenset(range(npts))],
-            tensor=tensor,
-            summands=summands,
-            triangles=triangles,
-        )
-    raise ValueError(f"n_objects={n_objects}: no catalogue found in {MAX_DRAWS} draws")
+    up_sets = [frozenset(_members(u)) for u in ups]
+    up_sets.sort(key=lambda s: (len(s), sorted(s)))
+    names = ["v" + "".join(str(p) for p in sorted(s)) if s else "empty" for s in up_sets]
+    index = {s: names[i] for i, s in enumerate(up_sets)}
+    tensor = {
+        index[a]: {index[b]: index[a & b] for b in up_sets} for a in up_sets
+    }
+    summands = [
+        (index[a], index[b]) for a in up_sets for b in up_sets if b < a
+    ]
+    triangles = [
+        (index[a], index[a | b], index[b]) for a in up_sets for b in up_sets
+    ]
+    return Catalogue.of(
+        names,
+        zero=index[frozenset()],
+        unit=index[frozenset(range(npts))],
+        tensor=tensor,
+        summands=summands,
+        triangles=triangles,
+    )

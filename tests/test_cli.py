@@ -242,6 +242,34 @@ class TestCommands:
         assert out == ""
         assert err.startswith(f"input error: {path}: {message}")
 
+    @pytest.mark.parametrize(
+        "key, value, location",
+        [
+            ("sigma", {"0": [], "U": "pq", "A": ["p"], "B": ["q"], "S": ["p", "q"]},
+             "sigma.U: expected a list of point names"),
+            ("order", [["p", "q"], ["p", "q", "p"]], "order[1]: expected a pair of point names"),
+            ("points", "pq", "points: expected a list of point names"),
+        ],
+        ids=["sigma-string", "order-triple", "points-string"],
+    )
+    def test_catalogue_universal_rejects_a_malformed_datum(
+        self, capsys, samples, tmp_path, key, value, location
+    ):
+        datum = {
+            "points": ["p", "q"],
+            "order": [],
+            "sigma": {"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"], "S": ["p", "q"]},
+            key: value,
+        }
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(datum))
+        code, out, err = run(
+            capsys, "catalogue-universal", samples["model5"], "--datum", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {path}: {location}\n"
+
     def test_catalogue_universal_with_a_long_chain_datum(self, capsys, samples, tmp_path):
         # checking transitivity pair by pair of pairs took minutes here
         points = [f"x{i}" for i in range(300)]
@@ -449,6 +477,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err
         assert limit in err
+
+    @pytest.mark.parametrize(
+        "key, value, location",
+        [
+            ("shift", [], "shift: expected an object"),
+            ("tensor", [], "tensor: expected an object"),
+            ("summands", [["S", "A"], ["U"]], "summands[1]: expected a pair of object names"),
+            ("summands", "SA", "summands: expected a list"),
+            ("triangles", [["A", "S"]], "triangles[0]: expected a triple of object names"),
+        ],
+        ids=["shift-list", "tensor-list", "summand-single", "summands-string",
+             "triangle-pair"],
+    )
+    def test_malformed_catalogue_is_rejected(self, capsys, tmp_path, key, value, location):
+        data = five_object_model().to_json()
+        data[key] = value
+        path = tmp_path / "catalogue.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "catalogue-spc", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {path}.{location}\n"
 
     def test_primes_bound_at_the_limit_runs(self, capsys):
         code, out, _ = within(

@@ -467,14 +467,26 @@ def _up_set_counts_by_brute_force(max_points: int) -> set[int]:
     return counts
 
 
+def _lattice_height(cat):
+    """The length of a longest chain of containments in an up-set lattice,
+    which is the number of points of its poset."""
+    below = {a: {b for x, b in cat.summands if x == a} for a in range(cat.size)}
+    height = {}
+    for a in sorted(below, key=lambda a: len(below[a])):
+        height[a] = max((height[b] + 1 for b in below[a]), default=0)
+    return height[cat.unit]
+
+
 class TestRandomSubsetCatalogue:
     @pytest.mark.parametrize("n_objects, max_points", [(2, 6), (63, 6), (19, 5), (7, 3)])
     def test_unreachable_sizes_rejected(self, n_objects, max_points):
         with pytest.raises(ValueError):
             within(5, lambda: random_subset_catalogue(random.Random(0), n_objects, max_points))
 
-    def test_rejects_exactly_the_unreachable_sizes(self):
-        for max_points in (2, 3, 4):
+    def test_rejects_exactly_the_unreachable_sizes(self, monkeypatch):
+        # sizes up to 2^5 + 1 are tried, past the default bound on objects
+        monkeypatch.setattr(supportdata, "MAX_OBJECTS", 2 ** 5 + 1)
+        for max_points in (2, 3, 4, 5):
             reachable = _up_set_counts_by_brute_force(max_points)
             rng = random.Random(max_points)
             for n_objects in range(2 ** max_points + 2):
@@ -484,14 +496,26 @@ class TestRandomSubsetCatalogue:
                     with pytest.raises(ValueError):
                         within(5, lambda: random_subset_catalogue(rng, n_objects, max_points))
 
+    def test_rare_and_large_sizes_are_drawn_quickly(self):
+        # 23 objects come from about one in a thousand random 2..6-point
+        # orders, so drawing orders until one fits took over a second
+        rng = random.Random(23)
+        cats = within(1, lambda: [random_subset_catalogue(rng, 23) for _ in range(20)])
+        assert all(cat.size == 23 for cat in cats)
+        for max_points in (7, 8, 9, 10):
+            cat = within(1, lambda: random_subset_catalogue(rng, 24, max_points))
+            assert cat.size == 24
+            assert 2 <= _lattice_height(cat) <= max_points
+            assert classify(cat).passed
+
     def test_stream_unchanged_for_reachable_sizes(self):
         rng = random.Random(2024)
         assert [random_subset_catalogue(rng, n).objects for n in (6, 8, 12)] == [
-            ("empty", "v0", "v2", "v02", "v12", "v012"),
-            ("empty", "v0", "v1", "v2", "v01", "v02", "v12", "v012"),
+            ("empty", "v3", "v23", "v023", "v123", "v0123"),
+            ("empty", "v2", "v3", "v13", "v23", "v013", "v123", "v0123"),
             (
-                "empty", "v0", "v2", "v3", "v02", "v03", "v13", "v23",
-                "v013", "v023", "v123", "v0123",
+                "empty", "v3", "v4", "v14", "v23", "v34", "v014", "v134",
+                "v234", "v0134", "v1234", "v01234",
             ),
         ]
 
