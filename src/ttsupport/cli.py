@@ -71,9 +71,14 @@ def _load_complex(path: str) -> PerfectComplex:
 
 def _load_catalogue(path: str) -> supportdata.Catalogue:
     try:
-        return supportdata.Catalogue.from_json(_load_json(path), path)
+        cat = supportdata.Catalogue.from_json(_load_json(path), path)
     except supportdata.CatalogueError as exc:
         raise InputError(str(exc))
+    try:
+        cat.ideals  # enumerated here, so that more than MAX_IDEALS is bad input
+    except supportdata.CatalogueError as exc:
+        raise InputError(f"{path}: {exc}")
+    return cat
 
 
 def _parse_point(text: str) -> SpecZPoint:
@@ -296,12 +301,11 @@ def _load_datum(path: str, cat: supportdata.Catalogue) -> supportdata.SupportDat
 
 def cmd_catalogue_universal(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    spc = supportdata.spc_support(cat)
-    datum = _load_datum(args.datum, cat) if args.datum else spc
+    datum = _load_datum(args.datum, cat) if args.datum else supportdata.spc_support(cat)
     axioms = supportdata.check_axioms(datum, cat)
     if not axioms.passed:
         return _emit_report(args, "catalogue-universal", axioms)
-    result = supportdata.universal_map(datum, cat, spc)
+    result = supportdata.universal_map(datum, cat)
     lines = []
     mapping_payload = {}
     for x, fx in result.mapping:

@@ -568,7 +568,7 @@ def check_model5(ctx: VerifyContext) -> CheckRecord:
     rep = supportdata.check_axioms(datum, cat)
     if not rep.passed:
         failures.append("axioms failed on the canonical datum")
-    um = supportdata.universal_map(datum, cat, datum)
+    um = supportdata.universal_map(datum, cat)
     if not um.report.passed:
         failures.append("universal map verification failed")
     if any(um.apply(x) != x for x in datum.space.points):
@@ -584,7 +584,7 @@ def check_random_catalogues(ctx: VerifyContext) -> CheckRecord:
     cases = 0
     for _ in range(max(ctx.cases // 100, 3)):
         cat = supportdata.random_subset_catalogue(rng, rng.choice([6, 8, 12]))
-        ideals = supportdata.enumerate_ideals(cat)
+        ideals = cat.ideals
         datum = supportdata.spc_support(cat)
         primes = set(datum.space.points)
         cases += 4

@@ -44,6 +44,7 @@ COMMANDS = [
     ["catalogue-spc", "samples/model5.json"],
     ["catalogue-universal", "samples/model5.json"],
     ["catalogue-universal", "samples/model5.json", "--datum", "samples/model5_datum.json"],
+    ["catalogue-spc", "samples/nilpotent24.json"],
 ]
 
 

@@ -225,7 +225,7 @@ def test_criterion_9_finite_model_spectrum():
     assert len(primes) == 2
     datum = spc_support(cat)
     assert check_axioms(datum, cat).passed
-    result = universal_map(datum, cat, datum)
+    result = universal_map(datum, cat)
     assert result.report.passed
     assert all(result.apply(x) == x for x in datum.space.points)
     assert len(enumerate_ideals(cat)) == 4

@@ -723,11 +723,21 @@ class TestEnumerationCounts:
         assert len(enumerations) == 1
 
     def test_verify_catalogue_checks(self, enumerations):
-        # model5: the spectrum and classify; each random catalogue: its
-        # ideals, the spectrum and classify
+        # model5 and each random catalogue: one lattice for the ideals, the
+        # spectrum, the axioms, the universal map and classify
         ctx = verify.VerifyContext(42, 500, 100)
         assert verify.check_model5(ctx).passed
-        assert len(enumerations) == 2
+        assert len(enumerations) == 1
         enumerations.clear()
         assert verify.check_random_catalogues(ctx).passed
-        assert list(Counter(map(id, enumerations)).values()) == [3] * 5
+        assert list(Counter(map(id, enumerations)).values()) == [1] * 5
+
+    def test_one_lattice_for_every_consumer(self, enumerations):
+        cat = supportdata.random_subset_catalogue(random.Random(7), 12)
+        spc = supportdata.spc_support(cat)
+        assert supportdata.enumerate_primes(cat) == list(spc.space.points)
+        assert supportdata.check_axioms(spc, cat).passed
+        assert supportdata.universal_map(spc, cat).report.passed
+        assert supportdata.classify(cat).passed
+        assert supportdata.spc_support(cat) is spc
+        assert enumerations == [cat]

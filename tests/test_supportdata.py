@@ -80,6 +80,16 @@ def _chain_catalogue(n_objects):
     return Catalogue.of(**_lattice_tables(_chain_up_sets(n_objects - 1)))
 
 
+def _nilpotent_catalogue(n_objects):
+    """0, a unit U and objects a1, a2, ... whose products with each other
+    are all 0: every set of the a's together with 0 is an ideal, so there
+    are 2^(n_objects - 2) + 1 ideals, and only the largest proper one is
+    prime."""
+    names = ["0", "U"] + [f"a{i}" for i in range(1, n_objects - 1)]
+    tensor = {x: {y: y if x == "U" else x if y == "U" else "0" for y in names} for x in names}
+    return Catalogue.of(names, zero="0", unit="U", tensor=tensor)
+
+
 def _by_size(sets):
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
@@ -152,6 +162,14 @@ class TestValidation:
         cat = five_object_model()
         again = Catalogue.from_json(cat.to_json())
         assert again == cat
+
+    def test_lattice_leaves_equality_and_hash_alone(self):
+        cat = five_object_model()
+        before = hash(cat)
+        assert len(cat.spectrum.space.points) == 2
+        again = Catalogue.from_json(cat.to_json())
+        assert again == cat and cat == again
+        assert hash(cat) == before == hash(again)
 
     def test_rotation_orbit_longer_than_three_times_size(self):
         # The shift has a 3-cycle and a 4-cycle, so the triangle below comes
@@ -308,7 +326,7 @@ class TestUniversalMap:
     def test_identity_from_spectrum(self):
         cat = five_object_model()
         datum = spc_support(cat)
-        result = universal_map(datum, cat, datum)
+        result = universal_map(datum, cat)
         assert result.report.passed
         for x in datum.space.points:
             assert result.apply(x) == x
@@ -326,7 +344,7 @@ class TestUniversalMap:
         sigma[idx["S"]] = frozenset({x1, x2})
         datum = SupportDatum.of(space, sigma)
         assert check_axioms(datum, cat).passed
-        result = universal_map(datum, cat, spc_support(cat))
+        result = universal_map(datum, cat)
         assert result.report.passed
         assert cat.names_of(result.apply(x1)) == ("0", "B")
         assert cat.names_of(result.apply(x2)) == ("0", "A")
@@ -335,7 +353,7 @@ class TestUniversalMap:
         # 8 points and 8 primes: 8 ** 8 candidate maps
         cat = _chain_catalogue(9)
         spc = spc_support(cat)
-        result = universal_map(spc, cat, spc)
+        result = universal_map(spc, cat)
         assert result.report.passed
         assert [r.name for r in result.report.records if "unique" in r.name] == ["universal.unique"]
 
@@ -344,7 +362,7 @@ class TestUniversalMap:
         cat = five_object_model()
         space = FiniteSpace.of(["x"], [])
         sigma = [frozenset() if i == cat.zero else frozenset({"x"}) for i in range(cat.size)]
-        result = universal_map(SupportDatum.of(space, sigma), cat, spc_support(cat))
+        result = universal_map(SupportDatum.of(space, sigma), cat)
         unique = [r for r in result.report.records if r.name == "universal.unique"]
         assert len(unique) == 1 and not unique[0].passed
 
@@ -394,6 +412,51 @@ class TestClassification:
         for _ in range(4):
             cat = random_subset_catalogue(rng, rng.choice([6, 8, 12]))
             assert classify(cat).passed
+
+    def test_non_radical_ideals_fail(self):
+        # a and b are nilpotent, so the ideals {0}, {0, a} and {0, b} are
+        # not radical and have no specialisation-closed subset of their own
+        cat = _nilpotent_catalogue(4)
+        assert cat.objects == ("0", "U", "a1", "a2")
+        records = {r.name: r for r in classify(cat).records}
+        assert records["classify.counts"].detail == "5 != 2"
+        missed = records["classify.tau-sigma-identity"]
+        assert not missed.passed
+        assert missed.detail.startswith("[['0'], ['0', 'a1'], ['0', 'a2']] != ")
+        advisories = check_axioms(spc_support(cat), cat).advisories()
+        assert [r.name for r in advisories] == ["advisory.empty-support-nonzero"]
+        assert advisories[0].detail.endswith(": a1, a2")
+
+
+class TestIdealBound:
+    """Enumeration stops once it finds more than MAX_IDEALS ideals; the
+    nilpotent catalogue of n objects has 2^(n - 2) + 1."""
+
+    @pytest.mark.parametrize("n_objects", [16, 24])
+    def test_rejected(self, n_objects):
+        cat = _nilpotent_catalogue(n_objects)
+        with pytest.raises(CatalogueError, match=f"bound of {supportdata.MAX_IDEALS} "):
+            within(2, lambda: cat.ideals)
+
+    @pytest.mark.parametrize("n_objects", [16, 24])
+    @pytest.mark.parametrize("command", ["catalogue-spc", "catalogue-universal"])
+    def test_rejected_by_the_cli(self, tmp_path, capsys, n_objects, command):
+        path = tmp_path / "nilpotent.json"
+        path.write_text(json.dumps(_nilpotent_catalogue(n_objects).to_json()))
+        code = within(2, lambda: main([command, str(path)]))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {path}: ") and " 16384 " in err
+
+    def test_accepted_below_the_bound(self):
+        cat = _nilpotent_catalogue(15)
+        ideals, report = within(2, lambda: (cat.ideals, classify(cat)))
+        assert len(ideals) == 2 ** 13 + 1 <= supportdata.MAX_IDEALS
+        assert [r.name for r in report.failures()] == [
+            "classify.counts",
+            "classify.tau-sigma-identity",
+            "classify.order-isomorphism",
+        ]
 
 
 class TestThomasonLattice:
