@@ -256,14 +256,15 @@ def cmd_catalogue_spc(args) -> int:
     cat = _load_catalogue(args.catalogue)
     datum = supportdata.spc_support(cat)
     primes = datum.space.points
+    labels = {p: supportdata.point_label(p, cat) for p in primes}
     lines = [f"{len(primes)} prime thick tensor-ideals"]
     payload_primes = []
     for p in primes:
-        lines.append("prime: " + supportdata.point_label(p, cat))
+        lines.append("prime: " + labels[p])
         payload_primes.append(list(cat.names_of(p)))
     supports = {}
     for i, name in enumerate(cat.objects):
-        pts = sorted(supportdata.point_label(p, cat) for p in datum.sigma[i])
+        pts = sorted(labels[p] for p in datum.sigma[i])
         supports[name] = pts
         lines.append(f"supp {name}: [" + "; ".join(pts) + "]")
     _emit(args, lines, {"primes": payload_primes, "supports": supports})

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: set
 semantics over an explicit prime universe, cofactor-expansion determinants,
 kernel-basis homology, a Kunneth product that re-canonicalises after every
-pair of blocks, and plain-set enumerations of catalogue ideals and of the
-specialisation-closed subsets of a finite space.
+pair of blocks, a cell-by-cell check of catalogue tables, and plain-set
+enumerations of catalogue ideals and of the specialisation-closed subsets of
+a finite space.
 """
 
 from __future__ import annotations
@@ -139,6 +140,32 @@ def naive_kunneth(x: GradedModule, y: GradedModule) -> GradedModule:
             put(i + j, naive_bilinear(tensor_mod, mi, mj))
             put(i + j - 1, naive_bilinear(tor_mod, mi, mj))
     return GradedModule.of(out)
+
+
+def naive_validate(names, zero, unit, shift, table) -> str | None:
+    """The CatalogueError message that a catalogue's shift and tensor table,
+    given as index lists, must raise, or None when they are valid.  One cell
+    or one triple at a time: the shift, then unit, zero and commutativity
+    object by object, then associativity triple by triple."""
+    n = len(names)
+    if sorted(shift) != list(range(n)):
+        return "shift: not a permutation"
+    if shift[zero] != zero:
+        return "shift: must fix zero"
+    for i in range(n):
+        if table[unit][i] != i or table[i][unit] != i:
+            return f"tensor: unit not neutral at {names[i]}"
+        if table[zero][i] != zero or table[i][zero] != zero:
+            return f"tensor: zero not absorbing at {names[i]}"
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                return f"tensor: not commutative at ({names[i]}, {names[j]})"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return f"tensor: not associative at ({names[i]}, {names[j]}, {names[k]})"
+    return None
 
 
 def naive_ideals(cat) -> list[frozenset[int]]:

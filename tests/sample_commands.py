@@ -45,6 +45,7 @@ COMMANDS = [
     ["catalogue-universal", "samples/model5.json"],
     ["catalogue-universal", "samples/model5.json", "--datum", "samples/model5_datum.json"],
     ["catalogue-spc", "samples/nilpotent24.json"],
+    ["catalogue-universal", "samples/model5.json", "--datum", "samples/model5_bad_datum.json"],
 ]
 
 

@@ -4,9 +4,10 @@ from itertools import combinations
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deadline import within
-from oracles import naive_ideals, naive_primes, naive_thomason_lattice
+from oracles import naive_ideals, naive_primes, naive_thomason_lattice, naive_validate
 from ttsupport import supportdata
 from ttsupport.cli import main
 from ttsupport.supportdata import (
@@ -92,6 +93,85 @@ def _nilpotent_catalogue(n_objects):
 
 def _by_size(sets):
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+IDEMPOTENTS = ["0", "U", "A", "B", "C"]
+
+
+def _idempotent_tables():
+    """Catalogue.of arguments for 0, a unit U and orthogonal idempotents A, B
+    and C (x * x = x, x * y = 0), with each tensor row a fresh dict."""
+    def product(x, y):
+        if x == "U" or y == "U":
+            return y if x == "U" else x
+        return x if x == y else "0"
+
+    return dict(
+        objects=list(IDEMPOTENTS),
+        zero="0",
+        unit="U",
+        tensor={x: {y: product(x, y) for y in IDEMPOTENTS} for x in IDEMPOTENTS},
+    )
+
+
+def _set_symmetric(tensor, x, y, value):
+    tensor[x][y] = tensor[y][x] = value
+
+
+def _rejection(**tables):
+    with pytest.raises(CatalogueError) as info:
+        Catalogue.of(**tables)
+    return str(info.value)
+
+
+def _perturbed_tables(rng):
+    """A shift and a tensor table on 1-5 objects, as index lists: a valid
+    base (min on a chain, a nilpotent ideal, orthogonal idempotents or
+    multiplication modulo n), relabelled at random, then with up to two
+    entries changed on one side or both and, now and then, a random shift."""
+    n = rng.randint(1, 5)
+    kind = rng.choice(["chain", "nilpotent", "idempotents", "modular"] if n > 1 else ["chain"])
+    zero, unit = (0, n - 1) if kind == "chain" else (0, 1)
+
+    def base(i, j):
+        if kind == "chain":
+            return min(i, j)
+        if kind == "modular":
+            return i * j % n
+        if unit in (i, j):
+            return i + j - unit
+        return i if kind == "idempotents" and i == j else zero
+
+    perm = rng.sample(range(n), n)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[perm[i]][perm[j]] = perm[base(i, j)]
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        table[i][j] = v
+        if rng.random() < 0.6:
+            table[j][i] = v
+    shift = list(range(n))
+    if rng.random() < 0.2:
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            shift[i] = rng.randrange(n)
+    return [f"x{i}" for i in range(n)], perm[zero], perm[unit], shift, table
+
+
+def _outcome_of(names, zero, unit, shift, table):
+    """None when Catalogue.of accepts the index tables, else its message."""
+    try:
+        Catalogue.of(
+            names,
+            zero=names[zero],
+            unit=names[unit],
+            tensor={a: {b: names[v] for b, v in zip(names, row)} for a, row in zip(names, table)},
+            shift={a: names[s] for a, s in zip(names, shift)},
+        )
+    except CatalogueError as exc:
+        return str(exc)
+    return None
 
 
 class TestValidation:
@@ -182,6 +262,202 @@ class TestValidation:
         cat = Catalogue.of(names, "0", "U", tensor, shift, triangles=[("a0", "b0", "0")])
         assert len(cat.triangles) == 36
         assert enumerate_ideals(cat) == naive_ideals(cat)
+
+    def test_one_triangle_brings_its_whole_orbit(self):
+        # (a, b, c) -> (b, c, S a) under a shift with the 4-cycle
+        # b0 -> b1 -> b2 -> b3 -> b0 returns to (b0, b1, 0) after 12 steps
+        names = ["0", "U", "b0", "b1", "b2", "b3"]
+        tensor = {
+            x: {y: y if x == "U" else x if y == "U" else "0" for y in names} for x in names
+        }
+        shift = {"b0": "b1", "b1": "b2", "b2": "b3", "b3": "b0"}
+        cat = Catalogue.of(names, "0", "U", tensor, shift, triangles=[("b0", "b1", "0")])
+        orbit = [
+            ("b0", "b1", "0"), ("b1", "0", "b1"), ("0", "b1", "b2"),
+            ("b1", "b2", "0"), ("b2", "0", "b2"), ("0", "b2", "b3"),
+            ("b2", "b3", "0"), ("b3", "0", "b3"), ("0", "b3", "b0"),
+            ("b3", "b0", "0"), ("b0", "0", "b0"), ("0", "b0", "b1"),
+        ]
+        idx = {name: i for i, name in enumerate(names)}
+        assert cat.triangles == frozenset(tuple(idx[x] for x in t) for t in orbit)
+        for a, b, c in cat.triangles:
+            assert (b, c, cat.shift[a]) in cat.triangles
+
+
+class TestValidationMessages:
+    """The exact CatalogueError of each table check, and which location it
+    names when several are at fault: the first in object order, with unit,
+    zero and commutativity checked object by object before associativity."""
+
+    def test_unit_names_the_first_object(self):
+        tables = _idempotent_tables()
+        _set_symmetric(tables["tensor"], "U", "A", "B")
+        _set_symmetric(tables["tensor"], "U", "B", "A")
+        assert _rejection(**tables) == "tensor: unit not neutral at A"
+
+    def test_zero_names_the_first_object(self):
+        tables = _idempotent_tables()
+        _set_symmetric(tables["tensor"], "0", "A", "A")
+        _set_symmetric(tables["tensor"], "0", "C", "C")
+        assert _rejection(**tables) == "tensor: zero not absorbing at A"
+
+    def test_commutativity_names_the_first_pair(self):
+        tables = _idempotent_tables()
+        tables["tensor"]["A"]["C"] = "A"
+        tables["tensor"]["B"]["C"] = "B"
+        assert _rejection(**tables) == "tensor: not commutative at (A, C)"
+
+    def test_commutativity_at_an_earlier_object_comes_before_unit(self):
+        tables = _idempotent_tables()
+        tables["tensor"]["A"]["B"] = "A"
+        _set_symmetric(tables["tensor"], "U", "C", "A")
+        assert _rejection(**tables) == "tensor: not commutative at (A, B)"
+
+    def test_unit_at_an_earlier_object_comes_before_commutativity(self):
+        tables = _idempotent_tables()
+        _set_symmetric(tables["tensor"], "U", "A", "B")
+        tables["tensor"]["B"]["C"] = "B"
+        assert _rejection(**tables) == "tensor: unit not neutral at A"
+
+    def test_associativity_names_the_first_triple(self):
+        # (A * A) * B = B * B = B but A * (A * B) = A * U = A; the triples
+        # (A, A, 0), (A, A, U) and (A, A, A) before it hold
+        tables = _idempotent_tables()
+        tensor = tables["tensor"]
+        tensor["A"]["A"] = "B"
+        _set_symmetric(tensor, "A", "B", "U")
+        _set_symmetric(tensor, "A", "C", "C")
+        assert _rejection(**tables) == "tensor: not associative at (A, A, B)"
+
+    def test_associativity_checked_after_every_commutativity(self):
+        tables = _idempotent_tables()
+        tensor = tables["tensor"]
+        tensor["A"]["A"] = "B"
+        _set_symmetric(tensor, "A", "B", "U")
+        tensor["B"]["C"] = "B"
+        assert _rejection(**tables) == "tensor: not commutative at (B, C)"
+
+    def test_shift_not_a_permutation(self):
+        tables = _idempotent_tables()
+        assert _rejection(**tables, shift={"A": "B"}) == "shift: not a permutation"
+
+    def test_shift_must_fix_zero(self):
+        tables = _idempotent_tables()
+        assert _rejection(**tables, shift={"0": "A", "A": "0"}) == "shift: must fix zero"
+
+    def test_missing_row_names_the_first_object(self):
+        tables = _idempotent_tables()
+        tensor = tables["tensor"]
+        # listed in another order than the objects
+        tables["tensor"] = {x: tensor[x] for x in ["C", "U", "0"]}
+        assert _rejection(**tables) == "tensor: missing row for 'A'"
+
+    def test_missing_entry_names_the_first_object(self):
+        tables = _idempotent_tables()
+        tables["tensor"]["B"] = {"C": "0", "A": "X", "0": "0"}
+        assert _rejection(**tables) == "tensor.B: missing entry for 'U'"
+
+    def test_missing_row_comes_before_a_bad_entry_of_a_later_row(self):
+        tables = _idempotent_tables()
+        del tables["tensor"]["B"]
+        tables["tensor"]["C"]["A"] = "X"
+        assert _rejection(**tables) == "tensor: missing row for 'B'"
+
+    def test_unknown_in_tensor_names_the_first_entry(self):
+        tables = _idempotent_tables()
+        tables["tensor"]["U"]["B"] = "Y"
+        tables["tensor"]["U"]["C"] = "X"
+        tables["tensor"]["A"]["0"] = "W"
+        assert _rejection(**tables) == "tensor.U.B: unknown object 'Y'"
+
+    @pytest.mark.parametrize(
+        "summands, name",
+        [([("A", "B"), ("X", "A"), ("A", "Y")], "X"), ([("A", "Z"), ("W", "A")], "Z")],
+    )
+    def test_unknown_in_summands(self, summands, name):
+        tables = _idempotent_tables()
+        assert _rejection(**tables, summands=summands) == f"summands: unknown object {name!r}"
+
+    @pytest.mark.parametrize(
+        "triangles, name",
+        [([("A", "B", "C"), ("A", "B", "Q"), ("W", "A", "B")], "Q"), ([("R", "S", "T")], "R")],
+    )
+    def test_unknown_in_triangles(self, triangles, name):
+        tables = _idempotent_tables()
+        assert _rejection(**tables, triangles=triangles) == f"triangles: unknown object {name!r}"
+
+    def test_unknown_in_shift(self):
+        tables = _idempotent_tables()
+        assert _rejection(**tables, shift={"A": "B", "X": "A"}) == "shift: unknown object 'X'"
+        assert _rejection(**tables, shift={"A": "Y"}) == "shift.A: unknown object 'Y'"
+
+    def test_sections_checked_in_order(self):
+        # shift, then tensor entries, summands and triangles, then the tables
+        tables = _idempotent_tables()
+        _set_symmetric(tables["tensor"], "U", "A", "B")
+        tables["tensor"]["C"]["C"] = "V"
+        extra = dict(shift={"X": "A"}, summands=[("A", "Y")], triangles=[("Z", "A", "B")])
+        assert _rejection(**tables, **extra) == "shift: unknown object 'X'"
+        del extra["shift"]
+        assert _rejection(**tables, **extra) == "tensor.C.C: unknown object 'V'"
+        tables["tensor"]["C"]["C"] = "C"
+        assert _rejection(**tables, **extra) == "summands: unknown object 'Y'"
+        del extra["summands"]
+        assert _rejection(**tables, **extra) == "triangles: unknown object 'Z'"
+        del extra["triangles"]
+        assert _rejection(**tables) == "tensor: unit not neutral at A"
+
+    def test_from_json_prefixes_the_location(self):
+        tables = _idempotent_tables()
+        tables["tensor"]["U"]["B"] = "Y"
+        data = Catalogue.of(**_idempotent_tables()).to_json()
+        data["tensor"] = tables["tensor"]
+        with pytest.raises(CatalogueError) as info:
+            Catalogue.from_json(data, "cat.json")
+        assert str(info.value) == "cat.json.tensor.U.B: unknown object 'Y'"
+
+    def test_one_object(self):
+        cat = Catalogue.of(["0"], zero="0", unit="0", tensor={"0": {"0": "0"}})
+        assert cat.tensor == ((0,),)
+        assert cat.ideals == (frozenset({0}),)
+        assert enumerate_primes(cat) == []
+
+    def test_two_objects(self):
+        cat = field_like_model()
+        assert cat.tensor == ((0, 0), (0, 1))
+        assert [cat.names_of(p) for p in enumerate_primes(cat)] == [("0",)]
+        assert _outcome_of(["0", "U"], 0, 1, [0, 1], [[0, 0], [0, 0]]) == (
+            "tensor: unit not neutral at U"
+        )
+
+
+class TestValidationOracle:
+    """Catalogue.of accepts exactly the tables that the cell-by-cell oracle
+    accepts, and rejects the others with the same message."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_naive_validate(self, rng):
+        tables = _perturbed_tables(rng)
+        assert _outcome_of(*tables) == naive_validate(*tables)
+
+    def test_every_outcome_is_drawn(self):
+        rng = random.Random(101)
+        seen = set()
+        for _ in range(600):
+            tables = _perturbed_tables(rng)
+            got = _outcome_of(*tables)
+            assert got == naive_validate(*tables)
+            seen.add(got if got is None else got.split(" at ")[0].split(":")[1].strip())
+        assert seen == {
+            None,
+            "not a permutation",
+            "must fix zero",
+            "unit not neutral",
+            "zero not absorbing",
+            "not commutative",
+            "not associative",
+        }
 
 
 class TestEnumeration:
