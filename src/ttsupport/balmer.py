@@ -27,7 +27,7 @@ from .modcalc import (
     GradedModule,
     kunneth,
     localize_point,
-    supp_mod,
+    supp_blocks,
 )
 from .report import Report, check
 from .znum import (
@@ -109,10 +109,7 @@ def supp_object(x: GradedModule) -> PointSet:
     keeps cofinite answers exact; the pointwise description via explicit
     tensoring is what the verification suite spot-checks.
     """
-    out = PointSet.empty()
-    for _, m in x.graded:
-        out = out.union(supp_mod(m))
-    return out
+    return supp_blocks(c for _, m in x.graded for c, _ in m.parts)
 
 
 def localization_triangle_check(v: SpclSubset) -> Report:

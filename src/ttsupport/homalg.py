@@ -10,7 +10,7 @@ maps C^n to C^{n+1}, and the shift moves degrees down, (shift C)^n = C^{n+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -101,14 +101,6 @@ class IntMatrix:
             other.cols,
             tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries),
         )
-
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        """Kronecker product; row-major on both index pairs."""
-        rows = []
-        for r1 in self.entries:
-            for r2 in other.entries:
-                rows.append(tuple(a * b for a in r1 for b in r2))
-        return IntMatrix(self.rows * other.rows, self.cols * other.cols, tuple(rows))
 
     @classmethod
     def block(
@@ -446,11 +438,19 @@ class PerfectComplex:
     def hi(self) -> int:
         return self.ranks[-1][0] if self.ranks else 0
 
+    @cached_property
+    def _rank_of(self) -> dict[int, int]:
+        return dict(self.ranks)
+
+    @cached_property
+    def _diff_of(self) -> dict[int, IntMatrix]:
+        return dict(self.diffs)
+
     def rank(self, n: int) -> int:
-        return dict(self.ranks).get(n, 0)
+        return self._rank_of.get(n, 0)
 
     def differential(self, n: int) -> IntMatrix:
-        d = dict(self.diffs).get(n)
+        d = self._diff_of.get(n)
         if d is not None:
             return d
         return IntMatrix.zeros(self.rank(n + 1), self.rank(n))
@@ -531,8 +531,12 @@ class ChainMap:
                 raise ValueError(f"not a chain map at degree {n}: d.f != f.d")
         return f
 
+    @cached_property
+    def _component_of(self) -> dict[int, IntMatrix]:
+        return dict(self.components)
+
     def component(self, n: int) -> IntMatrix:
-        c = dict(self.components).get(n)
+        c = self._component_of.get(n)
         if c is not None:
             return c
         return IntMatrix.zeros(self.dst.rank(n), self.src.rank(n))
@@ -560,6 +564,9 @@ def _torsion_cyclics(factor: int) -> tuple[Cyclic, ...]:
     return tuple(Cyclic.torsion(int(p), int(e)) for p, e in sorted(factorint(factor).items()))
 
 
+_Z = Cyclic.free(PrimeSet.none())
+
+
 def homology(c: PerfectComplex) -> GradedModule:
     """Cohomology of the complex, in the cyclic-module calculus.
 
@@ -568,21 +575,20 @@ def homology(c: PerfectComplex) -> GradedModule:
     rank C^n - rank d^n - rank d^{n-1} and the torsion is read off the
     invariant factors of d^{n-1}.
     """
-    factors: dict[int, tuple[int, ...]] = {}
-    for n, _ in c.diffs:
-        factors[n] = smith_factors(c.differential(n))
-    graded: dict[int, Module] = {}
+    factors = {n: smith_factors(m) for n, m in c.diffs}
+    graded = []
     for n, r in c.ranks:
         below = factors.get(n - 1, ())
-        here = factors.get(n, ())
-        free = r - len(here) - len(below)
-        parts: list[Cyclic] = [Cyclic.free(PrimeSet.none())] * free
+        free = r - len(factors.get(n, ())) - len(below)
+        counts = {_Z: free} if free else {}
         for f in below:
             if f > 1:
-                parts.extend(_torsion_cyclics(f))
-        if parts:
-            graded[n] = Module.of(parts)
-    return GradedModule.of(graded)
+                for t in _torsion_cyclics(f):
+                    counts[t] = counts.get(t, 0) + 1
+        if counts:
+            graded.append((n, Module._of_counts(counts)))
+    # c.ranks is sorted by degree, and every module here is nonzero
+    return GradedModule(tuple(graded))
 
 
 def shift(c: PerfectComplex, k: int) -> PerfectComplex:
@@ -598,41 +604,54 @@ def tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
 
     (A x B)^n = sum over i+j=n of A^i x B^j, ordered by increasing i, bases
     row-major; the differential is dA x 1 + (-1)^i 1 x dB on the (i, j) block.
+    Each differential is written straight into one zero matrix, at the block
+    offsets of its source and target.
     """
     if a.is_zero() or b.is_zero():
         return PerfectComplex.of({})
-
-    def blocks(n: int) -> list[tuple[int, int, int, int]]:
-        out = []
-        for i, ra in a.ranks:
-            rb = b.rank(n - i)
-            if rb:
-                out.append((i, n - i, ra, rb))
-        return out
-
+    rank_a, rank_b = a._rank_of, b._rank_of
+    diff_a, diff_b = a._diff_of, b._diff_of
     lo, hi = a.lo + b.lo, a.hi + b.hi
+    # offset[n][i]: where the block A^i x B^(n-i) starts in degree n
+    offset: dict[int, dict[int, int]] = {}
     ranks = {}
     for n in range(lo, hi + 1):
-        ranks[n] = sum(ra * rb for _, _, ra, rb in blocks(n))
+        starts, total = {}, 0
+        for i, ra in a.ranks:
+            rb = rank_b.get(n - i)
+            if rb:
+                starts[i] = total
+                total += ra * rb
+        offset[n], ranks[n] = starts, total
     diffs = {}
     for n in range(lo, hi):
-        src = blocks(n)
-        dst = blocks(n + 1)
+        src, dst = offset[n], offset[n + 1]
         if not src or not dst:
             continue
-        dst_pos = {(i, j): bi for bi, (i, j, _, _) in enumerate(dst)}
-        grid: list[list[IntMatrix | None]] = [[None] * len(src) for _ in dst]
-        for sj, (i, j, ra, rb) in enumerate(src):
-            da = a.differential(i)
-            if not da.is_zero() and (i + 1, j) in dst_pos:
-                grid[dst_pos[(i + 1, j)]][sj] = da.kron(IntMatrix.identity(rb))
-            db = b.differential(j)
-            if not db.is_zero() and (i, j + 1) in dst_pos:
-                m = IntMatrix.identity(ra).kron(db)
-                grid[dst_pos[(i, j + 1)]][sj] = m if i % 2 == 0 else m.neg()
-        diffs[n] = IntMatrix.block(
-            grid, [ra * rb for _, _, ra, rb in dst], [ra * rb for _, _, ra, rb in src]
-        )
+        ncols = ranks[n]
+        rows = [[0] * ncols for _ in range(ranks[n + 1])]
+        for i, c0 in src.items():
+            j = n - i
+            ra, rb = rank_a[i], rank_b[j]
+            da = diff_a.get(i)
+            if da is not None and i + 1 in dst:
+                # dA x 1: entry (x, y) of dA on the diagonal of an rb x rb block
+                r0 = dst[i + 1]
+                for x, row in enumerate(da.entries):
+                    for y, v in enumerate(row):
+                        if v:
+                            for k in range(rb):
+                                rows[r0 + x * rb + k][c0 + y * rb + k] = v
+            db = diff_b.get(j)
+            if db is not None and i in dst:
+                # (-1)^i 1 x dB: ra copies of dB down the diagonal
+                r0, rb1 = dst[i], db.rows
+                signed = db.entries if i % 2 == 0 else [[-v for v in row] for row in db.entries]
+                for x in range(ra):
+                    c = c0 + x * rb
+                    for u, row in enumerate(signed):
+                        rows[r0 + x * rb1 + u][c : c + rb] = row
+        diffs[n] = IntMatrix(len(rows), ncols, tuple(map(tuple, rows)))
     return PerfectComplex.of(ranks, diffs)
 
 

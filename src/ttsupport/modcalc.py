@@ -36,6 +36,7 @@ __all__ = [
     "tor_modules",
     "kunneth",
     "supp_cyclic",
+    "supp_blocks",
     "supp_mod",
 ]
 
@@ -279,59 +280,80 @@ def _pair(a: Cyclic, b: Cyclic) -> tuple[Cyclic, Cyclic]:
     return b, a
 
 
-def tensor_mod(a: Cyclic, b: Cyclic) -> Module:
-    """Tensor product of two blocks, as a Module (possibly zero)."""
+def _tensor_block(a: Cyclic, b: Cyclic) -> Cyclic | None:
+    """The tensor product of two blocks: one block, or None for zero.
+
+    A result equal to an input is that input, so no prime is tested again.
+    """
     x, y = _pair(a, b)
     if x.kind == "free":
         if y.kind == "free":
-            return _one(Cyclic.free(x.primes.union(y.primes)))
+            primes = x.primes.union(y.primes)
+            if primes == x.primes:
+                return x
+            return y if primes == y.primes else Cyclic.free(primes)
         if y.kind == "torsion":
-            if x.primes.contains(y.p):
-                return Module.zero()
-            return _one(y)
+            return None if x.primes.contains(y.p) else y
         rest = y.primes.difference(x.primes)
-        return Module.zero() if rest.is_empty() else _one(Cyclic.prufer(rest))
+        if rest.is_empty():
+            return None
+        return y if rest == y.primes else Cyclic.prufer(rest)
+    if x.kind == "torsion" and y.kind == "torsion" and x.p == y.p:
+        return x if x.k <= y.k else y
+    # distinct primes, or a divisible Prufer factor
+    return None
+
+
+def _tor_block(a: Cyclic, b: Cyclic) -> Cyclic | None:
+    """Tor_1 of two blocks: one block, or None for zero.
+
+    A result equal to an input is that input, so no prime is tested again.
+    """
+    x, y = _pair(a, b)
+    if x.kind == "free":
+        return None  # localisations are flat
     if x.kind == "torsion":
         if y.kind == "torsion":
             if x.p != y.p:
-                return Module.zero()
-            return _one(Cyclic.torsion(x.p, min(x.k, y.k)))
-        return Module.zero()  # torsion x prufer: prufer groups are divisible
-    return Module.zero()  # prufer x prufer
+                return None
+            return x if x.k <= y.k else y
+        return x if y.primes.contains(x.p) else None
+    common = x.primes.intersect(y.primes)
+    if common.is_empty():
+        return None
+    if common == x.primes:
+        return x
+    return y if common == y.primes else Cyclic.prufer(common)
+
+
+def tensor_mod(a: Cyclic, b: Cyclic) -> Module:
+    """Tensor product of two blocks, as a Module (possibly zero)."""
+    c = _tensor_block(a, b)
+    return Module.zero() if c is None else _one(c)
 
 
 def tor_mod(a: Cyclic, b: Cyclic) -> Module:
     """Tor_1 of two blocks, as a Module (possibly zero)."""
-    x, y = _pair(a, b)
-    if x.kind == "free":
-        return Module.zero()  # localisations are flat
-    if x.kind == "torsion":
-        if y.kind == "torsion":
-            if x.p != y.p:
-                return Module.zero()
-            return _one(Cyclic.torsion(x.p, min(x.k, y.k)))
-        if y.primes.contains(x.p):
-            return _one(x)
-        return Module.zero()
-    common = x.primes.intersect(y.primes)
-    return Module.zero() if common.is_empty() else _one(Cyclic.prufer(common))
+    c = _tor_block(a, b)
+    return Module.zero() if c is None else _one(c)
 
 
-def _bilinear(op, x: Module, y: Module, counts: dict[Cyclic, int]) -> dict[Cyclic, int]:
-    """Add op of every pair of blocks of x and y into counts; return counts."""
+def _bilinear(block, x: Module, y: Module, counts: dict[Cyclic, int]) -> dict[Cyclic, int]:
+    """Add block of every pair of blocks of x and y into counts; return counts."""
     for a, ma in x.parts:
         for b, mb in y.parts:
-            for c, m in op(a, b).parts:
-                counts[c] = counts.get(c, 0) + m * ma * mb
+            c = block(a, b)
+            if c is not None:
+                counts[c] = counts.get(c, 0) + ma * mb
     return counts
 
 
 def tensor_modules(x: Module, y: Module) -> Module:
-    return Module._of_counts(_bilinear(tensor_mod, x, y, {}))
+    return Module._of_counts(_bilinear(_tensor_block, x, y, {}))
 
 
 def tor_modules(x: Module, y: Module) -> Module:
-    return Module._of_counts(_bilinear(tor_mod, x, y, {}))
+    return Module._of_counts(_bilinear(_tor_block, x, y, {}))
 
 
 def kunneth(x: GradedModule, y: GradedModule) -> GradedModule:
@@ -343,8 +365,8 @@ def kunneth(x: GradedModule, y: GradedModule) -> GradedModule:
     out: dict[int, dict[Cyclic, int]] = {}
     for i, mi in x.graded:
         for j, mj in y.graded:
-            _bilinear(tensor_mod, mi, mj, out.setdefault(i + j, {}))
-            _bilinear(tor_mod, mi, mj, out.setdefault(i + j - 1, {}))
+            _bilinear(_tensor_block, mi, mj, out.setdefault(i + j, {}))
+            _bilinear(_tor_block, mi, mj, out.setdefault(i + j - 1, {}))
     return GradedModule(
         tuple(sorted((n, Module._of_counts(c)) for n, c in out.items() if c))
     )
@@ -364,11 +386,36 @@ def supp_cyclic(c: Cyclic) -> PointSet:
     return PointSet(False, c.primes)
 
 
+def supp_blocks(blocks: Iterable[Cyclic]) -> PointSet:
+    """The union of supp_cyclic over the blocks, in one pass over plain sets.
+
+    ``listed`` holds the closed points of the union while it is finite, and
+    the closed points it misses once it is cofinite.
+    """
+    generic = cofinite = False
+    listed: set[int] = set()
+    for c in blocks:
+        if c.kind == "torsion":
+            finite, primes = True, (c.p,)
+        else:
+            # a localisation lives off its inverted primes, a Prufer family on its own
+            generic = generic or c.kind == "free"
+            finite, primes = c.primes.finite != (c.kind == "free"), c.primes.primes
+        if finite:
+            if cofinite:
+                listed.difference_update(primes)
+            else:
+                listed.update(primes)
+        elif cofinite:
+            listed.intersection_update(primes)
+        else:
+            listed = set(primes).difference(listed)
+            cofinite = True
+    return PointSet(generic, PrimeSet._checked(not cofinite, listed))
+
+
 def supp_mod(m: Module) -> PointSet:
-    out = PointSet.empty()
-    for c, _ in m.parts:
-        out = out.union(supp_cyclic(c))
-    return out
+    return supp_blocks(c for c, _ in m.parts)
 
 
 def localize_point(x: SpecZPoint, m: Module) -> Module:

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: set
 semantics over an explicit prime universe, cofactor-expansion determinants,
-kernel-basis homology, a Kunneth product that re-canonicalises after every
-pair of blocks, a cell-by-cell check of catalogue tables, and plain-set
-enumerations of catalogue ideals and of the specialisation-closed subsets of
-a finite space.
+kernel-basis homology, a total tensor complex assembled from Kronecker
+products and block matrices, a Kunneth product that re-canonicalises after
+every pair of blocks, supports folded one block at a time, a cell-by-cell
+check of catalogue tables, and plain-set enumerations of catalogue ideals
+and of the specialisation-closed subsets of a finite space.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 from itertools import combinations
 
 from ttsupport.homalg import IntMatrix, PerfectComplex, snf
-from ttsupport.modcalc import GradedModule, Module, tensor_mod, tor_mod
-from ttsupport.znum import PrimeSet, primes_up_to
+from ttsupport.modcalc import GradedModule, Module, supp_cyclic, tensor_mod, tor_mod
+from ttsupport.znum import PointSet, PrimeSet, primes_up_to
 
 
 def primeset_members(ps: PrimeSet, bound: int) -> set[int]:
@@ -109,6 +110,63 @@ def homology_pair(c: PerfectComplex, n: int) -> tuple[int, list[int]]:
     facs = snf(rel).invariant_factors
     torsion = [f for f in facs if f > 1]
     return k - len(facs), torsion
+
+
+def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Kronecker product; row-major on both index pairs."""
+    rows = [tuple(x * y for x in r1 for y in r2) for r1 in a.entries for r2 in b.entries]
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols, tuple(rows))
+
+
+def naive_tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
+    """Total tensor complex with the Koszul sign, one block matrix per
+    differential: the (i, j) -> (i+1, j) block is dA x 1 and the
+    (i, j) -> (i, j+1) block is (-1)^i 1 x dB, each a Kronecker product."""
+    if a.is_zero() or b.is_zero():
+        return PerfectComplex.of({})
+
+    def blocks(n: int) -> list[tuple[int, int, int, int]]:
+        out = []
+        for i, ra in a.ranks:
+            rb = b.rank(n - i)
+            if rb:
+                out.append((i, n - i, ra, rb))
+        return out
+
+    lo, hi = a.lo + b.lo, a.hi + b.hi
+    ranks = {}
+    for n in range(lo, hi + 1):
+        ranks[n] = sum(ra * rb for _, _, ra, rb in blocks(n))
+    diffs = {}
+    for n in range(lo, hi):
+        src = blocks(n)
+        dst = blocks(n + 1)
+        if not src or not dst:
+            continue
+        dst_pos = {(i, j): bi for bi, (i, j, _, _) in enumerate(dst)}
+        grid: list[list[IntMatrix | None]] = [[None] * len(src) for _ in dst]
+        for sj, (i, j, ra, rb) in enumerate(src):
+            da = a.differential(i)
+            if not da.is_zero() and (i + 1, j) in dst_pos:
+                grid[dst_pos[(i + 1, j)]][sj] = kron(da, IntMatrix.identity(rb))
+            db = b.differential(j)
+            if not db.is_zero() and (i, j + 1) in dst_pos:
+                m = kron(IntMatrix.identity(ra), db)
+                grid[dst_pos[(i, j + 1)]][sj] = m if i % 2 == 0 else m.neg()
+        diffs[n] = IntMatrix.block(
+            grid, [ra * rb for _, _, ra, rb in dst], [ra * rb for _, _, ra, rb in src]
+        )
+    return PerfectComplex.of(ranks, diffs)
+
+
+def naive_supp(x: Module | GradedModule) -> PointSet:
+    """Support as a fold of PointSet.union over supp_cyclic, one block at a time."""
+    modules = [m for _, m in x.graded] if isinstance(x, GradedModule) else [x]
+    out = PointSet.empty()
+    for m in modules:
+        for c, _ in m.parts:
+            out = out.union(supp_cyclic(c))
+    return out
 
 
 def _naive_plus(a: Module, b: Module) -> Module:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import naive_supp
 from ttsupport import balmer
 from ttsupport.balmer import (
     NotPrimeError,
@@ -195,6 +196,13 @@ class TestSupportObject:
                 union = union.union(supp_mod(h.module_in(n)))
             assert supp_object(h) == union
 
+    @pytest.mark.parametrize("draw", [random_graded, random_engineered_graded])
+    def test_one_pass_union_matches_fold(self, draw):
+        rng = random.Random(37)
+        for _ in range(300):
+            x = draw(rng)
+            assert supp_object(x) == naive_supp(x), x
+
     def test_separation_axiom(self):
         rng = random.Random(31)
         for _ in range(200):
@@ -304,9 +312,10 @@ class TestLtg:
     def test_union_of_local_supports_fails_when_supp_mod_drops_a_point(
         self, monkeypatch, x, dropped
     ):
-        real = balmer.supp_mod
+        # supp_object takes its union of block supports through supp_blocks
+        real = balmer.supp_blocks
         others = PointSet.singleton(dropped).complement()
-        monkeypatch.setattr(balmer, "supp_mod", lambda m: real(m).intersect(others))
+        monkeypatch.setattr(balmer, "supp_blocks", lambda blocks: real(blocks).intersect(others))
         failed = [r.name for r in ltg_check(x).failures()]
         assert "ltg.union-of-local-supports" in failed
 

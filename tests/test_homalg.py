@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deadline import within
-from oracles import cofactor_det, gcd_of_minors, homology_pair
+from oracles import cofactor_det, gcd_of_minors, homology_pair, naive_tensor_chain
 from ttsupport.homalg import (
     ChainMap,
     IntMatrix,
@@ -345,6 +345,21 @@ class TestComplexValidation:
         c = PerfectComplex.of({0: 1, 5: 0})
         assert c.degrees() == [0]
 
+    def test_lookups_leave_equality_and_hash_alone(self):
+        def build():
+            c = tensor_chain(mult_complex(2), mult_complex(6, -1))
+            return c, ChainMap.of(c, c, {n: IntMatrix.identity(r) for n, r in c.ranks})
+
+        (c, f), (c_fresh, f_fresh) = build(), build()
+        # the first lookups keep a dict on c and f, outside their fields
+        assert c.rank(0) == 2 and c.rank(5) == 0
+        assert c.differential(-1) == IntMatrix.of([[6], [2]])
+        assert c.differential(5) == IntMatrix.zeros(0, 0)
+        assert f.component(0) == IntMatrix.identity(2)
+        assert f.component(5) == IntMatrix.zeros(0, 0)
+        assert c == c_fresh and hash(c) == hash(c_fresh) and repr(c) == repr(c_fresh)
+        assert f == f_fresh and hash(f) == hash(f_fresh) and repr(f) == repr(f_fresh)
+
     def test_json_roundtrip(self):
         c = tensor_chain(mult_complex(2), mult_complex(6, -1))
         assert PerfectComplex.from_json(c.to_json()) == c
@@ -477,6 +492,23 @@ class TestTensor:
 
     def test_zero_factor(self):
         assert tensor_chain(PerfectComplex.of({}), mult_complex(2)).is_zero()
+
+    def test_matches_kronecker_block_oracle(self):
+        rng = random.Random(29)
+        zero = PerfectComplex.of({})
+        both_differentials = 0
+        for max_cells in (1, 2, 3, 4):
+            for _ in range(30):
+                a, _ = random_complex(rng, max_cells=max_cells)
+                b, _ = random_complex(rng, max_cells=max_cells)
+                for pair in ((a, b), (b, a), (a, zero), (zero, b)):
+                    assert tensor_chain(*pair) == naive_tensor_chain(*pair)
+                # a shift by one puts each block of a in a degree of the other
+                # parity, so the Koszul sign is taken both ways
+                odd = shift(a, 1)
+                assert tensor_chain(odd, b) == naive_tensor_chain(odd, b)
+                both_differentials += bool(a.diffs and b.diffs)
+        assert both_differentials >= 20
 
 
 class TestCone:

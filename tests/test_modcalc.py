@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from ttsupport.modcalc import (
     tor_mod,
     tor_modules,
 )
-from oracles import naive_bilinear, naive_kunneth
+from oracles import naive_bilinear, naive_kunneth, naive_supp
 from ttsupport.randgen import (
     random_complex,
     random_cyclic,
@@ -26,6 +28,7 @@ from ttsupport.randgen import (
     random_graded,
     random_module,
 )
+from ttsupport.verify import _generator_cyclics
 from ttsupport.znum import GENERIC, PointSet, PrimeSet, SpecZPoint
 
 Z = Cyclic.free(PrimeSet.none())
@@ -225,6 +228,34 @@ class TestSymmetryAndBilinearity:
         assert tor_modules(x, y) == Module.of([(Cyclic.torsion(2, 1), 2)])
 
 
+# tensor_mod and tor_mod over every pair of verify's generators, pinned:
+# oracles.naive_kunneth reads the same block tables as kunneth, so it cannot
+# catch a wrong entry.
+GOLDEN_TABLES = Path(__file__).resolve().parent / "golden" / "modcalc_block_tables.json"
+
+
+def _table_json(m: Module) -> list[dict]:
+    return [c.to_json() for c in m.cyclics()]
+
+
+def test_block_tables_pinned():
+    want = json.loads(GOLDEN_TABLES.read_text())
+    gens = _generator_cyclics()
+    pairs = [(a, b) for a in gens for b in gens]
+    assert [(e["a"], e["b"]) for e in want] == [(str(a), str(b)) for a, b in pairs]
+    for (a, b), entry in zip(pairs, want):
+        tensor, tor = entry["tensor"], entry["tor"]
+        assert _table_json(tensor_mod(a, b)) == tensor, (a, b)
+        assert _table_json(tor_mod(a, b)) == tor, (a, b)
+        # the bilinear extension and kunneth read the same tables
+        x, y = Module.of([a]), Module.of([b])
+        assert _table_json(tensor_modules(x, y)) == tensor, (a, b)
+        assert _table_json(tor_modules(x, y)) == tor, (a, b)
+        got = kunneth(GradedModule.of({0: x}), GradedModule.of({0: y}))
+        assert _table_json(got.module_in(0)) == tensor, (a, b)
+        assert _table_json(got.module_in(-1)) == tor, (a, b)
+
+
 class TestKunneth:
     def test_unit_law(self):
         unit = GradedModule.unit()
@@ -298,6 +329,13 @@ class TestSupport:
                 x = SpecZPoint.closed(p)
                 assert got.contains(x) == probe.contains(x)
             assert got.contains(GENERIC) == probe.contains(GENERIC)
+
+    def test_one_pass_union_matches_fold(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            m = random_module(rng)
+            assert supp_mod(m) == naive_supp(m), m
+        assert supp_mod(Module.zero()) == PointSet.empty()
 
     def test_sum_law(self):
         rng = random.Random(19)
