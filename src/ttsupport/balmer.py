@@ -245,11 +245,9 @@ def residue_check(x: SpecZPoint, obj: GradedModule) -> Report:
 def sigma_loc(gens: list[GradedModule]) -> PointSet:
     """Subset code of the localising subcategory generated by the objects:
     the union of their supports (local pieces of generators exhaust the
-    support of everything they build)."""
-    out = PointSet.empty()
-    for g in gens:
-        out = out.union(supp_object(g))
-    return out
+    support of everything they build), taken in one pass over all their
+    blocks."""
+    return supp_blocks(c for g in gens for _, m in g.graded for c, _ in m.parts)
 
 
 def tau_loc(w: PointSet, x: GradedModule) -> bool:

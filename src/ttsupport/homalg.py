@@ -79,10 +79,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
@@ -101,33 +97,6 @@ class IntMatrix:
             other.cols,
             tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries),
         )
-
-    @classmethod
-    def block(
-        cls,
-        grid: list[list["IntMatrix | None"]],
-        row_dims: list[int],
-        col_dims: list[int],
-    ) -> "IntMatrix":
-        """Assemble a block matrix; None blocks are zero."""
-        total_r, total_c = sum(row_dims), sum(col_dims)
-        data = [[0] * total_c for _ in range(total_r)]
-        r0 = 0
-        for bi, rdim in enumerate(row_dims):
-            c0 = 0
-            for bj, cdim in enumerate(col_dims):
-                blk = grid[bi][bj]
-                if blk is not None:
-                    if (blk.rows, blk.cols) != (rdim, cdim):
-                        raise ValueError(f"block ({bi},{bj}) has wrong shape")
-                    for i in range(rdim):
-                        row = blk.entries[i]
-                        dest = data[r0 + i]
-                        for j in range(cdim):
-                            dest[c0 + j] = row[j]
-                c0 += cdim
-            r0 += rdim
-        return cls(total_r, total_c, tuple(tuple(r) for r in data))
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]
@@ -548,9 +517,9 @@ def unit_complex() -> PerfectComplex:
 
 
 def scalar_cone(n: int) -> PerfectComplex:
-    """cone(Z --n--> Z); homology Z/n in degree 0 for |n| >= 2."""
-    u = unit_complex()
-    return cone(ChainMap.of(u, u, {0: [[n]]}))
+    """cone(Z --n--> Z): Z in degrees -1 and 0, joined by n; homology Z/n
+    in degree 0 for |n| >= 2."""
+    return PerfectComplex.of({-1: 1, 0: 1}, {-1: [[n]]})
 
 
 @lru_cache(maxsize=1024)
@@ -599,6 +568,12 @@ def shift(c: PerfectComplex, k: int) -> PerfectComplex:
     return PerfectComplex.of(ranks, diffs)
 
 
+def _put(rows: list[list[int]], r0: int, c0: int, block: Iterable[Sequence[int]]) -> None:
+    """Write the rows of a block into rows, with its top left entry at (r0, c0)."""
+    for r, row in enumerate(block, r0):
+        rows[r][c0 : c0 + len(row)] = row
+
+
 def tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     """Total tensor complex with the Koszul sign.
 
@@ -628,8 +603,7 @@ def tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
         src, dst = offset[n], offset[n + 1]
         if not src or not dst:
             continue
-        ncols = ranks[n]
-        rows = [[0] * ncols for _ in range(ranks[n + 1])]
+        rows = [[0] * ranks[n] for _ in range(ranks[n + 1])]
         for i, c0 in src.items():
             j = n - i
             ra, rb = rank_a[i], rank_b[j]
@@ -645,13 +619,10 @@ def tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
             db = diff_b.get(j)
             if db is not None and i in dst:
                 # (-1)^i 1 x dB: ra copies of dB down the diagonal
-                r0, rb1 = dst[i], db.rows
                 signed = db.entries if i % 2 == 0 else [[-v for v in row] for row in db.entries]
                 for x in range(ra):
-                    c = c0 + x * rb
-                    for u, row in enumerate(signed):
-                        rows[r0 + x * rb1 + u][c : c + rb] = row
-        diffs[n] = IntMatrix(len(rows), ncols, tuple(map(tuple, rows)))
+                    _put(rows, dst[i] + x * db.rows, c0 + x * rb, signed)
+        diffs[n] = IntMatrix(len(rows), ranks[n], tuple(map(tuple, rows)))
     return PerfectComplex.of(ranks, diffs)
 
 
@@ -661,12 +632,16 @@ def direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     ranks = {n: a.rank(n) + b.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
-        da, db = a.differential(n), b.differential(n)
-        if da.is_zero() and db.is_zero():
+        da, db = a._diff_of.get(n), b._diff_of.get(n)
+        if da is None and db is None:
             continue
-        diffs[n] = IntMatrix.block(
-            [[da, None], [None, db]], [da.rows, db.rows], [da.cols, db.cols]
-        )
+        ra1 = a.rank(n + 1)
+        rows = [[0] * ranks[n] for _ in range(ra1 + b.rank(n + 1))]
+        if da is not None:
+            _put(rows, 0, 0, da.entries)
+        if db is not None:
+            _put(rows, ra1, a.rank(n), db.entries)
+        diffs[n] = IntMatrix(len(rows), ranks[n], tuple(map(tuple, rows)))
     return PerfectComplex.of(ranks, diffs)
 
 
@@ -680,13 +655,16 @@ def cone(f: ChainMap) -> PerfectComplex:
     ranks = {n: a.rank(n + 1) + b.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
-        ra1, rb = a.rank(n + 1), b.rank(n)
-        ra2, rb1 = a.rank(n + 2), b.rank(n + 1)
-        if ra2 + rb1 == 0 or ra1 + rb == 0:
+        da, fn, db = a._diff_of.get(n + 1), f._component_of.get(n + 1), b._diff_of.get(n)
+        if da is None and fn is None and db is None:
             continue
-        grid = [
-            [a.differential(n + 1).neg(), None],
-            [f.component(n + 1), b.differential(n)],
-        ]
-        diffs[n] = IntMatrix.block(grid, [ra2, rb1], [ra1, rb])
+        ra2 = a.rank(n + 2)
+        rows = [[0] * ranks[n] for _ in range(ra2 + b.rank(n + 1))]
+        if da is not None:
+            _put(rows, 0, 0, ([-v for v in row] for row in da.entries))
+        if fn is not None:
+            _put(rows, ra2, 0, fn.entries)
+        if db is not None:
+            _put(rows, ra2, a.rank(n + 1), db.entries)
+        diffs[n] = IntMatrix(len(rows), ranks[n], tuple(map(tuple, rows)))
     return PerfectComplex.of(ranks, diffs)

@@ -419,10 +419,15 @@ def supp_mod(m: Module) -> PointSet:
 
 
 def localize_point(x: SpecZPoint, m: Module) -> Module:
-    """The stalk of a module at a point; the localisation oracle for supports.
+    """A module that vanishes exactly when the point lies off the support of m.
 
-    At a closed point (p) every block keeps only its p-local content; at the
-    generic point only the free blocks survive (as Q).
+    Only its vanishing means anything: it is zero exactly off the tt-support
+    that supp_cyclic gives each block, and is the localisation oracle for
+    supports.  It is not the stalk of m at the point: at (p) it is 0 for
+    Z[1/p], whose stalk Z[1/p]_(p) is Q, and Z_(p) for Z, whose point-local
+    piece Gamma_(p) Z is a Prufer group in degree 1.  At a closed point (p)
+    every block keeps only its p-local content; at the generic point only the
+    free blocks survive (as Q).
     """
     out: list[tuple[Cyclic, int]] = []
     for c, mult in m.parts:

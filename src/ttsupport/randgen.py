@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 
-from .homalg import ChainMap, IntMatrix, PerfectComplex, snf
+from .balmer import gamma_v, l_v
+from .homalg import ChainMap, IntMatrix, PerfectComplex, direct_sum, scalar_cone, shift, snf, unit_complex
 from .modcalc import Cyclic, GradedModule, Module, kunneth
 from .znum import PrimeSet, SpclSubset
 
@@ -79,8 +80,6 @@ def random_engineered_graded(rng: random.Random) -> GradedModule:
             GradedModule.of({rng.randint(-2, 2): [Cyclic.torsion(q, rng.randint(1, 3))]}),
         )
     if roll < 0.3:
-        from .balmer import gamma_v, l_v
-
         v = random_spcl(rng)
         return kunneth(gamma_v(v), l_v(v))
     if roll < 0.4:
@@ -252,8 +251,6 @@ def random_chain_map(rng: random.Random, a: PerfectComplex, b: PerfectComplex) -
 
 def compact_catalogue() -> list[PerfectComplex]:
     """Twenty perfect complexes with varied supports, for membership probes."""
-    from .homalg import direct_sum, scalar_cone, shift, unit_complex
-
     u = unit_complex()
     out = [
         u,

@@ -2,11 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: set
 semantics over an explicit prime universe, cofactor-expansion determinants,
-kernel-basis homology, a total tensor complex assembled from Kronecker
-products and block matrices, a Kunneth product that re-canonicalises after
-every pair of blocks, supports folded one block at a time, a cell-by-cell
-check of catalogue tables, and plain-set enumerations of catalogue ideals
-and of the specialisation-closed subsets of a finite space.
+kernel-basis homology, a total tensor complex, mapping cones and direct sums
+assembled from Kronecker products and block matrices, a Kunneth product that
+re-canonicalises after every pair of blocks, supports folded one block at a
+time, a cell-by-cell check of catalogue tables, and plain-set enumerations of
+catalogue ideals and of the specialisation-closed subsets of a finite space.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from ttsupport.homalg import IntMatrix, PerfectComplex, snf
+from ttsupport.homalg import ChainMap, IntMatrix, PerfectComplex, snf
 from ttsupport.modcalc import GradedModule, Module, supp_cyclic, tensor_mod, tor_mod
 from ttsupport.znum import PointSet, PrimeSet, primes_up_to
 
@@ -112,6 +112,36 @@ def homology_pair(c: PerfectComplex, n: int) -> tuple[int, list[int]]:
     return k - len(facs), torsion
 
 
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def block(
+    grid: list[list[IntMatrix | None]],
+    row_dims: list[int],
+    col_dims: list[int],
+) -> IntMatrix:
+    """Assemble a block matrix; None blocks are zero."""
+    total_r, total_c = sum(row_dims), sum(col_dims)
+    data = [[0] * total_c for _ in range(total_r)]
+    r0 = 0
+    for bi, rdim in enumerate(row_dims):
+        c0 = 0
+        for bj, cdim in enumerate(col_dims):
+            blk = grid[bi][bj]
+            if blk is not None:
+                if (blk.rows, blk.cols) != (rdim, cdim):
+                    raise ValueError(f"block ({bi},{bj}) has wrong shape")
+                for i in range(rdim):
+                    row = blk.entries[i]
+                    dest = data[r0 + i]
+                    for j in range(cdim):
+                        dest[c0 + j] = row[j]
+            c0 += cdim
+        r0 += rdim
+    return IntMatrix(total_r, total_c, tuple(tuple(r) for r in data))
+
+
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product; row-major on both index pairs."""
     rows = [tuple(x * y for x in r1 for y in r2) for r1 in a.entries for r2 in b.entries]
@@ -148,14 +178,46 @@ def naive_tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
         for sj, (i, j, ra, rb) in enumerate(src):
             da = a.differential(i)
             if not da.is_zero() and (i + 1, j) in dst_pos:
-                grid[dst_pos[(i + 1, j)]][sj] = kron(da, IntMatrix.identity(rb))
+                grid[dst_pos[(i + 1, j)]][sj] = kron(da, identity(rb))
             db = b.differential(j)
             if not db.is_zero() and (i, j + 1) in dst_pos:
-                m = kron(IntMatrix.identity(ra), db)
+                m = kron(identity(ra), db)
                 grid[dst_pos[(i, j + 1)]][sj] = m if i % 2 == 0 else m.neg()
-        diffs[n] = IntMatrix.block(
+        diffs[n] = block(
             grid, [ra * rb for _, _, ra, rb in dst], [ra * rb for _, _, ra, rb in src]
         )
+    return PerfectComplex.of(ranks, diffs)
+
+
+def naive_direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
+    """Degreewise direct sum, block-diagonal differential."""
+    degrees = sorted(set(a.degrees()) | set(b.degrees()))
+    ranks = {n: a.rank(n) + b.rank(n) for n in degrees}
+    diffs = {}
+    for n in degrees:
+        da, db = a.differential(n), b.differential(n)
+        if da.is_zero() and db.is_zero():
+            continue
+        diffs[n] = block([[da, None], [None, db]], [da.rows, db.rows], [da.cols, db.cols])
+    return PerfectComplex.of(ranks, diffs)
+
+
+def naive_cone(f: ChainMap) -> PerfectComplex:
+    """Mapping cone: cone(f)^n = A^{n+1} + B^n, d = [[-dA, 0], [f, dB]]."""
+    a, b = f.src, f.dst
+    degrees = sorted(set(n - 1 for n in a.degrees()) | set(b.degrees()))
+    ranks = {n: a.rank(n + 1) + b.rank(n) for n in degrees}
+    diffs = {}
+    for n in degrees:
+        ra1, rb = a.rank(n + 1), b.rank(n)
+        ra2, rb1 = a.rank(n + 2), b.rank(n + 1)
+        if ra2 + rb1 == 0 or ra1 + rb == 0:
+            continue
+        grid = [
+            [a.differential(n + 1).neg(), None],
+            [f.component(n + 1), b.differential(n)],
+        ]
+        diffs[n] = block(grid, [ra2, rb1], [ra1, rb])
     return PerfectComplex.of(ranks, diffs)
 
 

@@ -377,6 +377,19 @@ class TestSigmaTau:
         )
         assert code == PointSet(False, PrimeSet.of([2, 3]))
 
+    def test_sigma_loc_matches_fold_of_supports(self):
+        rng = random.Random(59)
+        for _ in range(500):
+            gens = [
+                rng.choice([random_graded, random_engineered_graded])(rng)
+                for _ in range(rng.randint(0, 4))
+            ]
+            fold = PointSet.empty()
+            for g in gens:
+                fold = fold.union(supp_object(g))
+            code = sigma_loc(gens)
+            assert code == fold and str(code) == str(fold), gens
+
     def test_tau_sigma_membership_probes(self):
         rng = random.Random(53)
         catalogue = compact_catalogue()

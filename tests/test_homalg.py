@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deadline import within
-from oracles import cofactor_det, gcd_of_minors, homology_pair, naive_tensor_chain
+from oracles import (
+    cofactor_det,
+    gcd_of_minors,
+    homology_pair,
+    identity,
+    naive_cone,
+    naive_direct_sum,
+    naive_tensor_chain,
+)
 from ttsupport.homalg import (
     ChainMap,
     IntMatrix,
@@ -25,7 +33,7 @@ from ttsupport.homalg import (
 )
 from ttsupport.modcalc import Cyclic, GradedModule
 from ttsupport import homalg
-from ttsupport.randgen import _primary_parts, random_chain_map, random_complex
+from ttsupport.randgen import _primary_parts, compact_catalogue, random_chain_map, random_complex
 from ttsupport.znum import PrimeSet
 
 Z = Cyclic.free(PrimeSet.none())
@@ -38,8 +46,8 @@ def mult_complex(n, lo=0):
 
 class TestSNF:
     def test_identity(self):
-        res = snf(IntMatrix.identity(2))
-        assert res.d == IntMatrix.identity(2)
+        res = snf(identity(2))
+        assert res.d == identity(2)
         assert res.invariant_factors == (1, 1)
 
     def test_known_factors(self):
@@ -348,14 +356,14 @@ class TestComplexValidation:
     def test_lookups_leave_equality_and_hash_alone(self):
         def build():
             c = tensor_chain(mult_complex(2), mult_complex(6, -1))
-            return c, ChainMap.of(c, c, {n: IntMatrix.identity(r) for n, r in c.ranks})
+            return c, ChainMap.of(c, c, {n: identity(r) for n, r in c.ranks})
 
         (c, f), (c_fresh, f_fresh) = build(), build()
         # the first lookups keep a dict on c and f, outside their fields
         assert c.rank(0) == 2 and c.rank(5) == 0
         assert c.differential(-1) == IntMatrix.of([[6], [2]])
         assert c.differential(5) == IntMatrix.zeros(0, 0)
-        assert f.component(0) == IntMatrix.identity(2)
+        assert f.component(0) == identity(2)
         assert f.component(5) == IntMatrix.zeros(0, 0)
         assert c == c_fresh and hash(c) == hash(c_fresh) and repr(c) == repr(c_fresh)
         assert f == f_fresh and hash(f) == hash(f_fresh) and repr(f) == repr(f_fresh)
@@ -543,3 +551,34 @@ class TestCone:
     def test_direct_sum_homology(self):
         a, b = mult_complex(4), shift(unit_complex(), 1)
         assert homology(direct_sum(a, b)) == homology(a).plus(homology(b))
+
+    def test_matches_block_oracle(self):
+        rng = random.Random(31)
+        zero = PerfectComplex.of({})
+        nonzero = partial = 0
+        for max_cells in (1, 2, 3):
+            for _ in range(40):
+                a, _ = random_complex(rng, max_cells=max_cells)
+                b, _ = random_complex(rng, max_cells=max_cells)
+                for src, dst in ((a, b), (b, a), (a, zero), (zero, b), (zero, zero)):
+                    f = random_chain_map(rng, src, dst)
+                    assert cone(f) == naive_cone(f)
+                    # a map with no components at all
+                    f0 = ChainMap.of(src, dst, {})
+                    assert cone(f0) == naive_cone(f0)
+                    both = set(src.degrees()) & set(dst.degrees())
+                    nonzero += bool(f.components)
+                    partial += 0 < len(f.components) < len(both)
+        # some maps vanish in a degree where both complexes live
+        assert nonzero >= 80 and partial >= 10
+
+    def test_direct_sum_matches_block_oracle(self):
+        catalogue = compact_catalogue()
+        for a in catalogue:
+            for b in catalogue:
+                assert direct_sum(a, b) == naive_direct_sum(a, b)
+
+    def test_scalar_cone_is_the_cone_of_n(self):
+        u = unit_complex()
+        for n in range(-30, 31):
+            assert scalar_cone(n) == cone(ChainMap.of(u, u, {0: [[n]]}))
