@@ -164,10 +164,10 @@ def ltg_check(x: GradedModule) -> Report:
     """Computable consequences of the local-to-global principle.
 
     (i) the object vanishes exactly when its support is empty; (ii) the
-    support is the union of the supports of its stalks: at each probed point
-    it holds the point exactly when some stalk there is nonzero; (iii) each
-    point-local piece is concentrated at its point and is nonzero exactly at
-    points of the support.
+    support is the union of the local supports: at each probed point it
+    holds the point exactly when the localisation at the point is nonzero
+    in some degree; (iii) each point-local piece is concentrated at its
+    point and is nonzero exactly at points of the support.
     """
     s = supp_object(x)
     records = [
@@ -177,14 +177,14 @@ def ltg_check(x: GradedModule) -> Report:
     bad = [
         pt
         for pt in probes
-        if s.contains(pt) != any(not localize_point(pt, m).is_zero() for _, m in x.graded)
+        if s.contains(pt) != any(localize_point(pt, m) for _, m in x.graded)
     ]
     records.append(
         check(
             "ltg.union-of-local-supports",
             not bad,
             s,
-            "the stalks at " + ", ".join(map(str, bad)),
+            "the localisations at " + ", ".join(map(str, bad)),
         )
     )
     for pt in probes:

@@ -75,10 +75,6 @@ class IntMatrix:
         ncols = len(data[0]) if data else 0
         return cls(len(data), ncols, data)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
@@ -214,6 +210,12 @@ def snf(m: IntMatrix) -> SNFResult:
     if u.mul(m).mul(v) != d:
         raise AssertionError("smith normal form internal check failed")
     return SNFResult(u, d, v, tuple(a[i][i] for i in range(limit) if a[i][i]))
+
+
+def _product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether a.b is zero, stopping at its first nonzero entry."""
+    cols = list(zip(*b.entries))
+    return not any(sum(map(mul, row, col)) for row in a.entries for col in cols)
 
 
 def _rank_and_minor(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
@@ -364,8 +366,9 @@ class PerfectComplex:
     """Bounded complex of finite-rank free Z-modules.
 
     ``ranks`` maps degree n to the rank of C^n; ``diffs`` maps n to the
-    matrix of d^n : C^n -> C^{n+1}, of shape ranks[n+1] x ranks[n].
-    d(n+1) . d(n) = 0 is validated at construction.
+    matrix of d^n : C^n -> C^{n+1}, of shape ranks[n+1] x ranks[n], and
+    holds no zero differential.  d(n+1) . d(n) = 0 is validated at
+    construction.
     """
 
     ranks: tuple[tuple[int, int], ...]
@@ -377,7 +380,7 @@ class PerfectComplex:
         ranks: Mapping[int, int],
         differentials: Mapping[int, IntMatrix | Iterable[Iterable[int]]] | None = None,
     ) -> "PerfectComplex":
-        rk = {int(n): int(r) for n, r in ranks.items() if int(r) != 0}
+        rk = {n: r for n, r in ((int(n), int(r)) for n, r in ranks.items()) if r}
         for n, r in rk.items():
             if r < 0:
                 raise ValueError(f"rank at degree {n} is negative")
@@ -393,10 +396,9 @@ class PerfectComplex:
             if not m.is_zero():
                 dd[n] = m
         c = cls(tuple(sorted(rk.items())), tuple(sorted(dd.items())))
-        for n in dd:
-            if n + 1 in dd:
-                if not dd[n + 1].mul(dd[n]).is_zero():
-                    raise ValueError(f"d twice is nonzero between degrees {n} and {n + 2}")
+        for n, m in dd.items():
+            if n + 1 in dd and not _product_is_zero(dd[n + 1], m):
+                raise ValueError(f"d twice is nonzero between degrees {n} and {n + 2}")
         return c
 
     @property
@@ -412,17 +414,12 @@ class PerfectComplex:
         return dict(self.ranks)
 
     @cached_property
-    def _diff_of(self) -> dict[int, IntMatrix]:
+    def diff_of(self) -> dict[int, IntMatrix]:
+        """d^n by degree n; a zero differential has no key."""
         return dict(self.diffs)
 
     def rank(self, n: int) -> int:
         return self._rank_of.get(n, 0)
-
-    def differential(self, n: int) -> IntMatrix:
-        d = self._diff_of.get(n)
-        if d is not None:
-            return d
-        return IntMatrix.zeros(self.rank(n + 1), self.rank(n))
 
     def degrees(self) -> list[int]:
         return [n for n, _ in self.ranks]
@@ -469,7 +466,8 @@ class PerfectComplex:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """A degreewise map between perfect complexes commuting with d."""
+    """A degreewise map between perfect complexes commuting with d; a zero
+    component is left out of ``components``."""
 
     src: PerfectComplex
     dst: PerfectComplex
@@ -491,24 +489,24 @@ class ChainMap:
                 raise ValueError(f"component at degree {n} has shape {m.rows}x{m.cols}, expected {want}")
             if not m.is_zero():
                 comps[n] = m
-        f = cls(src, dst, tuple(sorted(comps.items())))
-        degrees = set(src.degrees()) | set(dst.degrees())
-        for n in sorted(degrees):
-            lhs = dst.differential(n).mul(f.component(n))
-            rhs = f.component(n + 1).mul(src.differential(n))
-            if lhs != rhs:
+        for n in sorted(set(src.degrees()) | set(dst.degrees())):
+            # d.f_n = f_(n+1).d, multiplying only pairs of present maps
+            d, fn = dst.diff_of.get(n), comps.get(n)
+            fm, e = comps.get(n + 1), src.diff_of.get(n)
+            if d is None or fn is None:
+                ok = fm is None or e is None or _product_is_zero(fm, e)
+            elif fm is None or e is None:
+                ok = _product_is_zero(d, fn)
+            else:
+                ok = d.mul(fn) == fm.mul(e)
+            if not ok:
                 raise ValueError(f"not a chain map at degree {n}: d.f != f.d")
-        return f
+        return cls(src, dst, tuple(sorted(comps.items())))
 
     @cached_property
-    def _component_of(self) -> dict[int, IntMatrix]:
+    def component_of(self) -> dict[int, IntMatrix]:
+        """f_n by degree n; a zero component has no key."""
         return dict(self.components)
-
-    def component(self, n: int) -> IntMatrix:
-        c = self._component_of.get(n)
-        if c is not None:
-            return c
-        return IntMatrix.zeros(self.dst.rank(n), self.src.rank(n))
 
 
 def unit_complex() -> PerfectComplex:
@@ -585,7 +583,7 @@ def tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     if a.is_zero() or b.is_zero():
         return PerfectComplex.of({})
     rank_a, rank_b = a._rank_of, b._rank_of
-    diff_a, diff_b = a._diff_of, b._diff_of
+    diff_a, diff_b = a.diff_of, b.diff_of
     lo, hi = a.lo + b.lo, a.hi + b.hi
     # offset[n][i]: where the block A^i x B^(n-i) starts in degree n
     offset: dict[int, dict[int, int]] = {}
@@ -632,7 +630,7 @@ def direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     ranks = {n: a.rank(n) + b.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
-        da, db = a._diff_of.get(n), b._diff_of.get(n)
+        da, db = a.diff_of.get(n), b.diff_of.get(n)
         if da is None and db is None:
             continue
         ra1 = a.rank(n + 1)
@@ -655,7 +653,7 @@ def cone(f: ChainMap) -> PerfectComplex:
     ranks = {n: a.rank(n + 1) + b.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
-        da, fn, db = a._diff_of.get(n + 1), f._component_of.get(n + 1), b._diff_of.get(n)
+        da, fn, db = a.diff_of.get(n + 1), f.component_of.get(n + 1), b.diff_of.get(n)
         if da is None and fn is None and db is None:
             continue
         ra2 = a.rank(n + 2)

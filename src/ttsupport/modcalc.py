@@ -418,28 +418,20 @@ def supp_mod(m: Module) -> PointSet:
     return supp_blocks(c for c, _ in m.parts)
 
 
-def localize_point(x: SpecZPoint, m: Module) -> Module:
-    """A module that vanishes exactly when the point lies off the support of m.
+def localize_point(x: SpecZPoint, m: Module) -> bool:
+    """Whether m survives localisation at the point: whether some block does.
 
-    Only its vanishing means anything: it is zero exactly off the tt-support
-    that supp_cyclic gives each block, and is the localisation oracle for
-    supports.  It is not the stalk of m at the point: at (p) it is 0 for
-    Z[1/p], whose stalk Z[1/p]_(p) is Q, and Z_(p) for Z, whose point-local
-    piece Gamma_(p) Z is a Prufer group in degree 1.  At a closed point (p)
-    every block keeps only its p-local content; at the generic point only the
-    free blocks survive (as Q).
+    This is the localisation oracle for supports, read block by block: a
+    block survives exactly on the tt-support that supp_cyclic gives it.  At
+    the generic point only the free blocks survive; at (p) a localisation
+    Z[T^-1] survives when p is not in T, Z/p^k when it is a p-group, and a
+    Prufer family when it holds p.  It is a yes/no answer, not the stalk:
+    Z[1/p] does not survive at (p), though its stalk Z[1/p]_(p) is Q.
     """
-    out: list[tuple[Cyclic, int]] = []
-    for c, mult in m.parts:
-        if x.is_generic:
-            if c.kind == "free":
-                out.append((Cyclic.rationals(), mult))
-            continue
-        p = x.p
-        if c.kind == "free" and not c.primes.contains(p):
-            out.append((Cyclic.free(PrimeSet.cofinite([p])), mult))
-        elif c.kind == "torsion" and c.p == p:
-            out.append((c, mult))
-        elif c.kind == "prufer" and c.primes.contains(p):
-            out.append((Cyclic.prufer(PrimeSet.of([p])), mult))
-    return Module.of(out)
+    if x.is_generic:
+        return any(c.kind == "free" for c, _ in m.parts)
+    p = x.p
+    return any(
+        c.p == p if c.kind == "torsion" else c.primes.contains(p) != (c.kind == "free")
+        for c, _ in m.parts
+    )

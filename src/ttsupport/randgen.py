@@ -113,6 +113,7 @@ _LO, _HI = -2, 2
 _MAX_RANK = 4
 _ENTRY_BOUND = 9
 _SHEARS = 3
+_NONZERO_ENTRIES = tuple(x for x in range(-_ENTRY_BOUND, _ENTRY_BOUND + 1) if x != 0)
 
 
 def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectComplex, GradedModule]:
@@ -135,7 +136,7 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
                 d = rng.randint(_LO, _HI - 1)
                 if ranks.get(d, 0) >= _MAX_RANK or ranks.get(d + 1, 0) >= _MAX_RANK:
                     continue
-                m = rng.choice([x for x in range(-_ENTRY_BOUND, _ENTRY_BOUND + 1) if x != 0])
+                m = rng.choice(_NONZERO_ENTRIES)
                 cells.append(("mult", d, m))
                 ranks[d] = ranks.get(d, 0) + 1
                 ranks[d + 1] = ranks.get(d + 1, 0) + 1
@@ -206,23 +207,25 @@ def random_chain_map(rng: random.Random, a: PerfectComplex, b: PerfectComplex) -
     pos = {n: (r, c, off) for n, r, c, off in layout}
     rows: list[list[int]] = []
     for n in degrees:
-        # d_B^n . f_n - f_{n+1} . d_A^n = 0, one row per target entry
-        db, da = b.differential(n), a.differential(n)
-        tr, tc = b.rank(n + 1), a.rank(n)
-        if tr == 0 or tc == 0:
+        # d_B^n . f_n - f_{n+1} . d_A^n = 0, one row per target entry; an
+        # absent differential adds no term
+        db, da = b.diff_of.get(n), a.diff_of.get(n)
+        left = pos.get(n) if db is not None else None
+        right = pos.get(n + 1) if da is not None else None
+        if left is None and right is None:
             continue
-        for i in range(tr):
-            for j in range(tc):
+        for i in range(b.rank(n + 1)):
+            for j in range(a.rank(n)):
                 row = [0] * nvars
                 touched = False
-                if n in pos:
-                    r, c, off = pos[n]
+                if left is not None:
+                    r, c, off = left
                     for k in range(r):
                         if db[i, k]:
                             row[off + k * c + j] += db[i, k]
                             touched = True
-                if n + 1 in pos:
-                    r, c, off = pos[n + 1]
+                if right is not None:
+                    r, c, off = right
                     for k in range(c):
                         if da[k, j]:
                             row[off + i * c + k] -= da[k, j]

@@ -449,13 +449,14 @@ def check_sigma_tau(ctx: VerifyContext) -> CheckRecord:
                     if balmer.sigma_of_tau(w) != w:
                         failures.append(f"sigma(tau(W)) != W at {w}")
     catalogue = randgen.compact_catalogue()
-    # membership by stalks, not supp_object: (0) and p <= 13 cover the catalogue's primes
+    # membership by the localisation at each point, not supp_object: (0) and
+    # p <= 13 cover the catalogue's primes
     probe = [GENERIC] + [SpecZPoint.closed(p) for p in first_six]
     entries = []
     for y in catalogue:
         h = homology(y)
         mods = [h.module_in(n) for n in h.degrees()]
-        where = [x for x in probe if any(not modcalc.localize_point(x, m).is_zero() for m in mods)]
+        where = [x for x in probe if any(modcalc.localize_point(x, m) for m in mods)]
         entries.append((y, h, where))
     rng = ctx.rng("sigma-tau")
     for _ in range(20):
@@ -546,11 +547,8 @@ def check_supp_agreement(ctx: VerifyContext) -> CheckRecord:
         for x, gamma_x in probe:
             cases += 1
             via_gamma = not kunneth(gamma_x, h).is_zero()
-            via_stalk = any(
-                not modcalc.localize_point(x, h.module_in(n)).is_zero()
-                for n in h.degrees()
-            )
-            if via_gamma != supp.contains(x) or via_stalk != supp.contains(x):
+            via_localisation = any(modcalc.localize_point(x, m) for _, m in h.graded)
+            if via_gamma != supp.contains(x) or via_localisation != supp.contains(x):
                 failures.append(f"pointwise probes disagree at {x} on {h}")
     return _record("balmer.supp-agreement", failures, cases)
 

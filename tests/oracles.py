@@ -91,11 +91,27 @@ def solve_in_lattice(basis: list[list[int]], v: list[int]) -> list[int]:
     return [sum(res.v[i, j] * coords[j] for j in range(k.cols)) for i in range(k.cols)]
 
 
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+
+
+def differential(c: PerfectComplex, n: int) -> IntMatrix:
+    """d^n of c, a zero matrix of the right shape where it is absent."""
+    d = c.diff_of.get(n)
+    return zeros(c.rank(n + 1), c.rank(n)) if d is None else d
+
+
+def component(f: ChainMap, n: int) -> IntMatrix:
+    """f_n, a zero matrix of the right shape where it is absent."""
+    m = f.component_of.get(n)
+    return zeros(f.dst.rank(n), f.src.rank(n)) if m is None else m
+
+
 def homology_pair(c: PerfectComplex, n: int) -> tuple[int, list[int]]:
     """(free rank, invariant factors > 1) of H^n, computed from an explicit
     kernel basis; a second derivation independent of the shortcut in use."""
-    dn = c.differential(n)
-    dprev = c.differential(n - 1)
+    dn = differential(c, n)
+    dprev = differential(c, n - 1)
     basis = kernel_basis(dn)
     k = len(basis)
     cols = []
@@ -176,10 +192,10 @@ def naive_tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
         dst_pos = {(i, j): bi for bi, (i, j, _, _) in enumerate(dst)}
         grid: list[list[IntMatrix | None]] = [[None] * len(src) for _ in dst]
         for sj, (i, j, ra, rb) in enumerate(src):
-            da = a.differential(i)
+            da = differential(a, i)
             if not da.is_zero() and (i + 1, j) in dst_pos:
                 grid[dst_pos[(i + 1, j)]][sj] = kron(da, identity(rb))
-            db = b.differential(j)
+            db = differential(b, j)
             if not db.is_zero() and (i, j + 1) in dst_pos:
                 m = kron(identity(ra), db)
                 grid[dst_pos[(i, j + 1)]][sj] = m if i % 2 == 0 else m.neg()
@@ -195,7 +211,7 @@ def naive_direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     ranks = {n: a.rank(n) + b.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
-        da, db = a.differential(n), b.differential(n)
+        da, db = differential(a, n), differential(b, n)
         if da.is_zero() and db.is_zero():
             continue
         diffs[n] = block([[da, None], [None, db]], [da.rows, db.rows], [da.cols, db.cols])
@@ -214,8 +230,8 @@ def naive_cone(f: ChainMap) -> PerfectComplex:
         if ra2 + rb1 == 0 or ra1 + rb == 0:
             continue
         grid = [
-            [a.differential(n + 1).neg(), None],
-            [f.component(n + 1), b.differential(n)],
+            [differential(a, n + 1).neg(), None],
+            [component(f, n + 1), differential(b, n)],
         ]
         diffs[n] = block(grid, [ra2, rb1], [ra1, rb])
     return PerfectComplex.of(ranks, diffs)

@@ -24,7 +24,7 @@ from ttsupport.balmer import (
     thick_membership,
 )
 from ttsupport.homalg import ChainMap, IntMatrix, cone, homology, scalar_cone, smith_factors, unit_complex
-from ttsupport.modcalc import Cyclic, GradedModule, kunneth
+from ttsupport.modcalc import Cyclic, GradedModule, Module, kunneth
 from ttsupport.randgen import (
     compact_catalogue,
     random_chain_map,
@@ -318,6 +318,26 @@ class TestLtg:
         monkeypatch.setattr(balmer, "supp_blocks", lambda blocks: real(blocks).intersect(others))
         failed = [r.name for r in ltg_check(x).failures()]
         assert "ltg.union-of-local-supports" in failed
+
+    @pytest.mark.parametrize(
+        "kind, x",
+        [
+            # Z[1/3] lives at every point but (3), where only Z/9 does
+            ("torsion", GradedModule.of({0: [Cyclic.torsion(3, 2)], 2: [Cyclic.free(PrimeSet.of([3]))]})),
+            ("prufer", GradedModule.of({1: [Cyclic.prufer(PrimeSet.of([2, 7]))]})),
+        ],
+    )
+    def test_union_of_local_supports_fails_when_localize_point_ignores_a_kind(
+        self, monkeypatch, kind, x
+    ):
+        real = balmer.localize_point
+
+        def blind(pt, m):
+            return real(pt, Module(tuple(cm for cm in m.parts if cm[0].kind != kind)))
+
+        monkeypatch.setattr(balmer, "localize_point", blind)
+        failed = [r.name for r in ltg_check(x).failures()]
+        assert failed == ["ltg.union-of-local-supports"]
 
 
 class TestResidue:

@@ -11,11 +11,11 @@ import sympy
 
 import sample_commands
 from deadline import within
-from ttsupport import balmer, randgen, supportdata, verify, znum
+from ttsupport import balmer, modcalc, randgen, supportdata, verify, znum
 from ttsupport.balmer import supp_object
 from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
 from ttsupport.homalg import PerfectComplex, homology, tensor_chain
-from ttsupport.modcalc import Cyclic, GradedModule, kunneth
+from ttsupport.modcalc import Cyclic, GradedModule, Module, kunneth
 from ttsupport.supportdata import five_object_model
 from ttsupport.znum import _MR_PROVEN_BOUND, PrimeSet, SpclSubset, primes_up_to
 
@@ -639,6 +639,19 @@ class TestVerifyCommand:
         record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
         assert not record.passed
         assert record.detail.startswith("abstract vs homological support differ")
+
+    def test_supp_agreement_fails_when_localize_point_ignores_torsion(self, monkeypatch):
+        # homology over Z has only Z and Z/p^k blocks, so ignoring torsion
+        # is the blind spot of localize_point that this check can see
+        real = modcalc.localize_point
+
+        def blind(x, m):
+            return real(x, Module(tuple(cm for cm in m.parts if cm[0].kind != "torsion")))
+
+        monkeypatch.setattr(modcalc, "localize_point", blind)
+        record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
+        assert not record.passed
+        assert record.detail.startswith("pointwise probes disagree")
 
     def test_json_format(self, capsys):
         code, out, _ = run(

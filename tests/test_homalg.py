@@ -15,6 +15,7 @@ from oracles import (
     naive_cone,
     naive_direct_sum,
     naive_tensor_chain,
+    zeros,
 )
 from ttsupport.homalg import (
     ChainMap,
@@ -60,9 +61,9 @@ class TestSNF:
 
     def test_empty_shapes(self):
         for r, c in [(0, 0), (0, 3), (3, 0)]:
-            res = snf(IntMatrix.zeros(r, c))
+            res = snf(zeros(r, c))
             assert res.invariant_factors == ()
-            assert res.u.mul(IntMatrix.zeros(r, c)).mul(res.v) == res.d
+            assert res.u.mul(zeros(r, c)).mul(res.v) == res.d
 
     def test_randomised_against_minors(self):
         rng = random.Random(20240811)
@@ -290,9 +291,9 @@ class TestDeterminant:
             assert determinant(m) == cofactor_det(m), m.entries
         assert determinant(IntMatrix.of([[0, 1], [1, 0]])) == -1
         assert determinant(IntMatrix.of([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
-        assert determinant(IntMatrix.zeros(0, 0)) == 1
+        assert determinant(zeros(0, 0)) == 1
         with pytest.raises(ValueError, match="square"):
-            determinant(IntMatrix.zeros(2, 3))
+            determinant(zeros(2, 3))
 
 
 class TestProductKernel:
@@ -308,14 +309,23 @@ class TestProductKernel:
             )
             assert a.mul(b) == IntMatrix(r, c, want)
 
+    def test_zero_test_agrees_with_the_product(self):
+        rng = random.Random(48)
+        for _ in range(300):
+            r, k, c = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+            a = IntMatrix(r, k, tuple(tuple(rng.choice([0, 0, 1, -1]) for _ in range(k)) for _ in range(r)))
+            b = IntMatrix(k, c, tuple(tuple(rng.choice([0, 0, 1, -1]) for _ in range(c)) for _ in range(k)))
+            assert homalg._product_is_zero(a, b) == a.mul(b).is_zero()
+        assert not homalg._product_is_zero(IntMatrix.of([[self.HIDDEN]]), IntMatrix.of([[1]]))
+
     def test_empty_shapes(self):
         for k in (0, 1, 3):
-            assert IntMatrix.zeros(0, k).mul(IntMatrix.zeros(k, 0)) == IntMatrix.zeros(0, 0)
-            assert IntMatrix.zeros(k, 0).mul(IntMatrix.zeros(0, k)) == IntMatrix.zeros(k, k)
-            assert IntMatrix.zeros(0, k).mul(IntMatrix.zeros(k, 2)) == IntMatrix.zeros(0, 2)
-            assert IntMatrix.zeros(2, 0).mul(IntMatrix.zeros(0, k)) == IntMatrix.zeros(2, k)
+            assert zeros(0, k).mul(zeros(k, 0)) == zeros(0, 0)
+            assert zeros(k, 0).mul(zeros(0, k)) == zeros(k, k)
+            assert zeros(0, k).mul(zeros(k, 2)) == zeros(0, 2)
+            assert zeros(2, 0).mul(zeros(0, k)) == zeros(2, k)
         with pytest.raises(ValueError, match="shape mismatch"):
-            IntMatrix.zeros(2, 3).mul(IntMatrix.zeros(2, 3))
+            zeros(2, 3).mul(zeros(2, 3))
 
     # Nonzero, but zero modulo 2^64 and modulo the Mersenne prime 2^61 - 1:
     # a check reduced modulo either would let it pass.
@@ -361,10 +371,10 @@ class TestComplexValidation:
         (c, f), (c_fresh, f_fresh) = build(), build()
         # the first lookups keep a dict on c and f, outside their fields
         assert c.rank(0) == 2 and c.rank(5) == 0
-        assert c.differential(-1) == IntMatrix.of([[6], [2]])
-        assert c.differential(5) == IntMatrix.zeros(0, 0)
-        assert f.component(0) == identity(2)
-        assert f.component(5) == IntMatrix.zeros(0, 0)
+        assert c.diff_of.get(-1) == IntMatrix.of([[6], [2]])
+        assert c.diff_of.get(5) is None
+        assert f.component_of.get(0) == identity(2)
+        assert f.component_of.get(5) is None
         assert c == c_fresh and hash(c) == hash(c_fresh) and repr(c) == repr(c_fresh)
         assert f == f_fresh and hash(f) == hash(f_fresh) and repr(f) == repr(f_fresh)
 
@@ -539,6 +549,48 @@ class TestCone:
         b = mult_complex(4)
         with pytest.raises(ValueError, match="degree 0"):
             ChainMap.of(a, b, {0: [[1]], 1: [[1]]})
+
+    # Squares that fail to commute where only d.f, only f.d, or both have
+    # two present factors; the error names the lowest failing degree.
+    @pytest.mark.parametrize(
+        "src, dst, maps, degree",
+        [
+            # degree 0 has neither product; at degree 1 f_2 is absent
+            (
+                PerfectComplex.of({0: 1, 1: 1}),
+                PerfectComplex.of({0: 1, 1: 1, 2: 1}, {1: [[3]]}),
+                {0: [[1]], 1: [[1]]},
+                1,
+            ),
+            # d_B^0 is absent; degree 1 fails too, by d.f alone
+            (
+                PerfectComplex.of({0: 1, 1: 1}, {0: [[5]]}),
+                PerfectComplex.of({1: 1, 2: 1}, {1: [[1]]}),
+                {1: [[1]]},
+                0,
+            ),
+            (mult_complex(2, -1), mult_complex(4, -1), {-1: [[1]], 0: [[1]]}, -1),
+        ],
+        ids=["only-left", "only-right", "both"],
+    )
+    def test_rejects_a_square_that_fails_to_commute(self, src, dst, maps, degree):
+        with pytest.raises(ValueError, match=f"^not a chain map at degree {degree}: d.f != f.d$"):
+            ChainMap.of(src, dst, maps)
+
+    def test_random_chain_maps_pinned(self):
+        # a change to the chain-map equations, or to the order of their
+        # rows, changes these maps
+        h = hashlib.sha256()
+        nonzero = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            a, _ = random_complex(rng, max_cells=3)
+            b, _ = random_complex(rng, max_cells=3)
+            f = random_chain_map(rng, a, b)
+            nonzero += bool(f.components)
+            h.update(repr((a.diffs, b.diffs, f.components)).encode())
+        assert nonzero >= 100
+        assert h.hexdigest() == "0d1eec25c679415b478d4d178815d6f65ef1a3352cae2c866a3dd2a21c9a0c47"
 
     def test_random_cones_are_complexes(self):
         rng = random.Random(13)

@@ -29,7 +29,7 @@ from ttsupport.randgen import (
     random_module,
 )
 from ttsupport.verify import _generator_cyclics
-from ttsupport.znum import GENERIC, PointSet, PrimeSet, SpecZPoint
+from ttsupport.znum import GENERIC, PointSet, PrimeSet, SpecZPoint, primes_up_to
 
 Z = Cyclic.free(PrimeSet.none())
 Q = Cyclic.rationals()
@@ -292,14 +292,24 @@ class TestKunneth:
 
 class TestSupport:
     def localization_probe(self, m: Module) -> PointSet:
-        """supp via stalks at sampled points; independent of the rules."""
+        """supp via the localisation at sampled points; independent of the rules."""
         out = PointSet.empty()
         for p in PROBE_PRIMES:
-            if not localize_point(SpecZPoint.closed(p), m).is_zero():
+            if localize_point(SpecZPoint.closed(p), m):
                 out = out.union(PointSet.singleton(SpecZPoint.closed(p)))
-        if not localize_point(GENERIC, m).is_zero():
+        if localize_point(GENERIC, m):
             out = out.union(PointSet.singleton(GENERIC))
         return out
+
+    def test_localize_point_agrees_with_supp_mod_on_the_generator_blocks(self):
+        points = [GENERIC] + [SpecZPoint.closed(p) for p in primes_up_to(31)]
+        for c in _generator_cyclics():
+            m = Module.of([c])
+            supp = supp_mod(m)
+            for x in points:
+                got = localize_point(x, m)
+                assert isinstance(got, bool)
+                assert got == supp.contains(x), (str(c), str(x))
 
     def test_unit_support_is_everything(self):
         assert supp_mod(Module.of([Z])).is_everything()
