@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .modcalc import Cyclic, GradedModule, Module
-from .znum import PrimeSet, factorint
+from .znum import PrimeSet, factorint, json_int
 
 __all__ = [
     "IntMatrix",
@@ -50,6 +50,24 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         g, x, y = -g, -x, -y
     return g, x, y
+
+
+_DECIMAL_CHARS = frozenset("+-0123456789")
+
+
+def _json_row(row: list, where: str) -> tuple[int, ...]:
+    """json_int of each entry of a matrix row; where[j] names a bad entry j.
+
+    A row of strings made of signs and digits alone, as to_json writes it,
+    costs one int() per entry: without spaces or underscores int() accepts
+    exactly json_int's decimal form, and raises on anything else.
+    """
+    try:
+        if _DECIMAL_CHARS.issuperset("".join(row)):
+            return tuple(map(int, row))
+    except (TypeError, ValueError):  # not all strings, or not all decimals
+        pass
+    return tuple(json_int(x, f"{where}[{j}]") for j, x in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -107,10 +125,7 @@ class IntMatrix:
         for i, row in enumerate(data):
             if not isinstance(row, list) or len(row) != cols:
                 raise ValueError(f"{where}[{i}]: expected a row of {cols} entries")
-            try:
-                out.append(tuple(int(x) for x in row))
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}[{i}]: entries must be integers") from None
+            out.append(_json_row(row, f"{where}[{i}]"))
         return cls(rows, cols, tuple(out))
 
 
@@ -442,19 +457,13 @@ class PerfectComplex:
             raise ValueError(f"{where}.ranks: expected an object")
         ranks = {}
         for key, val in raw_ranks.items():
-            try:
-                ranks[int(key)] = int(val)
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}.ranks.{key}: bad degree or rank") from None
+            ranks[json_int(key, f"{where}.ranks.{key}")] = json_int(val, f"{where}.ranks.{key}")
         diffs = {}
         raw_diffs = data.get("differentials", {})
         if not isinstance(raw_diffs, dict):
             raise ValueError(f"{where}.differentials: expected an object")
         for key, val in raw_diffs.items():
-            try:
-                n = int(key)
-            except ValueError:
-                raise ValueError(f"{where}.differentials.{key}: bad degree key") from None
+            n = json_int(key, f"{where}.differentials.{key}")
             diffs[n] = IntMatrix.from_json(
                 val, ranks.get(n + 1, 0), ranks.get(n, 0), f"{where}.differentials.{key}"
             )

@@ -13,18 +13,20 @@ tensor products of formal objects computable degree by degree:
 >>> print(kunneth(GradedModule.of({0: [Cyclic.free()]}), X))
 {0: Z/2}
 
-Canonical forms are unique, so structural equality is isomorphism: the block
-types listed above have no isomorphisms across kinds or parameters, and
-multiplicities of indecomposables in a finite direct sum are determined
-(Krull-Schmidt-style uniqueness, taken as given for this module class).
+Canonical forms are unique and blocks are hash-consed, one live object per
+canonical form, so identity is isomorphism: the block types listed above
+have no isomorphisms across kinds or parameters, and multiplicities of
+indecomposables in a finite direct sum are determined (Krull-Schmidt-style
+uniqueness, taken as given for this module class), so modules are equal
+exactly when they list the same blocks with the same multiplicities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping
 
-from .znum import PointSet, PrimeSet, SpecZPoint, is_prime
+from .znum import PointSet, PrimeSet, SpecZPoint, _Interned, is_prime, json_int
 
 __all__ = [
     "Cyclic",
@@ -43,7 +45,28 @@ __all__ = [
 _KIND_ORDER = {"free": 0, "torsion": 1, "prufer": 2}
 
 
-@dataclass(frozen=True)
+def _check_cyclic(kind: str, primes: PrimeSet | None, p: int | None, k: int | None) -> None:
+    if kind == "free":
+        if type(primes) is not PrimeSet or p is not None or k is not None:
+            raise ValueError("free block takes exactly a prime set")
+    elif kind == "torsion":
+        if primes is not None or p is None or k is None:
+            raise ValueError("torsion block takes a prime and an exponent")
+        if type(p) is not int or type(k) is not int:
+            raise ValueError("torsion block takes an integer prime and exponent")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if k < 1:
+            raise ValueError("torsion exponent must be >= 1")
+    elif kind == "prufer":
+        if type(primes) is not PrimeSet or p is not None or k is not None:
+            raise ValueError("prufer block takes exactly a prime set")
+        if primes.is_empty():
+            raise ValueError("empty prufer family is forbidden; omit the block")
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+
+
 class Cyclic:
     """One indecomposable block of the calculus.
 
@@ -51,54 +74,56 @@ class Cyclic:
     kind "torsion": Z/p^k.
     kind "prufer":  the sum of Prufer groups Z(p^oo) for p in ``primes``;
                     the empty family is forbidden (normalise to absence).
+
+    Blocks are hash-consed: every constructor returns the one live block
+    for ``(kind, primes, p, k)``, so equality and hashing are identity, and
+    a block is validated, and its sort key computed, only when no equal
+    block is alive.
     """
 
-    kind: str
-    primes: PrimeSet | None = None
-    p: int | None = None
-    k: int | None = None
+    __slots__ = ("kind", "primes", "p", "k", "_sort_key", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if self.kind == "free":
-            if self.primes is None or self.p is not None or self.k is not None:
-                raise ValueError("free block takes exactly a prime set")
-        elif self.kind == "torsion":
-            if self.primes is not None or self.p is None or self.k is None:
-                raise ValueError("torsion block takes a prime and an exponent")
-            if not is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-            if self.k < 1:
-                raise ValueError("torsion exponent must be >= 1")
-        elif self.kind == "prufer":
-            if self.primes is None or self.p is not None or self.k is not None:
-                raise ValueError("prufer block takes exactly a prime set")
-            if self.primes.is_empty():
-                raise ValueError("empty prufer family is forbidden; omit the block")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+    kind: str
+    primes: PrimeSet | None
+    p: int | None
+    k: int | None
+
+    def __new__(
+        cls, kind: str, primes: PrimeSet | None = None, p: int | None = None, k: int | None = None
+    ) -> "Cyclic":
+        return _interned_cyclic((kind, primes, p, k))
 
     @classmethod
     def free(cls, inverted: PrimeSet | None = None) -> "Cyclic":
-        return cls("free", primes=inverted if inverted is not None else PrimeSet.none())
+        primes = PrimeSet.none() if inverted is None else inverted
+        return _interned_cyclic(("free", primes, None, None))
 
     @classmethod
     def torsion(cls, p: int, k: int) -> "Cyclic":
-        return cls("torsion", p=p, k=k)
+        return _interned_cyclic(("torsion", None, p, k))
 
     @classmethod
     def prufer(cls, family: PrimeSet) -> "Cyclic":
-        return cls("prufer", primes=family)
+        return _interned_cyclic(("prufer", family, None, None))
 
     @classmethod
     def rationals(cls) -> "Cyclic":
         return cls.free(PrimeSet.all_primes())
 
+    def __reduce__(self) -> tuple:
+        return (Cyclic, (self.kind, self.primes, self.p, self.k))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Cyclic(kind={self.kind!r}, primes={self.primes!r}, p={self.p!r}, k={self.k!r})"
+
     def sort_key(self) -> tuple:
-        if self.kind == "free":
-            return (0, self.primes.sort_key())
-        if self.kind == "torsion":
-            return (1, self.p, self.k)
-        return (2, self.primes.sort_key())
+        return self._sort_key
 
     def __str__(self) -> str:
         if self.kind == "free":
@@ -133,10 +158,8 @@ class Cyclic:
         if kind == "free":
             return cls.free(PrimeSet.from_json(data.get("invert"), f"{where}.invert"))
         if kind == "torsion":
-            try:
-                p, k = int(data.get("p")), int(data.get("k"))
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}: torsion needs integer p and k") from None
+            p = json_int(data.get("p"), f"{where}.p")
+            k = json_int(data.get("k"), f"{where}.k")
             try:
                 return cls.torsion(p, k)
             except ValueError as exc:
@@ -144,6 +167,33 @@ class Cyclic:
         if kind == "prufer":
             return cls.prufer(PrimeSet.from_json(data.get("primes"), f"{where}.primes"))
         raise ValueError(f"{where}.kind: expected 'free', 'torsion' or 'prufer'")
+
+
+_CYCLICS = _Interned()
+
+
+def _interned_cyclic(key: tuple) -> Cyclic:
+    """The live block for key = (kind, primes, p, k), validated if new."""
+    try:
+        ref = _CYCLICS.ref(key)
+    except TypeError:  # an unhashable field, which validation rejects
+        ref = None
+    out = ref and ref()
+    if out is None:
+        kind, primes, p, k = key
+        _check_cyclic(kind, primes, p, k)
+        out = object.__new__(Cyclic)
+        object.__setattr__(out, "kind", kind)
+        object.__setattr__(out, "primes", primes)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "k", k)
+        if kind == "torsion":
+            sort_key = (1, p, k)
+        else:
+            sort_key = (0 if kind == "free" else 2, *primes.sort_key())
+        object.__setattr__(out, "_sort_key", sort_key)
+        out = _CYCLICS.add(key, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,7 +219,9 @@ class Module:
     @classmethod
     def _of_counts(cls, counts: Mapping[Cyclic, int]) -> "Module":
         """The canonical form of positive multiplicities keyed by block."""
-        return cls(tuple(sorted(counts.items(), key=lambda cm: cm[0].sort_key())))
+        if len(counts) < 2:
+            return cls(tuple(counts.items()))
+        return cls(tuple(sorted(counts.items(), key=lambda cm: cm[0]._sort_key)))
 
     @classmethod
     def zero(cls) -> "Module":
@@ -257,10 +309,7 @@ class GradedModule:
             raise ValueError(f"{where}: expected a degree-keyed object")
         out: dict[int, Module] = {}
         for key, val in data.items():
-            try:
-                n = int(key)
-            except ValueError:
-                raise ValueError(f"{where}.{key}: degree keys must be integers") from None
+            n = json_int(key, f"{where}.{key}")
             if not isinstance(val, list):
                 raise ValueError(f"{where}.{key}: expected a list of cyclics")
             out[n] = Module.of(
@@ -382,7 +431,7 @@ def supp_cyclic(c: Cyclic) -> PointSet:
     if c.kind == "free":
         return PointSet(True, c.primes.complement())
     if c.kind == "torsion":
-        return PointSet(False, PrimeSet.of([c.p]))
+        return PointSet(False, PrimeSet._checked(True, (c.p,)))
     return PointSet(False, c.primes)
 
 
@@ -400,7 +449,7 @@ def supp_blocks(blocks: Iterable[Cyclic]) -> PointSet:
         else:
             # a localisation lives off its inverted primes, a Prufer family on its own
             generic = generic or c.kind == "free"
-            finite, primes = c.primes.finite != (c.kind == "free"), c.primes.primes
+            finite, primes = c.primes.finite != (c.kind == "free"), c.primes.listed
         if finite:
             if cofinite:
                 listed.difference_update(primes)

@@ -8,13 +8,17 @@ refused with ValueError rather than guessed or left running.
 Finite and cofinite sets of rational primes are the computable fragment of
 Spec Z used by the rest of the toolkit: localisation loci, torsion loci and
 specialisation-closed subsets are all built from them.  Every value here is
-immutable and every operation is pure, so unrestricted concurrent use is safe.
+immutable and every operation is pure.  PrimeSet values are hash-consed: the
+table of live values is read without a lock and written under one
+``threading.RLock``, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+import re
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from math import gcd
 from typing import Iterable
 
@@ -29,6 +33,7 @@ __all__ = [
     "PointSet",
     "v_of_point",
     "z_of_point",
+    "json_int",
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -206,40 +211,129 @@ def _rho(n: int, budget: int) -> tuple[int | None, int]:
             return g, budget
 
 
-@dataclass(frozen=True)
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def json_int(x: object, where: str) -> int:
+    """An integer read exactly from JSON: an int that is not a bool, or a
+    string of an optional sign and decimal digits.  Anything else, such as
+    3.7, true or "1_000", raises ValueError naming where."""
+    if type(x) is int:
+        return x
+    if type(x) is str and _DECIMAL.fullmatch(x):
+        try:
+            return int(x)
+        except ValueError as exc:  # more digits than int() converts
+            raise ValueError(f"{where}: {exc}") from None
+    raise ValueError(f"{where}: expected an integer, got {x!r}")
+
+
+class _KeyedRef(weakref.ref):
+    """A weak reference that knows its table key, as weakref.KeyedRef does,
+    but is made without a call into Python code."""
+
+    __slots__ = ("key",)
+
+
+class _Interned:
+    """The one live instance of each value, by key.
+
+    The table holds each instance by weak reference only, so an entry lasts
+    as long as its value is alive anywhere and no longer.  Lookups take no
+    lock: ``ref(key)`` is the weak reference held for key, or None.  Inserts
+    run under a re-entrant lock, as a weakref callback can fire in the
+    thread that holds it whenever a value dies.  A callback deletes its key
+    only while the entry is still its own reference, since an insert may
+    already have replaced a dead entry with a new live value.
+    """
+
+    def __init__(self) -> None:
+        self._refs: dict = {}
+        self._lock = threading.RLock()
+        self._drop_ref = self._drop
+        self.ref = self._refs.get
+
+    def add(self, key: object, value: object) -> object:
+        """Intern value under key: value, or the live instance that another
+        thread added first."""
+        ref = _KeyedRef(value, self._drop_ref)
+        ref.key = key
+        self._lock.acquire()
+        try:
+            live = self._refs.get(key)
+            live = live and live()
+            if live is not None:
+                return live
+            self._refs[key] = ref
+        finally:
+            self._lock.release()
+        return value
+
+    def _drop(self, ref: _KeyedRef) -> None:
+        self._lock.acquire()
+        try:
+            if self._refs.get(ref.key) is ref:
+                del self._refs[ref.key]
+        finally:
+            self._lock.release()
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+
+def _check_primes(primes: tuple) -> None:
+    prev = 1
+    for p in primes:
+        if type(p) is not int:
+            raise ValueError(f"{p!r} is a {type(p).__name__}, not an int")
+        if p <= prev:
+            raise ValueError(f"prime list not strictly increasing at {p}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        prev = p
+
+
 class PrimeSet:
     """A finite or cofinite set of rational primes, in canonical form.
 
     ``finite=True`` means the set is exactly ``primes``; ``finite=False``
     means the set is all primes except ``primes``.  The listed primes are
-    strictly increasing and individually verified prime, so equality of
-    canonical forms is equality of the underlying sets.
+    strictly increasing and individually verified prime; ``listed`` holds
+    them as a frozenset.
+
+    Values are hash-consed: every constructor returns the one live instance
+    for ``(finite, listed)``, so equality and hashing are identity, and a
+    set is validated only when no equal one is alive.
     """
+
+    __slots__ = ("finite", "primes", "listed", "__weakref__")
 
     finite: bool
     primes: tuple[int, ...]
+    listed: frozenset[int]
 
-    def __post_init__(self) -> None:
-        prev = 1
-        for p in self.primes:
-            if p <= prev:
-                raise ValueError(f"prime list not strictly increasing at {p}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prev = p
+    def __new__(cls, finite: bool, primes: Iterable[int]) -> "PrimeSet":
+        primes = tuple(primes)
+        out = _interned_primeset(bool(finite), frozenset(primes), primes)
+        # an equal set listed out of order is not canonical: validation rejects it
+        if out.primes != primes:
+            _check_primes(primes)
+        return out
 
     @classmethod
     def of(cls, primes: Iterable[int] = (), finite: bool = True) -> "PrimeSet":
-        return cls(finite, tuple(sorted(set(primes))))
+        return _interned_primeset(bool(finite), frozenset(primes), None)
 
     @classmethod
     def _checked(cls, finite: bool, primes: Iterable[int]) -> "PrimeSet":
         """Canonical form of primes taken from sets already validated: the
         set algebra below builds its results here, without re-testing each
         prime.  Outside input goes through the validating constructors."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "finite", finite)
-        object.__setattr__(out, "primes", tuple(sorted(primes)))
+        key = (finite, frozenset(primes))
+        ref = _PRIMESETS.ref(key)
+        out = ref and ref()
+        if out is None:
+            out = _new_primeset(key, tuple(sorted(key[1])))
         return out
 
     @classmethod
@@ -248,11 +342,23 @@ class PrimeSet:
 
     @classmethod
     def none(cls) -> "PrimeSet":
-        return cls(True, ())
+        return cls._checked(True, ())
 
     @classmethod
     def all_primes(cls) -> "PrimeSet":
-        return cls(False, ())
+        return cls._checked(False, ())
+
+    def __reduce__(self) -> tuple:
+        return (PrimeSet, (self.finite, self.primes))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"PrimeSet(finite={self.finite!r}, primes={self.primes!r})"
 
     @property
     def mode(self) -> str:
@@ -265,14 +371,15 @@ class PrimeSet:
         return not self.finite and not self.primes
 
     def contains(self, n: int) -> bool:
-        if not is_prime(n):
-            return False
-        i = bisect_left(self.primes, n)
-        listed = i < len(self.primes) and self.primes[i] == n
-        return listed if self.finite else not listed
+        # every listed number is prime, so a finite set needs no primality test
+        if self.finite:
+            return n in self.listed
+        return n not in self.listed and is_prime(n)
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
-        a, b = set(self.primes), set(other.primes)
+        if other is self:
+            return self
+        a, b = self.listed, other.listed
         if self.finite and other.finite:
             return PrimeSet._checked(True, a | b)
         if self.finite:
@@ -282,7 +389,9 @@ class PrimeSet:
         return PrimeSet._checked(False, a & b)
 
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
-        a, b = set(self.primes), set(other.primes)
+        if other is self:
+            return self
+        a, b = self.listed, other.listed
         if self.finite and other.finite:
             return PrimeSet._checked(True, a & b)
         if self.finite:
@@ -292,21 +401,30 @@ class PrimeSet:
         return PrimeSet._checked(False, a | b)
 
     def complement(self) -> "PrimeSet":
-        return PrimeSet._checked(not self.finite, self.primes)
+        return PrimeSet._checked(not self.finite, self.listed)
 
     def difference(self, other: "PrimeSet") -> "PrimeSet":
-        return self.intersect(other.complement())
+        """self intersected with the complement of other, in one step."""
+        a, b = self.listed, other.listed
+        if self.finite:
+            return PrimeSet._checked(True, a - b if other.finite else a & b)
+        if other.finite:
+            return PrimeSet._checked(False, a | b)
+        return PrimeSet._checked(True, b - a)
 
     def leq(self, other: "PrimeSet") -> bool:
         """Subset order on the underlying sets."""
-        return self.intersect(other) == self
+        if self.finite:
+            if other.finite:
+                return self.listed <= other.listed
+            return self.listed.isdisjoint(other.listed)
+        return not other.finite and other.listed <= self.listed
 
     def up_to(self, bound: int) -> list[int]:
         """Member primes <= bound."""
         if self.finite:
             return [p for p in self.primes if p <= bound]
-        excluded = set(self.primes)
-        return [p for p in primes_up_to(bound) if p not in excluded]
+        return [p for p in primes_up_to(bound) if p not in self.listed]
 
     def sort_key(self) -> tuple:
         return (0 if self.finite else 1, self.primes)
@@ -330,16 +448,39 @@ class PrimeSet:
         raw = data.get("primes", [])
         if not isinstance(raw, list):
             raise ValueError(f"{where}.primes: expected a list")
-        primes = []
-        for i, item in enumerate(raw):
-            try:
-                primes.append(int(item))
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}.primes[{i}]: not an integer") from None
+        primes = [json_int(item, f"{where}.primes[{i}]") for i, item in enumerate(raw)]
         try:
             return cls.of(primes, finite=(mode == "finite"))
         except ValueError as exc:
             raise ValueError(f"{where}.primes: {exc}") from None
+
+
+_PRIMESETS = _Interned()
+
+
+def _interned_primeset(finite: bool, listed: frozenset, primes: tuple | None) -> PrimeSet:
+    """The live PrimeSet for (finite, listed), validated if it is new.
+
+    primes, when given, is the caller's own listing of the set: a new set is
+    validated and kept in that order, so a listing out of order is refused.
+    """
+    key = (finite, listed)
+    ref = _PRIMESETS.ref(key)
+    out = ref and ref()
+    if out is None:
+        ordered = tuple(sorted(listed)) if primes is None else primes
+        _check_primes(ordered)
+        out = _new_primeset(key, ordered)
+    return out
+
+
+def _new_primeset(key: tuple[bool, frozenset[int]], primes: tuple[int, ...]) -> PrimeSet:
+    """Intern a PrimeSet with validated, sorted primes under key."""
+    out = object.__new__(PrimeSet)
+    object.__setattr__(out, "finite", key[0])
+    object.__setattr__(out, "primes", primes)
+    object.__setattr__(out, "listed", key[1])
+    return _PRIMESETS.add(key, out)
 
 
 @dataclass(frozen=True)

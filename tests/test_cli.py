@@ -417,6 +417,34 @@ class TestErrors:
         assert str(_MR_PROVEN_BOUND) in err
 
     @pytest.mark.parametrize(
+        "command, payload, location",
+        [
+            (["homology"], {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[3.7]]}},
+             ".differentials.0[0][0]"),
+            (["homology"], {"ranks": {"0": 1.9}}, ".ranks.0"),
+            (["support", "--object"], {"0": [{"kind": "torsion", "p": 2.9, "k": 1}]}, ".0[0].p"),
+            (["support", "--object"],
+             {"0": [{"kind": "free", "invert": {"mode": "finite", "primes": [2.5]}}]},
+             ".0[0].invert.primes[0]"),
+            (["homology"], {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [["1_000"]]}},
+             ".differentials.0[0][0]"),
+            (["homology"], {"ranks": {"0": 1, "1": 1}, "differentials": {"0": [[True]]}},
+             ".differentials.0[0][0]"),
+            (["support", "--object"], {"0": [{"kind": "torsion", "p": True, "k": 1}]}, ".0[0].p"),
+        ],
+        ids=["float-entry", "float-rank", "float-p", "float-prime", "underscores", "bool-entry",
+             "bool-p"],
+    )
+    def test_inexact_numbers_are_rejected(self, capsys, tmp_path, command, payload, location):
+        # a float, a bool or a string int() would stretch to fit is not an integer
+        path = tmp_path / "inexact.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}{location}: expected an integer, got " in err
+
+    @pytest.mark.parametrize(
         "command",
         [
             ["homology"],

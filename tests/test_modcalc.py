@@ -1,12 +1,19 @@
+import copy
+import gc
 import json
 import math
+import pickle
 import random
+import sys
+import threading
+import time
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttsupport import modcalc, znum
 from ttsupport.homalg import homology, scalar_cone, tensor_chain, unit_complex
 from ttsupport.modcalc import (
     Cyclic,
@@ -88,6 +95,149 @@ class TestCanonicalForms:
     def test_json_roundtrip(self):
         x = GradedModule.of({-1: [Q, Cyclic.prufer(PrimeSet.of([2]))], 3: [(Z, 2)]})
         assert GradedModule.from_json(x.to_json()) == x
+
+
+def _block_entry(kind, primes=None, p=None, k=None):
+    """The live block that the table holds for this key, or None."""
+    ref = modcalc._CYCLICS.ref((kind, primes, p, k))
+    return ref and ref()
+
+
+class TestHashConsing:
+    def test_every_construction_path_gives_the_same_object(self):
+        two = PrimeSet.of([2])
+        t = Cyclic.torsion(2, 3)
+        f = Cyclic.free(two)
+        u = Cyclic.prufer(PrimeSet.cofinite([3]))
+        assert t is Cyclic("torsion", p=2, k=3) is Cyclic("torsion", None, 2, 3)
+        assert t is Cyclic.from_json({"kind": "torsion", "p": "2", "k": 3})
+        assert f is Cyclic("free", two) is Cyclic.free(PrimeSet(True, (2,)))
+        assert f is Cyclic.from_json({"kind": "free", "invert": two.to_json()})
+        assert u is Cyclic("prufer", primes=PrimeSet.of([3]).complement())
+        assert u is Cyclic.from_json({"kind": "prufer", "primes": {"mode": "cofinite", "primes": [3]}})
+        assert Cyclic.free() is Cyclic.free(PrimeSet.none()) is Z
+        assert Cyclic.rationals() is Cyclic("free", PrimeSet.all_primes()) is Q
+        for c in (t, f, u, Z, Q):
+            assert c is copy.copy(c) is copy.deepcopy(c) is pickle.loads(pickle.dumps(c))
+            assert _block_entry(c.kind, c.primes, c.p, c.k) is c
+        m = Module.of([t, (f, 2)])
+        assert pickle.loads(pickle.dumps(m)) == m and copy.deepcopy(m) == m
+
+    @given(st.builds(random_cyclic, st.randoms(use_true_random=False)),
+           st.builds(random_cyclic, st.randoms(use_true_random=False)))
+    def test_equality_is_identity(self, a, b):
+        assert (a == b) == (a is b)
+        assert (a == b) == ((a.kind, a.primes, a.p, a.k) == (b.kind, b.primes, b.p, b.k))
+        assert (a == b) == (a.sort_key() == b.sort_key())
+
+    def test_values_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Z.kind = "torsion"
+        assert repr(Cyclic.torsion(3, 1)) == "Cyclic(kind='torsion', primes=None, p=3, k=1)"
+
+    @pytest.mark.parametrize(
+        "kind, primes, p, k, message",
+        [
+            ("free", None, None, None, "free block takes exactly a prime set"),
+            ("free", PrimeSet.none(), 2, None, "free block takes exactly a prime set"),
+            ("torsion", None, 2, None, "torsion block takes a prime and an exponent"),
+            ("torsion", PrimeSet.none(), 2, 1, "torsion block takes a prime and an exponent"),
+            ("torsion", None, 4, 1, "4 is not prime"),
+            ("torsion", None, 2, 0, "torsion exponent must be >= 1"),
+            ("torsion", None, 7883.0, 1, "torsion block takes an integer prime and exponent"),
+            ("torsion", None, 7883, True, "torsion block takes an integer prime and exponent"),
+            ("prufer", None, None, None, "prufer block takes exactly a prime set"),
+            ("prufer", PrimeSet.none(), None, None, "empty prufer family is forbidden"),
+            ("prufer", (2,), None, None, "prufer block takes exactly a prime set"),
+            ("prufer", [2], None, None, "prufer block takes exactly a prime set"),
+            ("cyclic", None, None, None, "unknown kind 'cyclic'"),
+        ],
+    )
+    def test_invalid_blocks_are_rejected_and_leave_no_entry(self, kind, primes, p, k, message):
+        # 7883.0 and True equal 7883 and 1: were they let in, the table would
+        # hand them out for Z/7883 later
+        gc.collect()
+        size = len(modcalc._CYCLICS)
+        with pytest.raises(ValueError, match=message):
+            Cyclic(kind, primes, p, k)
+        assert len(modcalc._CYCLICS) == size
+
+    def test_table_holds_only_live_values(self):
+        gc.collect()
+        sizes = len(modcalc._CYCLICS), len(znum._PRIMESETS)
+        family = PrimeSet.of([7901, 7907])
+        blocks = [Cyclic.torsion(7901, 5), Cyclic.free(family), Cyclic.prufer(family)]
+        assert [_block_entry(c.kind, c.primes, c.p, c.k) for c in blocks] == blocks
+        assert len(modcalc._CYCLICS) == sizes[0] + 3
+        del blocks, family
+        gc.collect()
+        assert _block_entry("torsion", None, 7901, 5) is None
+        assert (len(modcalc._CYCLICS), len(znum._PRIMESETS)) == sizes
+
+    def test_concurrent_construction_gives_one_object_per_value(self):
+        """Eight threads, more than there are cores, race to build the same
+        values through different constructors, round after round, each round
+        starting from values that have died."""
+        threads_n, rounds, deadline = 8, 30, time.monotonic() + 10
+        primes = primes_up_to(200)
+        specs = [(fin, tuple(primes[i:i + 3])) for i in range(0, 40) for fin in (True, False)]
+        builders = [
+            lambda fin, ps: PrimeSet(fin, ps),
+            lambda fin, ps: PrimeSet.of(reversed(ps), finite=fin),
+            lambda fin, ps: PrimeSet._checked(fin, set(ps)),
+            lambda fin, ps: PrimeSet.from_json({"mode": "finite" if fin else "cofinite",
+                                                "primes": [str(p) for p in ps]}),
+        ]
+
+        def build(t):
+            make = builders[t % len(builders)]
+            out = []
+            for fin, ps in specs:
+                s = make(fin, ps)
+                out.append(s)
+                out.append(Cyclic.free(s) if t % 2 else Cyclic("free", s))
+                out.append(Cyclic.prufer(s) if t % 2 else Cyclic("prufer", primes=s))
+                out.append(Cyclic.torsion(ps[0], 1 + len(out) % 5) if t % 2
+                           else Cyclic("torsion", None, ps[0], 1 + len(out) % 5))
+            return out
+
+        barrier = threading.Barrier(threads_n, timeout=30)
+        built: list = [None] * threads_n
+        errors: list = []
+        late = [False]
+
+        def work(t):
+            try:
+                for _ in range(rounds):
+                    built[t] = build(t)
+                    barrier.wait()
+                    if t == 0:
+                        errors.extend(
+                            (a, b) for other in built[1:] for a, b in zip(built[0], other)
+                            if a is not b
+                        )
+                        late[0] = time.monotonic() > deadline
+                    barrier.wait()
+                    built[t] = None  # the next round builds these values anew
+                    if late[0]:
+                        break
+                    barrier.wait()
+            except Exception as exc:  # a broken barrier or a failed build
+                errors.append(exc)
+                barrier.abort()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(threads_n)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
 
 
 class TestTableAgainstChainOracle:

@@ -1,5 +1,11 @@
+import copy
+import gc
 import math
+import pickle
 import random
+import threading
+import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 import sympy
@@ -17,6 +23,7 @@ from ttsupport.znum import (
     SpecZPoint,
     factorint,
     is_prime,
+    json_int,
     primes_up_to,
     v_of_point,
     z_of_point,
@@ -254,6 +261,123 @@ class TestPrimeSet:
             within(5, lambda: PrimeSet.from_json(data, "S"))
         assert str(caught.value).startswith("S.primes: ")
         assert str(znum._MR_PROVEN_BOUND) in str(caught.value)
+
+
+def _entry(finite, primes):
+    """The live PrimeSet that the table holds for this set, or None."""
+    ref = znum._PRIMESETS.ref((finite, frozenset(primes)))
+    return ref and ref()
+
+
+class TestHashConsing:
+    def test_every_construction_path_gives_the_same_object(self):
+        a = PrimeSet.of([3, 2])
+        assert a is PrimeSet(True, (2, 3))
+        assert a is PrimeSet.of((2, 3, 3), finite=True)
+        assert a is PrimeSet._checked(True, {2, 3})
+        assert a is PrimeSet.from_json({"mode": "finite", "primes": ["3", 2]})
+        assert a is PrimeSet.of([2]).union(PrimeSet.of([3]))
+        assert a is PrimeSet.cofinite([2, 3]).complement()
+        assert a is copy.copy(a) and a is copy.deepcopy(a)
+        assert a is pickle.loads(pickle.dumps(a))
+        c = PrimeSet.cofinite([5])
+        assert c is PrimeSet(False, (5,)) and c is PrimeSet.of([5]).complement()
+        assert c is pickle.loads(pickle.dumps(c)) and c is copy.deepcopy(c)
+        assert PrimeSet.none() is PrimeSet(True, ()) is PrimeSet.of([])
+        assert PrimeSet.all_primes() is PrimeSet(False, ()) is PrimeSet.cofinite()
+        assert _entry(True, [2, 3]) is a
+
+    @given(primesets, primesets)
+    def test_equality_is_identity(self, a, b):
+        assert (a == b) == (a is b)
+        assert (a == b) == (a.finite == b.finite and a.primes == b.primes)
+        assert a.union(b) is b.union(a)
+
+    def test_values_are_immutable(self):
+        a = PrimeSet.of([2])
+        with pytest.raises(FrozenInstanceError):
+            a.primes = (3,)
+        with pytest.raises(FrozenInstanceError):
+            del a.finite
+        assert repr(a) == "PrimeSet(finite=True, primes=(2,))"
+
+    @pytest.mark.parametrize(
+        "finite, primes, message",
+        [
+            (True, (3, 2), "prime list not strictly increasing at 2"),
+            (False, (2, 9), "9 is not prime"),
+            (True, (7919, 7919), "prime list not strictly increasing at 7919"),
+        ],
+    )
+    def test_invalid_input_is_rejected_and_leaves_no_entry(self, finite, primes, message):
+        before = _entry(finite, primes)
+        with pytest.raises(ValueError, match=message):
+            PrimeSet(finite, primes)
+        assert _entry(finite, primes) is before
+
+    def test_non_canonical_input_is_rejected_while_its_set_is_alive(self):
+        alive = PrimeSet.of([2, 3])
+        with pytest.raises(ValueError, match="prime list not strictly increasing at 2"):
+            PrimeSet(True, (3, 2))
+        with pytest.raises(ValueError, match="prime list not strictly increasing at 3"):
+            PrimeSet(True, (2, 3, 3))
+        assert _entry(True, [2, 3]) is alive
+
+    def test_table_holds_only_live_values(self):
+        gc.collect()
+        size = len(znum._PRIMESETS)
+        a = PrimeSet.of([7907, 7919])
+        b = a.complement()
+        assert _entry(True, [7907, 7919]) is a and _entry(False, [7907, 7919]) is b
+        assert len(znum._PRIMESETS) == size + 2
+        del a, b
+        gc.collect()
+        assert _entry(True, [7907, 7919]) is None and _entry(False, [7907, 7919]) is None
+        assert len(znum._PRIMESETS) == size
+
+    def test_a_late_callback_keeps_the_entry_that_replaced_it(self):
+        """A value dies while another thread holds the table's lock; that
+        thread replaces the dead entry before the value's callback can run,
+        and the callback must then leave the new entry alone."""
+
+        class Value:
+            __slots__ = ("__weakref__",)
+
+        table = znum._Interned()
+        old, new = Value(), Value()
+        table.add("key", old)
+        stale = table.ref("key")
+        locked = threading.Event()
+
+        def insert_while_old_dies():
+            with table._lock:
+                locked.set()
+                deadline = time.monotonic() + 10
+                while stale() is not None and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                table.add("key", new)
+
+        inserter = threading.Thread(target=insert_while_old_dies)
+        inserter.start()
+        assert locked.wait(timeout=10)
+        del old  # its callback waits for the lock, then finds another entry
+        inserter.join(timeout=10)
+        assert not inserter.is_alive()
+        assert table.ref("key") is not stale and table.ref("key")() is new
+        assert len(table) == 1
+
+
+class TestJsonInt:
+    def test_accepts_ints_and_decimal_strings(self):
+        for raw, want in ((5, 5), (-12, -12), ("7", 7), ("-12", -12), ("+3", 3), ("007", 7)):
+            assert json_int(raw, "x") == want
+
+    @pytest.mark.parametrize(
+        "raw", [3.7, 2.0, True, False, None, "1_000", " 3", "3 ", "", "-", "3.0", "\u0663", [3]]
+    )
+    def test_rejects_everything_else_naming_the_location(self, raw):
+        with pytest.raises(ValueError, match=r"^a\.b\[0\]: expected an integer, got "):
+            json_int(raw, "a.b[0]")
 
 
 class TestPoints:
