@@ -250,7 +250,7 @@ class _Interned:
     def __init__(self) -> None:
         self._refs: dict = {}
         self._lock = threading.RLock()
-        self._drop_ref = self._drop
+        self._drop_ref = self._drop  # one callback shared by every reference
         self.ref = self._refs.get
 
     def add(self, key: object, value: object) -> object:
@@ -258,10 +258,12 @@ class _Interned:
         thread added first."""
         ref = _KeyedRef(value, self._drop_ref)
         ref.key = key
+        # acquire and release cost less than a with block on this path,
+        # which every new value takes, and so does the callback below
         self._lock.acquire()
         try:
-            live = self._refs.get(key)
-            live = live and live()
+            held = self._refs.get(key)
+            live = held and held()
             if live is not None:
                 return live
             self._refs[key] = ref
