@@ -17,7 +17,6 @@ arbitrary formal object is the set of points where that product is nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 
@@ -37,6 +36,7 @@ from .znum import (
     SpecZPoint,
     primes_up_to,
     v_of_point,
+    value_class,
     z_of_point,
 )
 
@@ -270,7 +270,7 @@ def sigma_of_tau(w: PointSet) -> PointSet:
     return out
 
 
-@dataclass(frozen=True)
+@value_class
 class CompactPrime:
     """A prime thick subcategory of the perfect complexes, encoded by the
     subset of Spec Z that its members' supports must avoid hitting."""

@@ -23,10 +23,19 @@ exactly when they list the same blocks with the same multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping
 
-from .znum import PointSet, PrimeSet, SpecZPoint, _Interned, is_prime, json_int
+from .znum import (
+    PointSet,
+    PrimeSet,
+    SpecZPoint,
+    _Interned,
+    _refuse_assign,
+    _refuse_delete,
+    is_prime,
+    json_int,
+    value_class,
+)
 
 __all__ = [
     "Cyclic",
@@ -113,11 +122,8 @@ class Cyclic:
     def __reduce__(self) -> tuple:
         return (Cyclic, (self.kind, self.primes, self.p, self.k))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_assign
+    __delattr__ = _refuse_delete
 
     def __repr__(self) -> str:
         return f"Cyclic(kind={self.kind!r}, primes={self.primes!r}, p={self.p!r}, k={self.k!r})"
@@ -196,7 +202,7 @@ def _interned_cyclic(key: tuple) -> Cyclic:
     return out
 
 
-@dataclass(frozen=True)
+@value_class
 class Module:
     """Finite multiset of cyclic blocks, canonically ordered."""
 
@@ -251,7 +257,7 @@ class Module:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
+@value_class
 class GradedModule:
     """A formal object of D(Z): cohomological degree -> nonzero Module."""
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .znum import value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class CheckRecord:
     """One verified identity: its name, outcome, and on failure the two
     canonical forms that differed.  Advisory records flag without failing."""
@@ -31,9 +31,9 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
+@value_class
 class Report:
-    records: tuple[CheckRecord, ...] = field(default_factory=tuple)
+    records: tuple[CheckRecord, ...] = ()
 
     @classmethod
     def of(cls, records) -> "Report":

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .report import CheckRecord, Report, check
+from .znum import value_class
 
 __all__ = [
     "CatalogueError",
@@ -47,7 +47,7 @@ class CatalogueError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Catalogue:
     """Finite model: object names, unit/zero, shift, tensor table,
     summand relation, triangles (closed under rotation (k,l,m) -> (l,m,Sk))."""
@@ -265,7 +265,7 @@ def _members(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
+@value_class(hidden=("index",))
 class FiniteSpace:
     """Finite space whose specialisation order is held only as up-set
     bitmasks: bit j of up[i] is set when points[j] lies above points[i], in
@@ -273,7 +273,7 @@ class FiniteSpace:
 
     points: tuple
     up: tuple[int, ...]
-    index: Mapping = field(compare=False, repr=False)
+    index: Mapping
 
     @classmethod
     def of(cls, points: Sequence, order: Iterable[tuple]) -> "FiniteSpace":
@@ -312,7 +312,7 @@ class FiniteSpace:
         return not above & ~inside
 
 
-@dataclass(frozen=True)
+@value_class
 class SupportDatum:
     """A space together with a specialisation-closed subset for each object."""
 
@@ -516,7 +516,7 @@ def point_label(x, c: Catalogue) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
+@value_class
 class UniversalMapResult:
     mapping: tuple[tuple[object, frozenset[int]], ...]
     report: Report

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import balmer, homalg, modcalc, randgen, supportdata, znum
 from .homalg import IntMatrix, determinant, homology, smith_factors, snf, tensor_chain
 from .modcalc import Cyclic, GradedModule, kunneth
 from .report import CheckRecord, Report
-from .znum import GENERIC, PointSet, PrimeSet, SpclSubset, SpecZPoint
+from .znum import GENERIC, PointSet, PrimeSet, SpclSubset, SpecZPoint, value_class
 
 FIRST_TEN = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-@dataclass(frozen=True)
+@value_class
 class VerifyContext:
     seed: int
     cases: int

@@ -14,7 +14,7 @@ from deadline import within
 from ttsupport import balmer, modcalc, randgen, supportdata, verify, znum
 from ttsupport.balmer import supp_object
 from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
-from ttsupport.homalg import PerfectComplex, homology, tensor_chain
+from ttsupport.homalg import MAX_RANK, PerfectComplex, homology, tensor_chain
 from ttsupport.modcalc import Cyclic, GradedModule, Module, kunneth
 from ttsupport.supportdata import five_object_model
 from ttsupport.znum import _MR_PROVEN_BOUND, PrimeSet, SpclSubset, primes_up_to
@@ -444,6 +444,35 @@ class TestErrors:
         assert out == ""
         assert f"{path}{location}: expected an integer, got " in err
 
+    def test_rank_beyond_the_bound_is_rejected(self, capsys, tmp_path):
+        # 43 bytes that once ran for minutes, printing one entry per unit of rank
+        path = tmp_path / "huge_ranks.json"
+        path.write_text('{"ranks": {"0": 100000000, "1": 100000000}}')
+        code, out, err = within(5, lambda: run(capsys, "--format", "json", "homology", str(path)))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"input error: {path}.ranks.0: total rank 100000000 exceeds the bound {MAX_RANK}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command", [["homology"], ["support", "--object"]], ids=["homology", "support"]
+    )
+    def test_total_rank_at_the_bound_runs_and_past_it_exits_2(self, capsys, tmp_path, command):
+        half = MAX_RANK // 2
+        path = tmp_path / "ranks.json"
+        path.write_text(json.dumps({"ranks": {"0": half, "1": MAX_RANK - half}}))
+        code, out, _ = within(10, lambda: run(capsys, "--format", "json", *command, str(path)))
+        assert code == 0
+        assert json.loads(out)
+        path.write_text(json.dumps({"ranks": {"0": half, "1": MAX_RANK - half + 1}}))
+        code, out, err = within(5, lambda: run(capsys, *command, str(path)))
+        assert code == 2
+        assert out == ""
+        assert f"{path}.ranks.1: total rank {MAX_RANK + 1} exceeds the bound {MAX_RANK}" in err
+        # the bound is on files only: complexes built in the program may be larger
+        assert PerfectComplex.of({0: MAX_RANK + 1}).rank(0) == MAX_RANK + 1
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -592,6 +621,21 @@ def test_importing_the_cli_loads_no_sympy():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses, with the inspect, ast and dis it imports, took a quarter
+    # of the package's import; checked in a fresh process, as pytest has
+    # loaded them all
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "import_guard.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"({ROOT / 'src' / 'ttsupport' / 'cli.py'})" in proc.stdout
 
 
 class TestVerifyCommand:

@@ -5,7 +5,6 @@ import pickle
 import random
 import threading
 import time
-from dataclasses import FrozenInstanceError
 
 import pytest
 import sympy
@@ -17,6 +16,7 @@ from ttsupport import homalg, znum
 from ttsupport.cli import main
 from ttsupport.znum import (
     GENERIC,
+    FrozenInstanceError,
     PointSet,
     PrimeSet,
     SpclSubset,
@@ -62,6 +62,14 @@ class TestPrimality:
         primes = set(primes_up_to(top))
         for n in range(-5, top + 1):
             assert is_prime(n) == (n in primes), n
+
+    def test_primes_up_to_agrees_with_sympy_on_both_sides_of_the_table_bound(self):
+        top = znum._TABLE_BOUND
+        for bound in (-3, 0, 1, 2, 3, 100, 7919, top - 1, top, top + 20):
+            assert primes_up_to(bound) == list(sympy.primerange(2, bound + 1)), bound
+        # each call returns a list of its own
+        primes_up_to(10).append(11)
+        assert primes_up_to(10) == [2, 3, 5, 7]
 
     def test_table_agrees_with_trial_division(self):
         for n in range(-znum._TABLE_BOUND, znum._TABLE_BOUND):
