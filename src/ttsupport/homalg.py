@@ -10,8 +10,9 @@ maps C^n to C^{n+1}, and the shift moves degrees down, (shift C)^n = C^{n+1}.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence
 
 from .modcalc import Cyclic, GradedModule, Module
@@ -59,6 +60,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _exact_int(x: object, where: str) -> int:
+    """x as an int if it is one exactly: an int, or an object whose
+    ``__index__`` makes one, such as an int subclass; a bool, a float or a
+    string raises ValueError naming where."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{where}: expected an integer, got {x!r}")
+
+
 _DECIMAL_CHARS = frozenset("+-0123456789")
 
 
@@ -90,13 +103,25 @@ class IntMatrix:
             raise ValueError("negative dimensions")
         if len(self.entries) != self.rows:
             raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.cols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {self.cols}")
+        if not {self.cols}.issuperset(map(len, self.entries)):
+            i, row = next((i, row) for i, row in enumerate(self.entries) if len(row) != self.cols)
+            raise ValueError(f"row {i} has {len(row)} entries, expected {self.cols}")
 
     @classmethod
     def of(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        """The matrix of rows, each an iterable of integers.
+
+        Rows of ints are taken as they are, after one type scan; otherwise
+        each entry is converted by ``__index__``, so an int subclass is read
+        as its value, and a bool, float or string raises ValueError naming
+        its row and column.
+        """
+        data = tuple(map(tuple, rows))
+        if not {int}.issuperset(map(type, chain.from_iterable(data))):
+            data = tuple(
+                tuple(_exact_int(x, f"row {i}, column {j}") for j, x in enumerate(row))
+                for i, row in enumerate(data)
+            )
         ncols = len(data[0]) if data else 0
         return cls(len(data), ncols, data)
 
@@ -104,7 +129,7 @@ class IntMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.entries)
+        return not any(map(any, self.entries))
 
     def neg(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.entries))
@@ -134,6 +159,17 @@ class IntMatrix:
                 raise ValueError(f"{where}[{i}]: expected a row of {cols} entries")
             out.append(_json_row(row, f"{where}[{i}]"))
         return cls(rows, cols, tuple(out))
+
+
+def _as_matrix(mat: IntMatrix | Iterable[Iterable[int]], what: str, n: int) -> IntMatrix:
+    """mat as an IntMatrix; a bad entry raises ValueError naming what it
+    is and its degree n."""
+    if isinstance(mat, IntMatrix):
+        return mat
+    try:
+        return IntMatrix.of(mat)
+    except ValueError as exc:
+        raise ValueError(f"{what} at degree {n}: {exc}") from None
 
 
 @value_class
@@ -278,9 +314,24 @@ def smith_factors(m: IntMatrix) -> tuple[int, ...]:
     divides D, so over Z/M it survives as itself, and M stands for a zero
     (2D rather than D, so that a factor equal to D is not taken for one).
     No entry grows past M.
+
+    Thin shapes, most of the calls that homology makes, are answered in
+    closed form: a single row or column has the gcd of its entries as its
+    one factor, and a 2 x 2 matrix has d1 = gcd of its entries and
+    d1 * d2 = |det|.
     """
     if m.rows == 0 or m.cols == 0:
         return ()
+    if m.rows == 1 or m.cols == 1:
+        g = gcd(*chain.from_iterable(m.entries))
+        return (g,) if g else ()
+    if m.rows == m.cols == 2:
+        (a, b), (c, d) = m.entries
+        g = gcd(a, b, c, d)
+        if not g:
+            return ()
+        det = abs(a * d - b * c)
+        return (g, det // g) if det else (g,)
     rank, det = _rank_and_minor(m.entries)
     if rank == 0:
         return ()
@@ -402,14 +453,19 @@ class PerfectComplex:
         ranks: Mapping[int, int],
         differentials: Mapping[int, IntMatrix | Iterable[Iterable[int]]] | None = None,
     ) -> "PerfectComplex":
-        rk = {n: r for n, r in ((int(n), int(r)) for n, r in ranks.items()) if r}
+        if not {int}.issuperset(map(type, chain(ranks, ranks.values()))):
+            ranks = {
+                _exact_int(n, "degree"): _exact_int(r, f"rank at degree {n!r}")
+                for n, r in ranks.items()
+            }
+        rk = {n: r for n, r in ranks.items() if r}
         for n, r in rk.items():
             if r < 0:
                 raise ValueError(f"rank at degree {n} is negative")
         dd: dict[int, IntMatrix] = {}
         for n, mat in (differentials or {}).items():
-            n = int(n)
-            m = mat if isinstance(mat, IntMatrix) else IntMatrix.of(mat)
+            n = _exact_int(n, "differential degree")
+            m = _as_matrix(mat, "differential", n)
             want = (rk.get(n + 1, 0), rk.get(n, 0))
             if (m.rows, m.cols) != want:
                 raise ValueError(
@@ -504,8 +560,8 @@ class ChainMap:
     ) -> "ChainMap":
         comps: dict[int, IntMatrix] = {}
         for n, mat in maps.items():
-            n = int(n)
-            m = mat if isinstance(mat, IntMatrix) else IntMatrix.of(mat)
+            n = _exact_int(n, "component degree")
+            m = _as_matrix(mat, "component", n)
             want = (dst.rank(n), src.rank(n))
             if (m.rows, m.cols) != want:
                 raise ValueError(f"component at degree {n} has shape {m.rows}x{m.cols}, expected {want}")

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -278,6 +280,140 @@ class TestSmithFactors:
         chain = (1,) * 20 + (2, 2, 6, 12, 12, 60, 360)
         m = _scrambled(rng, 34, 40, chain)
         assert within(5, lambda: smith_factors(m)) == chain
+
+
+def _thin_matrices():
+    """Every 1 x n and n x 1 matrix for n <= 4 with entries in [-3, 3]."""
+    for n in range(1, 5):
+        for row in itertools.product(range(-3, 4), repeat=n):
+            yield IntMatrix.of([row])
+            if n > 1:
+                yield IntMatrix.of([[x] for x in row])
+
+
+def _two_by_two_matrices():
+    """Every 2 x 2 matrix with entries in [-4, 4]."""
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        yield IntMatrix.of([[a, b], [c, d]])
+
+
+@functools.cache
+def _elimination_table():
+    """Each thin and 2 x 2 matrix above with its invariant factors by snf,
+    whose elimination is checked by UMV = D and shares no code with the
+    closed forms.  gcd_of_minors is no oracle here: on these shapes it is
+    the closed form itself."""
+    return [(m, snf(m).invariant_factors) for m in (*_thin_matrices(), *_two_by_two_matrices())]
+
+
+def _d2_is_det(m):
+    """A faulty closed form: d2 = |det| on a 2 x 2, where it is |det| / d1."""
+    if m.rows == m.cols == 2:
+        (a, b), (c, d) = m.entries
+        g, det = math.gcd(a, b, c, d), abs(a * d - b * c)
+        return (g, det) if det else (g,) if g else ()
+    return smith_factors(m)
+
+
+class TestClosedForms:
+    def test_shapes_are_covered(self):
+        table = _elimination_table()
+        assert len(table) == 7 + 2 * (7**2 + 7**3 + 7**4) + 9**4
+        # zero, one and two factors all occur among the 2 x 2 matrices
+        assert {len(f) for m, f in table if m.rows == m.cols == 2} == {0, 1, 2}
+
+    @pytest.mark.parametrize("form, sound", [(smith_factors, True), (_d2_is_det, False)])
+    def test_against_elimination(self, form, sound):
+        wrong = [m.entries for m, want in _elimination_table() if form(m) != want]
+        assert (not wrong) == sound, wrong[:5]
+
+    def test_thin_closed_form_runs_no_elimination(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("Bareiss pass on a closed-form shape")
+
+        monkeypatch.setattr(homalg, "_rank_and_minor", refuse)
+        assert smith_factors(IntMatrix.of([[0, -6, 4]])) == (2,)
+        assert smith_factors(IntMatrix.of([[0], [0]])) == ()
+        assert smith_factors(IntMatrix.of([[2, 4], [6, 8]])) == (2, 4)
+        assert smith_factors(IntMatrix.of([[2, 4], [1, 2]])) == (1,)
+        assert smith_factors(IntMatrix.of([[10**40, 1], [0, 10**40]])) == (1, 10**80)
+
+
+class TestIntMatrixContract:
+    def test_ragged_rows_message(self):
+        with pytest.raises(ValueError) as exc:
+            IntMatrix.of([[1, 2], [3, 4], [5]])
+        assert str(exc.value) == "row 2 has 1 entries, expected 2"
+        with pytest.raises(ValueError) as exc:
+            IntMatrix(3, 2, ((1, 2), (3, 4, 5), (6,)))
+        assert str(exc.value) == "row 1 has 3 entries, expected 2"
+
+    def test_is_zero(self):
+        assert IntMatrix(0, 3, ()).is_zero()
+        assert IntMatrix(3, 0, ((), (), ())).is_zero()
+        assert zeros(3, 4).is_zero()
+        for i in range(3):
+            for j in range(4):
+                rows = [[0] * 4 for _ in range(3)]
+                rows[i][j] = -1
+                assert not IntMatrix.of(rows).is_zero()
+
+    def test_int_subclass_entries_read_as_ints(self):
+        class Tagged(int):
+            pass
+
+        got = IntMatrix.of([[Tagged(3), 0], [Tagged(-2**70), Tagged(0)]])
+        assert got == IntMatrix.of([[3, 0], [-2**70, 0]])
+        assert {type(x) for row in got.entries for x in row} == {int}
+
+    def test_int_rows_are_taken_as_they_are(self):
+        row = (1, -2, 3)
+        assert IntMatrix.of([row]).entries[0] is row
+
+
+class TestExactConstruction:
+    """Library constructors refuse what is not exactly an integer, where
+    int() would truncate a float or read a bool as 0 or 1."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: IntMatrix.of([[2.5, True]]), "row 0, column 0: expected an integer, got 2.5"),
+            (lambda: IntMatrix.of([[2, True]]), "row 0, column 1: expected an integer, got True"),
+            (lambda: IntMatrix.of([[1], ["3"]]), "row 1, column 0: expected an integer, got '3'"),
+            (
+                lambda: PerfectComplex.of({0: 1.9, 1: 1}, {0: [[3.7]]}),
+                "rank at degree 0: expected an integer, got 1.9",
+            ),
+            (
+                lambda: PerfectComplex.of({0: 1, 1: 1}, {0: [[3.7]]}),
+                "differential at degree 0: row 0, column 0: expected an integer, got 3.7",
+            ),
+            (lambda: PerfectComplex.of({0: False, 1: 1}), "rank at degree 0: expected an integer, got False"),
+            (lambda: PerfectComplex.of({0.0: 1}), "degree: expected an integer, got 0.0"),
+            (lambda: PerfectComplex.of({True: 1}), "degree: expected an integer, got True"),
+            (
+                lambda: PerfectComplex.of({0: 1, 1: 1}, {"0": [[3]]}),
+                "differential degree: expected an integer, got '0'",
+            ),
+            (
+                lambda: ChainMap.of(unit_complex(), unit_complex(), {0: [[True]]}),
+                "component at degree 0: row 0, column 0: expected an integer, got True",
+            ),
+        ],
+    )
+    def test_inexact_input_is_refused(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_exact_integer_types_are_accepted(self):
+        class Tagged(int):
+            pass
+
+        c = PerfectComplex.of({Tagged(0): Tagged(1), 1: 1}, {Tagged(0): [[Tagged(3)]]})
+        assert c == PerfectComplex.of({0: 1, 1: 1}, {0: [[3]]})
+        assert homology(c) == GradedModule.of({1: [Cyclic.torsion(3, 1)]})
 
 
 class TestDeterminant:
