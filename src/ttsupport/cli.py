@@ -16,7 +16,7 @@ from . import balmer, supportdata, verify
 from .homalg import PerfectComplex, homology
 from .modcalc import GradedModule, kunneth
 from .report import Report
-from .znum import GENERIC, PrimeSet, SpclSubset, SpecZPoint
+from .znum import GENERIC, PrimeSet, SpclSubset, SpecZPoint, json_int
 
 
 class InputError(Exception):
@@ -84,17 +84,22 @@ def _load_catalogue(path: str) -> supportdata.Catalogue:
 def _parse_point(text: str) -> SpecZPoint:
     if text.lower() in ("generic", "0", "(0)"):
         return GENERIC
+    # json_int's decimal rule: int() would also take "1_3", " 3" or an
+    # Arabic-Indic digit
     try:
-        return SpecZPoint.closed(int(text))
+        p = json_int(text, "--point")
+    except ValueError as exc:
+        raise InputError(str(exc))
+    try:
+        return SpecZPoint.closed(p)
     except ValueError as exc:
         raise InputError(f"--point {text!r}: {exc}")
 
 
-def _parse_prime_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise InputError(f"bad prime list {text!r}")
+def _parse_prime_list(text: str, flag: str) -> list[int]:
+    """The comma-separated integers of text, by json_int's decimal rule;
+    spaces around an item are allowed, so "2, 3" is 2 and 3."""
+    return [json_int(x.strip(), flag) for x in text.split(",") if x.strip()]
 
 
 def _subset_from_args(args) -> SpclSubset:
@@ -115,9 +120,10 @@ def _subset_from_args(args) -> SpclSubset:
         return SpclSubset.whole_space()
     try:
         if args.closed is not None:
-            return SpclSubset.closed_points(PrimeSet.of(_parse_prime_list(args.closed)))
+            closed = _parse_prime_list(args.closed, "--closed")
+            return SpclSubset.closed_points(PrimeSet.of(closed))
         return SpclSubset.closed_points(
-            PrimeSet.cofinite(_parse_prime_list(args.closed_except))
+            PrimeSet.cofinite(_parse_prime_list(args.closed_except, "--closed-except"))
         )
     except ValueError as exc:
         raise InputError(str(exc))
@@ -140,12 +146,20 @@ MIN_CASES = 10
 MAX_PRIMES_BOUND = 10_000
 
 
+def _int(text: str) -> int:
+    """An argparse type: an integer by json_int's decimal rule."""
+    return json_int(text, "argument")
+
+
+_int.__name__ = "int"  # argparse names it in "invalid int value: ..."
+
+
 def _int_in(lo: int, hi: int | None = None):
     """An argparse type: an integer of at least lo, and at most hi if given."""
     limit = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
 
     def parse(text: str) -> int:
-        n = int(text)
+        n = _int(text)
         if n < lo or (hi is not None and n > hi):
             raise argparse.ArgumentTypeError(f"must be {limit}, got {n}")
         return n
@@ -400,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalogue_universal)
 
     p = sub.add_parser("verify", help="run the full property suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int, default=42)
     p.add_argument("--cases", type=_int_in(MIN_CASES), default=500)
     p.add_argument("--primes-bound", type=_int_in(2, MAX_PRIMES_BOUND), default=100)
     p.set_defaults(func=cmd_verify)

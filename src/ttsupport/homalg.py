@@ -12,11 +12,11 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, prod
-from operator import index, mul
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .modcalc import Cyclic, GradedModule, Module
-from .znum import PrimeSet, factorint, json_int, value_class
+from .znum import PrimeSet, exact_int, factorint, json_int, value_class
 
 __all__ = [
     "IntMatrix",
@@ -58,18 +58,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         g, x, y = -g, -x, -y
     return g, x, y
-
-
-def _exact_int(x: object, where: str) -> int:
-    """x as an int if it is one exactly: an int, or an object whose
-    ``__index__`` makes one, such as an int subclass; a bool, a float or a
-    string raises ValueError naming where."""
-    if not isinstance(x, bool):
-        try:
-            return index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{where}: expected an integer, got {x!r}")
 
 
 _DECIMAL_CHARS = frozenset("+-0123456789")
@@ -119,7 +107,7 @@ class IntMatrix:
         data = tuple(map(tuple, rows))
         if not {int}.issuperset(map(type, chain.from_iterable(data))):
             data = tuple(
-                tuple(_exact_int(x, f"row {i}, column {j}") for j, x in enumerate(row))
+                tuple(exact_int(x, f"row {i}, column {j}") for j, x in enumerate(row))
                 for i, row in enumerate(data)
             )
         ncols = len(data[0]) if data else 0
@@ -455,7 +443,7 @@ class PerfectComplex:
     ) -> "PerfectComplex":
         if not {int}.issuperset(map(type, chain(ranks, ranks.values()))):
             ranks = {
-                _exact_int(n, "degree"): _exact_int(r, f"rank at degree {n!r}")
+                exact_int(n, "degree"): exact_int(r, f"rank at degree {n!r}")
                 for n, r in ranks.items()
             }
         rk = {n: r for n, r in ranks.items() if r}
@@ -464,7 +452,7 @@ class PerfectComplex:
                 raise ValueError(f"rank at degree {n} is negative")
         dd: dict[int, IntMatrix] = {}
         for n, mat in (differentials or {}).items():
-            n = _exact_int(n, "differential degree")
+            n = exact_int(n, "differential degree")
             m = _as_matrix(mat, "differential", n)
             want = (rk.get(n + 1, 0), rk.get(n, 0))
             if (m.rows, m.cols) != want:
@@ -560,7 +548,7 @@ class ChainMap:
     ) -> "ChainMap":
         comps: dict[int, IntMatrix] = {}
         for n, mat in maps.items():
-            n = _exact_int(n, "component degree")
+            n = exact_int(n, "component degree")
             m = _as_matrix(mat, "component", n)
             want = (dst.rank(n), src.rank(n))
             if (m.rows, m.cols) != want:

@@ -32,6 +32,7 @@ from .znum import (
     _Interned,
     _refuse_assign,
     _refuse_delete,
+    exact_int,
     is_prime,
     json_int,
     value_class,
@@ -87,7 +88,7 @@ class Cyclic:
     Blocks are hash-consed: every constructor returns the one live block
     for ``(kind, primes, p, k)``, so equality and hashing are identity, and
     a block is validated, and its sort key computed, only when no equal
-    block is alive.
+    block is alive; that p and k are ints is tested on every call.
     """
 
     __slots__ = ("kind", "primes", "p", "k", "_sort_key", "__weakref__")
@@ -100,6 +101,10 @@ class Cyclic:
     def __new__(
         cls, kind: str, primes: PrimeSet | None = None, p: int | None = None, k: int | None = None
     ) -> "Cyclic":
+        if not (p is None or type(p) is int) or not (k is None or type(k) is int):
+            # 2.0 or True would find the live block of an equal int before
+            # validation; _check_cyclic refuses such a field whatever the kind
+            _check_cyclic(kind, primes, p, k)
         return _interned_cyclic((kind, primes, p, k))
 
     @classmethod
@@ -109,6 +114,8 @@ class Cyclic:
 
     @classmethod
     def torsion(cls, p: int, k: int) -> "Cyclic":
+        if type(p) is not int or type(k) is not int:
+            _check_cyclic("torsion", None, p, k)  # refuses them, as in __new__
         return _interned_cyclic(("torsion", None, p, k))
 
     @classmethod
@@ -214,6 +221,8 @@ class Module:
         for item in items:
             if isinstance(item, tuple):
                 c, mult = item
+                if type(mult) is not int:
+                    mult = exact_int(mult, f"multiplicity of {c}")
             else:
                 c, mult = item, 1
             if mult < 0:
@@ -265,11 +274,13 @@ class GradedModule:
 
     @classmethod
     def of(cls, data: Mapping[int, Module | Iterable[Cyclic]]) -> "GradedModule":
+        if not {int}.issuperset(map(type, data)):
+            data = {exact_int(n, "degree"): m for n, m in data.items()}
         out = []
         for n, m in data.items():
             mod = m if isinstance(m, Module) else Module.of(m)
             if not mod.is_zero():
-                out.append((int(n), mod))
+                out.append((n, mod))
         return cls(tuple(sorted(out)))
 
     @classmethod

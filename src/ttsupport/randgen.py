@@ -11,6 +11,7 @@ byte for byte.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .balmer import gamma_v, l_v
 from .homalg import ChainMap, IntMatrix, PerfectComplex, direct_sum, scalar_cone, shift, snf, unit_complex
@@ -114,6 +115,8 @@ _MAX_RANK = 4
 _ENTRY_BOUND = 9
 _SHEARS = 3
 _NONZERO_ENTRIES = tuple(x for x in range(-_ENTRY_BOUND, _ENTRY_BOUND + 1) if x != 0)
+_SHEAR_FACTORS = (-2, -1, 1, 2)
+_Z = Cyclic.free(PrimeSet.none())
 
 
 def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectComplex, GradedModule]:
@@ -124,53 +127,36 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
     """
     for _ in range(64):
         ranks: dict[int, int] = {}
-        cells = []  # ("free", d) or ("mult", d, m)
+        mults = []  # (d, dst, src, m): entry m of d^d at row dst, column src
+        homology_parts: dict[int, list[Cyclic]] = {}
+        # a cell takes the next free slot in each degree it occupies
         for _ in range(rng.randint(1, max_cells)):
             if rng.random() < 0.35:
                 d = rng.randint(_LO, _HI)
-                if ranks.get(d, 0) >= _MAX_RANK:
-                    continue
-                cells.append(("free", d, 0))
-                ranks[d] = ranks.get(d, 0) + 1
+                r = ranks.get(d, 0)
+                if r < _MAX_RANK:
+                    ranks[d] = r + 1
+                    homology_parts.setdefault(d, []).append(_Z)
             else:
                 d = rng.randint(_LO, _HI - 1)
-                if ranks.get(d, 0) >= _MAX_RANK or ranks.get(d + 1, 0) >= _MAX_RANK:
-                    continue
-                m = rng.choice(_NONZERO_ENTRIES)
-                cells.append(("mult", d, m))
-                ranks[d] = ranks.get(d, 0) + 1
-                ranks[d + 1] = ranks.get(d + 1, 0) + 1
-        if not cells:
-            continue
-        # Slot layout: positions per degree in cell order.
-        counters = {d: 0 for d in ranks}
-        diffs = {
-            d: [[0] * ranks[d] for _ in range(ranks.get(d + 1, 0))]
-            for d in ranks
-            if ranks.get(d + 1, 0)
-        }
-        homology_parts: dict[int, list[Cyclic]] = {}
-        for kind, d, m in cells:
-            if kind == "free":
-                counters[d] += 1
-                homology_parts.setdefault(d, []).append(Cyclic.free(PrimeSet.none()))
-            else:
-                src = counters[d]
-                dst = counters[d + 1]
-                counters[d] += 1
-                counters[d + 1] += 1
-                diffs[d][dst][src] = m
-                if abs(m) >= 2:
-                    homology_parts.setdefault(d + 1, []).extend(_primary_parts(m))
-        mats = {d: [row[:] for row in rows] for d, rows in diffs.items()}
-        ok = True
+                src, dst = ranks.get(d, 0), ranks.get(d + 1, 0)
+                if src < _MAX_RANK and dst < _MAX_RANK:
+                    m = rng.choice(_NONZERO_ENTRIES)
+                    ranks[d], ranks[d + 1] = src + 1, dst + 1
+                    mults.append((d, dst, src, m))
+                    if abs(m) >= 2:
+                        homology_parts.setdefault(d + 1, []).extend(_primary_parts(m))
+        mats = {d: [[0] * ranks[d] for _ in range(ranks[d + 1])] for d in ranks if d + 1 in ranks}
+        for d, dst, src, m in mults:
+            mats[d][dst][src] = m
+        degrees = list(ranks)
         for _ in range(rng.randint(0, _SHEARS)):
-            d = rng.choice(list(ranks))
+            d = rng.choice(degrees)
             r = ranks[d]
             if r < 2:
                 continue
             i, j = rng.sample(range(r), 2)
-            s = rng.choice([-2, -1, 1, 2])
+            s = rng.choice(_SHEAR_FACTORS)
             # basis change at degree d: columns of d^d, rows of d^{d-1}
             if d in mats:
                 for row in mats[d]:
@@ -178,15 +164,11 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
             if d - 1 in mats:
                 rows = mats[d - 1]
                 rows[i] = [x - s * y for x, y in zip(rows[i], rows[j])]
-        for rows in mats.values():
-            if any(abs(x) > _ENTRY_BOUND for row in rows for x in row):
-                ok = False
-                break
-        if not ok:
-            continue
-        complex_ = PerfectComplex.of(ranks, {d: m for d, m in mats.items()})
-        expected = GradedModule.of({d: Module.of(parts) for d, parts in homology_parts.items()})
-        return complex_, expected
+        every_row = chain.from_iterable(mats.values())
+        if all(-_ENTRY_BOUND <= min(row) and max(row) <= _ENTRY_BOUND for row in every_row):
+            complex_ = PerfectComplex.of(ranks, mats)
+            expected = GradedModule.of({d: Module.of(parts) for d, parts in homology_parts.items()})
+            return complex_, expected
     raise RuntimeError("failed to sample a complex within the entry bound")
 
 
@@ -204,7 +186,7 @@ def random_chain_map(rng: random.Random, a: PerfectComplex, b: PerfectComplex) -
     nvars = offset
     if nvars == 0:
         return ChainMap.of(a, b, {})
-    pos = {n: (r, c, off) for n, r, c, off in layout}
+    pos = {n: (c, off) for n, r, c, off in layout}
     rows: list[list[int]] = []
     for n in degrees:
         # d_B^n . f_n - f_{n+1} . d_A^n = 0, one row per target entry; an
@@ -214,41 +196,34 @@ def random_chain_map(rng: random.Random, a: PerfectComplex, b: PerfectComplex) -
         right = pos.get(n + 1) if da is not None else None
         if left is None and right is None:
             continue
+        da_cols = list(zip(*da.entries)) if right is not None else None
         for i in range(b.rank(n + 1)):
             for j in range(a.rank(n)):
+                # f_n and f_{n+1} have disjoint variables and each term its
+                # own variable, so no terms cancel: a zero row has none
                 row = [0] * nvars
-                touched = False
                 if left is not None:
-                    r, c, off = left
-                    for k in range(r):
-                        if db[i, k]:
-                            row[off + k * c + j] += db[i, k]
-                            touched = True
+                    c, off = left
+                    for k, x in enumerate(db.entries[i]):
+                        row[off + k * c + j] = x
                 if right is not None:
-                    r, c, off = right
-                    for k in range(c):
-                        if da[k, j]:
-                            row[off + i * c + k] -= da[k, j]
-                            touched = True
-                if touched:
+                    c, off = right
+                    for k, x in enumerate(da_cols[j]):
+                        row[off + i * c + k] = -x
+                if any(row):
                     rows.append(row)
     if not rows:
         sol = [rng.randint(-2, 2) for _ in range(nvars)]
     else:
-        m = IntMatrix.of(rows)
-        res = snf(m)
+        res = snf(IntMatrix.of(rows))
         rank = len(res.invariant_factors)
-        basis = [
-            [res.v[i, j] for i in range(nvars)] for j in range(rank, nvars)
-        ]
         sol = [0] * nvars
-        for vec in basis:
+        # the columns of v past the rank are a basis of the solution lattice
+        for vec in list(zip(*res.v.entries))[rank:]:
             coeff = rng.randint(-2, 2)
             if coeff:
                 sol = [x + coeff * y for x, y in zip(sol, vec)]
-    maps = {}
-    for n, r, c, off in layout:
-        maps[n] = [[sol[off + i * c + j] for j in range(c)] for i in range(r)]
+    maps = {n: [sol[off + i * c : off + (i + 1) * c] for i in range(r)] for n, r, c, off in layout}
     return ChainMap.of(a, b, maps)
 
 

@@ -265,15 +265,19 @@ def _members(mask: int):
         mask ^= low
 
 
-@value_class(hidden=("index",))
+@value_class
 class FiniteSpace:
     """Finite space whose specialisation order is held only as up-set
     bitmasks: bit j of up[i] is set when points[j] lies above points[i], in
-    its closure (so bit i is set too).  index[x] is the position of x."""
+    its closure (so bit i is set too)."""
 
     points: tuple
     up: tuple[int, ...]
-    index: Mapping
+
+    @cached_property
+    def index(self) -> dict:
+        """index[x] is the position of the point x."""
+        return {x: i for i, x in enumerate(self.points)}
 
     @classmethod
     def of(cls, points: Sequence, order: Iterable[tuple]) -> "FiniteSpace":
@@ -299,7 +303,7 @@ class FiniteSpace:
                 if missing:
                     z = pts[missing.bit_length() - 1]
                     raise ValueError(f"order: not transitive at ({pts[i]}, {pts[j]}, {z})")
-        return cls(pts, tuple(up), index)
+        return cls(pts, tuple(up))
 
     def is_spcl_closed(self, subset: frozenset) -> bool:
         """Whether subset, a set of points, holds every point above each of

@@ -22,6 +22,7 @@ import weakref
 from bisect import bisect_right
 from itertools import compress
 from math import gcd, isqrt
+from operator import index
 from typing import Iterable
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "v_of_point",
     "z_of_point",
     "json_int",
+    "exact_int",
     "FrozenInstanceError",
     "value_class",
 ]
@@ -53,7 +55,7 @@ def _refuse_delete(self, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def value_class(cls: type | None = None, *, hidden: tuple[str, ...] = ()):
+def value_class(cls: type) -> type:
     """Class decorator making cls an immutable value over its annotated
     fields, as ``dataclasses.dataclass(frozen=True)`` does.
 
@@ -62,9 +64,8 @@ def value_class(cls: type | None = None, *, hidden: tuple[str, ...] = ()):
     has one; ``__repr__``; ``__eq__``, true only between instances of the same
     class with equal fields; and ``__hash__``, the hash of the tuple of
     fields.  Assigning or deleting an attribute raises FrozenInstanceError.
-    A field named in hidden is taken by ``__init__`` but left out of ``==``,
-    the hash and the repr.  Fields live in the instance ``__dict__``, which
-    ``functools.cached_property``, copy and pickle use directly.
+    Fields live in the instance ``__dict__``, which ``functools.cached_property``,
+    copy and pickle use directly.
 
     The four methods are compiled from one short source per class: 2.8 ms
     for the 17 classes of this package on a 2-core Xeon, where the dataclass
@@ -72,38 +73,34 @@ def value_class(cls: type | None = None, *, hidden: tuple[str, ...] = ()):
     ``ast`` and ``dis`` it loads, another 7-9 ms.
     """
 
-    def make(cls: type) -> type:
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
-        shown = [f for f in fields if f not in hidden]
-        params = [f"{f}=_default[{f!r}]" if f in cls.__dict__ else f for f in fields]
-        body = [f"    _set(self, {f!r}, {f})" for f in fields]
-        if hasattr(cls, "__post_init__"):
-            body.append("    self.__post_init__()")
-        mine = "".join(f"self.{f}, " for f in shown)
-        same = " and ".join(f"self.{f} == other.{f}" for f in shown)
-        items = ", ".join(f"{f}={{self.{f}!r}}" for f in shown)
-        source = "\n".join([
-            f"def __init__(self, {', '.join(params)}):", *body,
-            "def __repr__(self):",
-            f"    return f'{{self.__class__.__qualname__}}({items})'",
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return {same}",
-            "    return NotImplemented",
-            "def __hash__(self):",
-            f"    return hash(({mine}))",
-        ])
-        scope = {"_set": object.__setattr__, "_default": cls.__dict__}
-        exec(source, scope)
-        for name in ("__init__", "__repr__", "__eq__", "__hash__"):
-            method = scope[name]
-            method.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
-        cls.__setattr__ = _refuse_assign
-        cls.__delattr__ = _refuse_delete
-        return cls
-
-    return make if cls is None else make(cls)
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    params = [f"{f}=_default[{f!r}]" if f in cls.__dict__ else f for f in fields]
+    body = [f"    _set(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    mine = "".join(f"self.{f}, " for f in fields)
+    same = " and ".join(f"self.{f} == other.{f}" for f in fields)
+    items = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    source = "\n".join([
+        f"def __init__(self, {', '.join(params)}):", *body,
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({items})'",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return {same}",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+    ])
+    scope = {"_set": object.__setattr__, "_default": cls.__dict__}
+    exec(source, scope)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        method = scope[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__ = _refuse_assign
+    cls.__delattr__ = _refuse_delete
+    return cls
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -305,6 +302,19 @@ def json_int(x: object, where: str) -> int:
     raise ValueError(f"{where}: expected an integer, got {x!r}")
 
 
+def exact_int(x: object, where: str) -> int:
+    """x as an int if it is one exactly: an int, or an object whose
+    ``__index__`` makes one, such as an int subclass; a bool, a float or a
+    string raises ValueError naming where.  This is the rule for integers
+    handed to the library's constructors, as json_int is for JSON."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{where}: expected an integer, got {x!r}")
+
+
 class _KeyedRef(weakref.ref):
     """A weak reference that knows its table key, as weakref.KeyedRef does,
     but is made without a call into Python code."""
@@ -361,10 +371,9 @@ class _Interned:
 
 
 def _check_primes(primes: tuple) -> None:
+    """Validate a listing of ints as strictly increasing primes."""
     prev = 1
     for p in primes:
-        if type(p) is not int:
-            raise ValueError(f"{p!r} is a {type(p).__name__}, not an int")
         if p <= prev:
             raise ValueError(f"prime list not strictly increasing at {p}")
         if not is_prime(p):
@@ -382,7 +391,8 @@ class PrimeSet:
 
     Values are hash-consed: every constructor returns the one live instance
     for ``(finite, listed)``, so equality and hashing are identity, and a
-    set is validated only when no equal one is alive.
+    set's primes are validated only when no equal set is alive; that they
+    are ints is tested on every call.
     """
 
     __slots__ = ("finite", "primes", "listed", "__weakref__")
@@ -393,7 +403,7 @@ class PrimeSet:
 
     def __new__(cls, finite: bool, primes: Iterable[int]) -> "PrimeSet":
         primes = tuple(primes)
-        out = _interned_primeset(bool(finite), frozenset(primes), primes)
+        out = _interned_primeset(bool(finite), primes, True)
         # an equal set listed out of order is not canonical: validation rejects it
         if out.primes != primes:
             _check_primes(primes)
@@ -401,7 +411,7 @@ class PrimeSet:
 
     @classmethod
     def of(cls, primes: Iterable[int] = (), finite: bool = True) -> "PrimeSet":
-        return _interned_primeset(bool(finite), frozenset(primes), None)
+        return _interned_primeset(bool(finite), tuple(primes), False)
 
     @classmethod
     def _checked(cls, finite: bool, primes: Iterable[int]) -> "PrimeSet":
@@ -534,19 +544,24 @@ class PrimeSet:
 _PRIMESETS = _Interned()
 
 
-def _interned_primeset(finite: bool, listed: frozenset, primes: tuple | None) -> PrimeSet:
-    """The live PrimeSet for (finite, listed), validated if it is new.
+def _interned_primeset(finite: bool, primes: tuple, ordered: bool) -> PrimeSet:
+    """The live PrimeSet listing primes, validated if it is new.
 
-    primes, when given, is the caller's own listing of the set: a new set is
-    validated and kept in that order, so a listing out of order is refused.
+    Each listed prime must be an int, tested before the lookup, where 2.0 or
+    True would find the live set of an equal int.  When ordered, primes is
+    the caller's own listing: a new set is validated and kept in that order,
+    so a listing out of order is refused.
     """
-    key = (finite, listed)
+    for p in primes:
+        if type(p) is not int:
+            raise ValueError(f"{p!r} is a {type(p).__name__}, not an int")
+    key = (finite, frozenset(primes))
     ref = _PRIMESETS.ref(key)
     out = ref and ref()
     if out is None:
-        ordered = tuple(sorted(listed)) if primes is None else primes
-        _check_primes(ordered)
-        out = _new_primeset(key, ordered)
+        listing = primes if ordered else tuple(sorted(key[1]))
+        _check_primes(listing)
+        out = _new_primeset(key, listing)
     return out
 
 

@@ -536,6 +536,50 @@ class TestErrors:
         assert limit in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["prime", "--point", "1_3"], "--point: expected an integer, got '1_3'"),
+            (["prime", "--point", "\u0663"], "--point: expected an integer, got '\u0663'"),
+            (["idempotent", "--point", " 3"], "--point: expected an integer, got ' 3'"),
+            (["prime", "--closed", "2,1_3"], "--closed: expected an integer, got '1_3'"),
+            (["prime", "--closed-except", "\u0663"],
+             "--closed-except: expected an integer, got '\u0663'"),
+            (["triangle-check", "--closed", "2;3"], "--closed: expected an integer, got '2;3'"),
+        ],
+        ids=["point-underscore", "point-arabic-indic", "point-space", "closed-underscore",
+             "closed-except-arabic-indic", "closed-semicolon"],
+    )
+    def test_integer_arguments_follow_the_decimal_rule(self, capsys, argv, message):
+        # int() reads all of these
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"input error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["verify", "--seed", "1_0", "--cases", "10"], "--seed", "1_0"),
+            (["verify", "--cases", "1_0"], "--cases", "1_0"),
+            (["verify", "--seed", "\u0663"], "--seed", "\u0663"),
+            (["verify", "--primes-bound", " 30"], "--primes-bound", " 30"),
+            (["prime", "--closed-except", "5", "--primes-bound", "1_00"], "--primes-bound", "1_00"),
+        ],
+        ids=["seed-underscore", "cases-underscore", "seed-arabic-indic", "bound-space",
+             "prime-bound-underscore"],
+    )
+    def test_size_arguments_follow_the_decimal_rule(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as caught:
+            within(5, lambda: main(argv))
+        assert caught.value.code == 2
+        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+    def test_prime_lists_allow_spaces_around_items(self, capsys):
+        assert run(capsys, "prime", "--closed", " 2, 3 ,") == run(capsys, "prime", "--closed", "2,3")
+        assert run(capsys, "prime", "--closed-except", "+5") == run(
+            capsys, "prime", "--closed-except", "5"
+        )
+
+    @pytest.mark.parametrize(
         "key, value, location",
         [
             ("shift", [], "shift: expected an object"),

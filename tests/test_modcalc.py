@@ -97,6 +97,47 @@ class TestCanonicalForms:
         assert GradedModule.from_json(x.to_json()) == x
 
 
+class TestExactConstruction:
+    """Module.of and GradedModule.of take degrees and multiplicities that are
+    exactly integers, where int() would truncate a float or read a string."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: GradedModule.of({1.9: [Cyclic.torsion(2, 1)]}),
+                "degree: expected an integer, got 1.9",
+            ),
+            (
+                lambda: GradedModule.of({"3": [Cyclic.torsion(2, 1)]}),
+                "degree: expected an integer, got '3'",
+            ),
+            (
+                lambda: Module.of([(Cyclic.torsion(2, 1), 1.5)]),
+                "multiplicity of Z/2: expected an integer, got 1.5",
+            ),
+            (
+                lambda: Module.of([(Cyclic.torsion(2, 1), True)]),
+                "multiplicity of Z/2: expected an integer, got True",
+            ),
+        ],
+        ids=["float-degree", "string-degree", "float-multiplicity", "bool-multiplicity"],
+    )
+    def test_inexact_input_is_refused(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_exact_integer_types_are_accepted(self):
+        class Tagged(int):
+            pass
+
+        x = GradedModule.of({Tagged(1): [(Z, Tagged(2))]})
+        assert x == GradedModule.of({1: [(Z, 2)]})
+        (n, m), = x.graded
+        assert type(n) is int and type(m.parts[0][1]) is int
+
+
 def _block_entry(kind, primes=None, p=None, k=None):
     """The live block that the table holds for this key, or None."""
     ref = modcalc._CYCLICS.ref((kind, primes, p, k))
@@ -161,6 +202,24 @@ class TestHashConsing:
         with pytest.raises(ValueError, match=message):
             Cyclic(kind, primes, p, k)
         assert len(modcalc._CYCLICS) == size
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Cyclic.torsion(2.0, True),
+            lambda: Cyclic.torsion(2, True),
+            lambda: Cyclic("torsion", None, 2.0, 1),
+            lambda: Cyclic("torsion", p=2, k=1.0),
+        ],
+        ids=["torsion-float-bool", "torsion-bool", "new-float-prime", "new-float-exponent"],
+    )
+    def test_inexact_fields_are_refused_while_an_equal_block_is_alive(self, build):
+        # 2.0 and True hash and compare equal to 2 and 1, so a lookup before
+        # the type test would hand out the live Z/2
+        alive = Cyclic.torsion(2, 1)
+        with pytest.raises(ValueError, match="^torsion block takes an integer prime and exponent$"):
+            build()
+        assert _block_entry("torsion", None, 2, 1) is alive
 
     def test_table_holds_only_live_values(self):
         gc.collect()

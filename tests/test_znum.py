@@ -331,6 +331,25 @@ class TestHashConsing:
             PrimeSet(True, (2, 3, 3))
         assert _entry(True, [2, 3]) is alive
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PrimeSet.of([2.0]),
+            lambda: PrimeSet.cofinite([2.0]),
+            lambda: PrimeSet(True, (2.0,)),
+            lambda: PrimeSet(False, (2, 2.0)),
+            lambda: PrimeSet.of([2, 2.0]),
+        ],
+        ids=["of", "cofinite", "new", "new-duplicate", "of-duplicate"],
+    )
+    def test_inexact_primes_are_refused_while_an_equal_set_is_alive(self, build):
+        # 2.0 and True hash and compare equal to 2 and 1, so a lookup before
+        # the type test would hand out the live set
+        alive = PrimeSet.of([2]), PrimeSet.cofinite([2])
+        with pytest.raises(ValueError, match="^2.0 is a float, not an int$"):
+            build()
+        assert _entry(True, [2]) is alive[0] and _entry(False, [2]) is alive[1]
+
     def test_table_holds_only_live_values(self):
         gc.collect()
         size = len(znum._PRIMESETS)
