@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, prod
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Mapping, Sequence
 
 from .modcalc import Cyclic, GradedModule, Module
@@ -259,9 +259,27 @@ def snf(m: IntMatrix) -> SNFResult:
 
 
 def _product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether a.b is zero, stopping at its first nonzero entry."""
-    cols = list(zip(*b.entries))
-    return not any(sum(map(mul, row, col)) for row in a.entries for col in cols)
+    """Whether a.b is zero, stopping at its first nonzero row.
+
+    Past four columns of b each row of a.b is tested with one product
+    (Kronecker substitution): row t of b is packed into the integer
+    P_t = sum over c of b[t][c] * 2^(w*c), so row i of a gives
+    S_i = sum over t of a[i][t] * P_t = sum over c of (a.b)[i][c] * 2^(w*c).
+    Every entry of a.b has absolute value at most a.cols * max|a| * max|b|,
+    which w makes less than 2^(w-1).  Base-2^w digits in (-2^(w-1), 2^(w-1))
+    are unique, so S_i = 0 exactly when row i of a.b is zero: the lowest
+    nonzero digit x would have to be divisible by 2^w.  The test is exact.
+    Up to four columns the entries are summed one by one, which is faster.
+    """
+    if b.cols <= 4:
+        cols = list(zip(*b.entries))
+        return not any(sum(map(mul, row, col)) for row in a.entries for col in cols)
+    top_a = max(map(abs, chain.from_iterable(a.entries)), default=0)
+    top_b = max(map(abs, chain.from_iterable(b.entries)), default=0)
+    w = (a.cols * top_a * top_b).bit_length() + 1
+    shifts = range(0, w * b.cols, w)
+    packed = [sum(map(lshift, row, shifts)) for row in b.entries]
+    return not any(sum(map(mul, row, packed)) for row in a.entries)
 
 
 def _rank_and_minor(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
@@ -345,42 +363,56 @@ def smith_factors(m: IntMatrix) -> tuple[int, ...]:
                 break
         top = rows.pop(pi)
         p = top[j]
-        while True:
-            # Clear column j with unimodular row operations.
+        if least == 1:
+            # A unit pivot clears its column in one step: each row subtracts
+            # (q / p) times the pivot row over Z/M, which stays as it is.
+            inv = pow(p, -1, mod)
             rest = []
             for row in rows:
-                q = row[j]
-                if q:
-                    if q % p == 0:
-                        f = q // p
-                        row = [(x - f * y) % mod for x, y in zip(row, top)]
-                    else:
-                        g, s, t = xgcd(p, q)
-                        a, b = p // g, q // g
-                        top, row = (
-                            [(s * x + t * y) % mod for x, y in zip(top, row)],
-                            [(a * y - b * x) % mod for x, y in zip(top, row)],
-                        )
-                        p = g
+                f = row[j] * inv % mod
+                if f:
+                    row = [(x - f * y) % mod for x, y in zip(row, top)]
                     if not any(row):
                         continue
                 rest.append(row)
             rows = rest
-            least = gcd(p, mod)
-            if least == 1 or not any(x % least for x in top):
-                break
-            # The pivot does not divide its row over Z/M: column operations
-            # put the gcd there, a proper divisor of the old one, and the
-            # column has to be cleared again.
-            for k, q in enumerate(top):
-                if q % least:
-                    g, s, t = xgcd(p, q)
-                    a, b = p // g, q // g
-                    for row in rows + [top]:
-                        x, y = row[j], row[k]
-                        row[j], row[k] = (s * x + t * y) % mod, (a * y - b * x) % mod
-                    p = g
-                    least = gcd(p, mod)
+        else:
+            while True:
+                # Clear column j with unimodular row operations.
+                rest = []
+                for row in rows:
+                    q = row[j]
+                    if q:
+                        if q % p == 0:
+                            f = q // p
+                            row = [(x - f * y) % mod for x, y in zip(row, top)]
+                        else:
+                            g, s, t = xgcd(p, q)
+                            a, b = p // g, q // g
+                            top, row = (
+                                [(s * x + t * y) % mod for x, y in zip(top, row)],
+                                [(a * y - b * x) % mod for x, y in zip(top, row)],
+                            )
+                            p = g
+                        if not any(row):
+                            continue
+                    rest.append(row)
+                rows = rest
+                least = gcd(p, mod)
+                if least == 1 or not any(x % least for x in top):
+                    break
+                # The pivot does not divide its row over Z/M: column operations
+                # put the gcd there, a proper divisor of the old one, and the
+                # column has to be cleared again.
+                for k, q in enumerate(top):
+                    if q % least:
+                        g, s, t = xgcd(p, q)
+                        a, b = p // g, q // g
+                        for row in rows + [top]:
+                            x, y = row[j], row[k]
+                            row[j], row[k] = (s * x + t * y) % mod, (a * y - b * x) % mod
+                        p = g
+                        least = gcd(p, mod)
         # The pivot divides its row and is alone in its column: drop both.
         diag.append(least)
         for row in rows:

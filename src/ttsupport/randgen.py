@@ -107,11 +107,9 @@ def _primary_parts(m: int) -> list[Cyclic]:
     return out
 
 
-# Shape of random_complex: degrees _LO.._HI, at most _MAX_RANK generators in a
-# degree, differential entries of absolute value at most _ENTRY_BOUND, and at
-# most _SHEARS basis shears.
+# Shape of random_complex: degrees _LO.._HI, differential entries of absolute
+# value at most _ENTRY_BOUND, and at most _SHEARS basis shears.
 _LO, _HI = -2, 2
-_MAX_RANK = 4
 _ENTRY_BOUND = 9
 _SHEARS = 3
 _NONZERO_ENTRIES = tuple(x for x in range(-_ENTRY_BOUND, _ENTRY_BOUND + 1) if x != 0)
@@ -133,19 +131,16 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
         for _ in range(rng.randint(1, max_cells)):
             if rng.random() < 0.35:
                 d = rng.randint(_LO, _HI)
-                r = ranks.get(d, 0)
-                if r < _MAX_RANK:
-                    ranks[d] = r + 1
-                    homology_parts.setdefault(d, []).append(_Z)
+                ranks[d] = ranks.get(d, 0) + 1
+                homology_parts.setdefault(d, []).append(_Z)
             else:
                 d = rng.randint(_LO, _HI - 1)
                 src, dst = ranks.get(d, 0), ranks.get(d + 1, 0)
-                if src < _MAX_RANK and dst < _MAX_RANK:
-                    m = rng.choice(_NONZERO_ENTRIES)
-                    ranks[d], ranks[d + 1] = src + 1, dst + 1
-                    mults.append((d, dst, src, m))
-                    if abs(m) >= 2:
-                        homology_parts.setdefault(d + 1, []).extend(_primary_parts(m))
+                m = rng.choice(_NONZERO_ENTRIES)
+                ranks[d], ranks[d + 1] = src + 1, dst + 1
+                mults.append((d, dst, src, m))
+                if abs(m) >= 2:
+                    homology_parts.setdefault(d + 1, []).extend(_primary_parts(m))
         mats = {d: [[0] * ranks[d] for _ in range(ranks[d + 1])] for d in ranks if d + 1 in ranks}
         for d, dst, src, m in mults:
             mats[d][dst][src] = m

@@ -11,7 +11,7 @@ import sympy
 
 import sample_commands
 from deadline import within
-from ttsupport import balmer, modcalc, randgen, supportdata, verify, znum
+from ttsupport import balmer, homalg, modcalc, randgen, supportdata, verify, znum
 from ttsupport.balmer import supp_object
 from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
 from ttsupport.homalg import MAX_RANK, PerfectComplex, homology, tensor_chain
@@ -768,6 +768,19 @@ class TestVerifyCommand:
         record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
         assert not record.passed
         assert record.detail.startswith("pointwise probes disagree")
+
+    def test_closed_forms_fails_when_homology_lowers_an_exponent(self, monkeypatch):
+        # the tower step reads Z/p^k off the homology of cone(Z --p^k--> Z),
+        # so a homology that finds Z/p^(k-1) fails it
+        def lowered(factor):
+            return tuple(
+                Cyclic.torsion(p, e - 1) for p, e in sorted(znum.factorint(factor).items()) if e > 1
+            )
+
+        monkeypatch.setattr(homalg, "_torsion_cyclics", lowered)
+        record = verify.check_closed_forms(verify.VerifyContext(42, MIN_CASES, 30))
+        assert record.name == "balmer.closed-forms" and not record.passed
+        assert record.detail.startswith("truncation step 2^1 has homology")
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -255,25 +256,45 @@ class TestSmithFactors:
         assert smith_factors(IntMatrix.of([[0, 0], [0, 0]])) == ()
 
     def test_forty_by_forty_is_bounded(self, monkeypatch):
+        # Every entry the elimination passes to gcd (the pivot search, so
+        # the rows left after each step) or to xgcd (a non-unit step) stays
+        # below M = 2D; M itself is passed as the modulus.  pow counts the
+        # unit pivots, each cleared in one step.
+        seen, units = [], [0]
+        real_gcd, real_xgcd = homalg.gcd, homalg.xgcd
+
+        def spy(real):
+            def spying(*args):
+                seen.extend(args)
+                return real(*args)
+
+            return spying
+
+        def unit_inverse(p, e, mod):
+            units[0] += 1
+            return pow(p, e, mod)
+
+        monkeypatch.setattr(homalg, "gcd", spy(real_gcd))
+        monkeypatch.setattr(homalg, "xgcd", spy(real_xgcd))
+        monkeypatch.setattr(homalg, "pow", unit_inverse, raising=False)
         rng = random.Random(44)
-        widest = [0]
-        real = homalg.xgcd
-
-        def spying(a, b):
-            widest[0] = max(widest[0], abs(a), abs(b))
-            return real(a, b)
-
-        monkeypatch.setattr(homalg, "xgcd", spying)
-        for _ in range(3):
-            m = IntMatrix.of([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
-            widest[0] = 0
-            factors = within(5, lambda: smith_factors(m))
+        for scale in (1, 1, 1, 2):
+            # even entries: M is even, so no entry is a unit of Z/M and the
+            # non-unit loop runs at every step
+            m = IntMatrix.of([[scale * rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
             det = abs(determinant(m))
+            seen.clear()
+            units[0] = 0
+            factors = within(5, lambda: smith_factors(m))
             assert math.prod(factors) == det != 0
             assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
-            # full rank, so D = |det m|: every entry the eliminations combine
-            # stays below M = 2D
-            assert 0 < widest[0] < 2 * det
+            # full rank, so D = |det m|
+            assert 0 < max(abs(x) for x in seen if x != 2 * det) < 2 * det
+            assert (units[0] > 0) == (scale == 1)
+        even = IntMatrix.of([[2 * rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
+        units[0] = 0
+        _assert_minor_oracle(even, smith_factors(even))
+        assert units[0] == 0
 
     def test_rank_deficient_at_forty_scale(self):
         rng = random.Random(45)
@@ -446,13 +467,40 @@ class TestProductKernel:
             assert a.mul(b) == IntMatrix(r, c, want)
 
     def test_zero_test_agrees_with_the_product(self):
+        # b.cols on both sides of the four-column rule; the last row of b is
+        # a combination of the others, and rows of a that take it back give
+        # a zero row of a.b, sometimes spoiled by one or by HIDDEN
         rng = random.Random(48)
-        for _ in range(300):
-            r, k, c = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
-            a = IntMatrix(r, k, tuple(tuple(rng.choice([0, 0, 1, -1]) for _ in range(k)) for _ in range(r)))
-            b = IntMatrix(k, c, tuple(tuple(rng.choice([0, 0, 1, -1]) for _ in range(c)) for _ in range(k)))
-            assert homalg._product_is_zero(a, b) == a.mul(b).is_zero()
+        zero_rows = 0
+        for _ in range(600):
+            r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 12)
+            bound = rng.choice([1, 9, 10**30])
+            b = [[rng.choice([0, 0, rng.randint(-bound, bound)]) for _ in range(c)] for _ in range(k)]
+            lam = [rng.randint(-3, 3) for _ in range(k - 1)]
+            if k:
+                b[-1] = [sum(map(operator.mul, lam, col)) for col in zip(*b[:-1])] if k > 1 else [0] * c
+            a = []
+            for _ in range(r):
+                if k and rng.random() < 0.6:
+                    s = rng.randint(-bound, bound)
+                    row = [s * x for x in lam] + [-s]
+                    row[rng.randrange(k)] += rng.choice([0, 0, 1, self.HIDDEN])
+                else:
+                    row = [rng.choice([0, 0, rng.randint(-bound, bound)]) for _ in range(k)]
+                a.append(row)
+            a, b = IntMatrix(r, k, tuple(map(tuple, a))), IntMatrix(k, c, tuple(map(tuple, b)))
+            product = a.mul(b)
+            zero_rows += sum(any(row) and not any(out) for row, out in zip(a.entries, product.entries))
+            assert homalg._product_is_zero(a, b) == product.is_zero()
+        assert zero_rows >= 100
         assert not homalg._product_is_zero(IntMatrix.of([[self.HIDDEN]]), IntMatrix.of([[1]]))
+        assert not homalg._product_is_zero(IntMatrix.of([[self.HIDDEN]]), IntMatrix.of([[0, 0, 0, 0, 1]]))
+        # the row (2^t, -1, 0, 0, 0) packs to zero at width t: a width too
+        # narrow for the bound, which the entry s of a raises, fails here
+        for t in range(1, 80):
+            b = IntMatrix.of([[2**t, -1, 0, 0, 0], [0] * 5])
+            for s in range(10):
+                assert not homalg._product_is_zero(IntMatrix.of([[1, 0], [0, 2**s]]), b)
 
     def test_empty_shapes(self):
         for k in (0, 1, 3):
@@ -462,6 +510,10 @@ class TestProductKernel:
             assert zeros(2, 0).mul(zeros(0, k)) == zeros(2, k)
         with pytest.raises(ValueError, match="shape mismatch"):
             zeros(2, 3).mul(zeros(2, 3))
+        # past four columns of b, where the zero test packs the rows of b
+        for k in (0, 1, 3):
+            assert homalg._product_is_zero(zeros(0, k), zeros(k, 5))
+            assert homalg._product_is_zero(zeros(k, 0), zeros(0, 6))
 
     # Nonzero, but zero modulo 2^64 and modulo the Mersenne prime 2^61 - 1:
     # a check reduced modulo either would let it pass.
@@ -472,6 +524,13 @@ class TestProductKernel:
         PerfectComplex.of({0: 1, 1: 2, 2: 1}, {0: [[a], [b]], 1: [[b, -a]]})
         with pytest.raises(ValueError, match="d twice"):
             PerfectComplex.of({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[self.HIDDEN, 5]]})
+        # five columns, so d twice is tested by packed rows
+        PerfectComplex.of({0: 5, 1: 2, 2: 1}, {0: [[a, -a, 0, 2 * a, a], [b, -b, 0, 2 * b, b]], 1: [[b, -a]]})
+        with pytest.raises(ValueError, match="^d twice is nonzero between degrees 0 and 2$"):
+            PerfectComplex.of(
+                {0: 5, 1: 2, 2: 1},
+                {0: [[a, -a, 0, 2 * a, a], [b, -b, 0, 2 * b, b]], 1: [[b + self.HIDDEN, -a]]},
+            )
 
     def test_chain_map_commutation_is_checked_exactly(self):
         a, b = 2**61 - 1, 2**64
@@ -728,17 +787,26 @@ class TestCone:
         assert nonzero >= 100
         assert h.hexdigest() == "0d1eec25c679415b478d4d178815d6f65ef1a3352cae2c866a3dd2a21c9a0c47"
 
-    def test_random_complexes_pinned(self):
+    @pytest.mark.parametrize(
+        "sizes, digest",
+        [
+            # the sizes verify draws
+            ((3, 4), "0a13054b0bd6d1ffb5a707c3ed943976e33c0387d2ee90db2616b24a5bb8ebd3"),
+            # more cells than verify draws: a degree may pass rank 4
+            ((6,), "622f1f0caa3879fe5d0a630442ad9d9c7f061f2b864f840096fae3ecd069f59e"),
+        ],
+        ids=["verify-sizes", "six-cells"],
+    )
+    def test_random_complexes_pinned(self, sizes, digest):
         # a change to the draws, their order or the cell layout changes
-        # these complexes, their homology or the generator state after them;
-        # verify draws at most 4 cells, and 6 reaches the rank cap
+        # these complexes, their homology or the generator state after them
         h = hashlib.sha256()
-        for max_cells in (3, 4, 6):
+        for max_cells in sizes:
             for seed in range(400):
                 rng = random.Random(seed)
                 c, expected = random_complex(rng, max_cells=max_cells)
                 h.update(repr((c, expected, rng.getstate())).encode())
-        assert h.hexdigest() == "eb28d4b249f482c5da0e364da1505119e9e15f06c048dfa2df019956f2b980ab"
+        assert h.hexdigest() == digest
 
     def test_random_cones_are_complexes(self):
         rng = random.Random(13)
