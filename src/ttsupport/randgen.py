@@ -34,10 +34,21 @@ __all__ = [
 ]
 
 
+# Every prime set and block that random_primeset and random_cyclic have
+# drawn, keyed by the draw: at most 352 prime sets and 352 free, 40 torsion
+# and 351 Prufer blocks.  Holding them keeps a repeated draw from rebuilding,
+# re-validating and re-interning a value that has died since it was drawn.
+_DRAWN: dict = {}
+
+
 def random_primeset(rng: random.Random) -> PrimeSet:
     """At most three of SMALL_PRIMES, as a finite or a cofinite set."""
     picked = rng.sample(SMALL_PRIMES, rng.randint(0, 3))
-    return PrimeSet.of(picked, finite=rng.random() < 0.5)
+    key = (rng.random() < 0.5, frozenset(picked))
+    out = _DRAWN.get(key)
+    if out is None:
+        out = _DRAWN[key] = PrimeSet.of(picked, finite=key[0])
+    return out
 
 
 def random_spcl(rng: random.Random) -> SpclSubset:
@@ -49,13 +60,18 @@ def random_spcl(rng: random.Random) -> SpclSubset:
 def random_cyclic(rng: random.Random) -> Cyclic:
     roll = rng.random()
     if roll < 0.34:
-        return Cyclic.free(random_primeset(rng))
-    if roll < 0.72:
-        return Cyclic.torsion(rng.choice(SMALL_PRIMES), rng.randint(1, 4))
-    fam = random_primeset(rng)
-    if fam.is_empty():
-        fam = PrimeSet.of([rng.choice(SMALL_PRIMES)])
-    return Cyclic.prufer(fam)
+        key = ("free", random_primeset(rng))
+    elif roll < 0.72:
+        key = ("torsion", None, rng.choice(SMALL_PRIMES), rng.randint(1, 4))
+    else:
+        fam = random_primeset(rng)
+        if fam.is_empty():
+            fam = PrimeSet.of([rng.choice(SMALL_PRIMES)])
+        key = ("prufer", fam)
+    out = _DRAWN.get(key)
+    if out is None:
+        out = _DRAWN[key] = Cyclic(*key)
+    return out
 
 
 def random_module(rng: random.Random) -> Module:
@@ -115,6 +131,8 @@ _SHEARS = 3
 _NONZERO_ENTRIES = tuple(x for x in range(-_ENTRY_BOUND, _ENTRY_BOUND + 1) if x != 0)
 _SHEAR_FACTORS = (-2, -1, 1, 2)
 _Z = Cyclic.free(PrimeSet.none())
+# the homology blocks of a multiplication cell, by its entry
+_CELL_PARTS = {m: tuple(_primary_parts(m)) for m in _NONZERO_ENTRIES}
 
 
 def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectComplex, GradedModule]:
@@ -126,21 +144,25 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
     for _ in range(64):
         ranks: dict[int, int] = {}
         mults = []  # (d, dst, src, m): entry m of d^d at row dst, column src
-        homology_parts: dict[int, list[Cyclic]] = {}
+        counts: dict[int, dict[Cyclic, int]] = {}  # homology blocks by degree
         # a cell takes the next free slot in each degree it occupies
         for _ in range(rng.randint(1, max_cells)):
             if rng.random() < 0.35:
                 d = rng.randint(_LO, _HI)
                 ranks[d] = ranks.get(d, 0) + 1
-                homology_parts.setdefault(d, []).append(_Z)
+                here = counts.setdefault(d, {})
+                here[_Z] = here.get(_Z, 0) + 1
             else:
                 d = rng.randint(_LO, _HI - 1)
                 src, dst = ranks.get(d, 0), ranks.get(d + 1, 0)
                 m = rng.choice(_NONZERO_ENTRIES)
                 ranks[d], ranks[d + 1] = src + 1, dst + 1
                 mults.append((d, dst, src, m))
-                if abs(m) >= 2:
-                    homology_parts.setdefault(d + 1, []).extend(_primary_parts(m))
+                parts = _CELL_PARTS[m]
+                if parts:
+                    here = counts.setdefault(d + 1, {})
+                    for c in parts:
+                        here[c] = here.get(c, 0) + 1
         mats = {d: [[0] * ranks[d] for _ in range(ranks[d + 1])] for d in ranks if d + 1 in ranks}
         for d, dst, src, m in mults:
             mats[d][dst][src] = m
@@ -162,7 +184,7 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
         every_row = chain.from_iterable(mats.values())
         if all(-_ENTRY_BOUND <= min(row) and max(row) <= _ENTRY_BOUND for row in every_row):
             complex_ = PerfectComplex.of(ranks, mats)
-            expected = GradedModule.of({d: Module.of(parts) for d, parts in homology_parts.items()})
+            expected = GradedModule(tuple((d, Module._of_counts(counts[d])) for d in sorted(counts)))
             return complex_, expected
     raise RuntimeError("failed to sample a complex within the entry bound")
 

@@ -28,8 +28,8 @@ from ttsupport.homalg import (
     cone,
     direct_sum,
     homology,
+    scalar_cone,
     shift,
-    smith_factors,
     snf,
     tensor_chain,
     unit_complex,
@@ -133,7 +133,8 @@ def test_criterion_4_closed_forms():
         # union of the cokernels of multiplication by p^k
         assert got.module_in(0).is_zero()
         for k in range(1, 9):
-            assert smith_factors(IntMatrix.of([[p**k]])) == (p**k,)
+            # the k-th truncation cone(Z --p^k--> Z), read through homology
+            assert homology(scalar_cone(p**k)) == GradedModule.of({0: [Cyclic.torsion(p, k)]})
         assert got == GradedModule.of({1: [Cyclic.prufer(PrimeSet.of([p]))]})
     import math
 
@@ -147,7 +148,8 @@ def test_criterion_4_closed_forms():
             # cokernels Z/q^k, excluded primes stay invertible at every stage
             if s.contains(q):
                 for k in (1, 2, 3, 4):
-                    assert smith_factors(IntMatrix.of([[q**k]])) == (q**k,)
+                    h = homology(scalar_cone(q**k))
+                    assert h == GradedModule.of({0: [Cyclic.torsion(q, k)]})
             else:
                 assert all(math.gcd(q, p) == 1 for p in s.up_to(100) if p != q)
             assert in_family == s.contains(q)

@@ -808,6 +808,23 @@ class TestCone:
                 h.update(repr((c, expected, rng.getstate())).encode())
         assert h.hexdigest() == digest
 
+    def test_random_complex_gives_up_past_the_entry_bound(self):
+        class Topmost(random.Random):
+            """Every draw at the top of its range: each cell multiplies by 9
+            from degree 1 to 2, and each shear doubles a row."""
+
+            def random(self):
+                return 0.99
+
+            def randint(self, a, b):
+                return b
+
+            def choice(self, seq):
+                return max(seq)
+
+        with pytest.raises(RuntimeError, match="^failed to sample a complex within the entry bound$"):
+            within(5, lambda: random_complex(Topmost(0)))
+
     def test_random_cones_are_complexes(self):
         rng = random.Random(13)
         for _ in range(40):

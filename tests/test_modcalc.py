@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import json
 import math
 import pickle
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttsupport import modcalc, znum
+from ttsupport import modcalc, randgen, znum
 from ttsupport.homalg import homology, scalar_cone, tensor_chain, unit_complex
 from ttsupport.modcalc import (
     Cyclic,
@@ -34,6 +35,7 @@ from ttsupport.randgen import (
     random_engineered_graded,
     random_graded,
     random_module,
+    random_primeset,
 )
 from ttsupport.verify import _generator_cyclics
 from ttsupport.znum import GENERIC, PointSet, PrimeSet, SpecZPoint, primes_up_to
@@ -232,6 +234,36 @@ class TestHashConsing:
         gc.collect()
         assert _block_entry("torsion", None, 7901, 5) is None
         assert (len(modcalc._CYCLICS), len(znum._PRIMESETS)) == sizes
+
+    def test_randgen_keeps_each_drawn_value_once(self):
+        # randgen holds what it has drawn, so a repeated draw finds its live
+        # value; there are 352 prime sets of at most three of its ten primes
+        rng = random.Random(11)
+        for _ in range(20000):
+            random_primeset(rng)
+            random_cyclic(rng)
+        drawn = list(randgen._DRAWN.values())
+        assert len({id(v) for v in drawn}) == len(drawn) <= 1095
+        sets = [v for v in drawn if isinstance(v, PrimeSet)]
+        assert len(sets) <= 352
+        for v in sets:
+            assert PrimeSet.of(v.primes, v.finite) is v
+        blocks = [v for v in drawn if not isinstance(v, PrimeSet)]
+        bounds = {"free": 352, "torsion": 40, "prufer": 351}
+        for kind, bound in bounds.items():
+            assert len([c for c in blocks if c.kind == kind]) <= bound
+        for c in blocks:
+            assert Cyclic(c.kind, c.primes, c.p, c.k) is c
+
+    def test_randgen_draws_pinned(self):
+        # holding drawn values must not change the draws, their order or the
+        # generator state after them
+        h = hashlib.sha256()
+        for seed in range(400):
+            rng = random.Random(seed)
+            draws = (random_primeset(rng), random_cyclic(rng), random_graded(rng))
+            h.update(repr((*draws, rng.getstate())).encode())
+        assert h.hexdigest() == "d49c468888ec54bf0e865ad03575aaab7dcd132ccb5bef9cfd337f27c3a0f147"
 
     def test_concurrent_construction_gives_one_object_per_value(self):
         """Eight threads, more than there are cores, race to build the same
