@@ -39,9 +39,10 @@ __all__ = [
 
 # The total rank that a complex read from a file may have; complexes built
 # inside the program are not bounded.  Within it the costliest input is one
-# dense 100 x 100 differential, whose Smith factors take 0.8 s on a 2-core
-# Xeon (5.4 s at 150 x 150).  Without a bound, a 43-byte file declaring rank
-# 10^8 would run for minutes and print one entry per unit of rank.
+# dense 100 x 100 differential, whose Smith factors take 0.81-0.86 s on a
+# 2-core Xeon (about 5 s at 150 x 150).  Without a bound, a 43-byte file
+# declaring rank 10^8 would run for minutes and print one entry per unit of
+# rank.
 MAX_RANK = 200
 
 
@@ -177,82 +178,100 @@ class SNFResult:
 def snf(m: IntMatrix) -> SNFResult:
     """Smith normal form with transforms: u*m*v = d, both unimodular.
 
-    One elimination runs on a single list of rows: the rows of [m | I], then
-    the m.cols rows of I (Cohen, *A Course in Computational Algebraic Number
-    Theory*, 2.4).  Row operations act on whole rows of [m | I], so they
-    carry u along; column operations act on the first m.cols entries of
-    every row, so they carry v along.
+    One elimination runs on the rows of [m | I] and on v, held as its
+    columns: vt[j] is column j of v (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4).  Row operations act on whole rows of
+    [m | I], so they carry u along; a column operation on columns j1, j2 of
+    m acts on vt[j1] and vt[j2] in the same way, so it carries v along.
+
+    At step t the rows above t are zero past column t, so a column
+    operation touches only rows t and below, and while column t is zero
+    below the pivot a divisible column step touches row t alone.
     """
     nrows, ncols = m.rows, m.cols
     a = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.entries)]
-    a += [[int(j == k) for k in range(ncols)] for j in range(ncols)]
-
-    def row_combine(i1: int, i2: int, col: int) -> None:
-        # Zero a[i2][col] using a[i1][col].
-        p, q = a[i1][col], a[i2][col]
-        if q == 0:
-            return
-        r1, r2 = a[i1], a[i2]
-        if p != 0 and q % p == 0:
-            f = -(q // p)
-            a[i2] = [x + f * y for x, y in zip(r2, r1)]
-            return
-        g, x, y = xgcd(p, q)
-        pg, qg = p // g, q // g
-        a[i1] = [x * s + y * t for s, t in zip(r1, r2)]
-        a[i2] = [-qg * s + pg * t for s, t in zip(r1, r2)]
-
-    def col_combine(j1: int, j2: int, row: int) -> None:
-        p, q = a[row][j1], a[row][j2]
-        if q == 0:
-            return
-        if p != 0 and q % p == 0:
-            f = -(q // p)
-            for r in a:
-                r[j2] += f * r[j1]
-            return
-        g, x, y = xgcd(p, q)
-        pg, qg = p // g, q // g
-        for r in a:
-            s, t = r[j1], r[j2]
-            r[j1] = x * s + y * t
-            r[j2] = -qg * s + pg * t
-
+    vt = [[int(j == k) for k in range(ncols)] for j in range(ncols)]
+    absent = float("inf")  # the pivot-search key of a zero entry
     limit = min(nrows, ncols)
     for t in range(limit):
         # Minimal-absolute-value pivot, the first in row-major order; it keeps
-        # intermediate entries tame.
-        pivots = [
-            (abs(x), i, j) for i in range(t, nrows) for j, x in enumerate(a[i][t:ncols], t) if x
-        ]
-        if not pivots:
+        # intermediate entries tame.  No entry is less than 1 in absolute value.
+        least = absent
+        for i in range(t, nrows):
+            keys = [abs(x) or absent for x in a[i][t:ncols]]
+            k = min(keys)
+            if k < least:
+                least, pi, pj = k, i, t + keys.index(k)
+                if k == 1:
+                    break
+        if least == absent:
             break
-        _, i, j = min(pivots)
-        a[t], a[i] = a[i], a[t]
-        for r in a:
-            r[t], r[j] = r[j], r[t]
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for r in a[t:]:
+                r[t], r[pj] = r[pj], r[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
         while True:
+            # Clear column t below the pivot with row operations.
             for i in range(t + 1, nrows):
-                row_combine(t, i, t)
-            if any(a[t][j] for j in range(t + 1, ncols)):
+                top, row = a[t], a[i]
+                p, q = top[t], row[t]
+                if not q:
+                    continue
+                if q % p == 0:
+                    f = -(q // p)
+                    a[i] = [x + f * y for x, y in zip(row, top)]
+                else:
+                    g, x, y = xgcd(p, q)
+                    pg, qg = p // g, q // g
+                    a[t] = [x * s + y * w for s, w in zip(top, row)]
+                    a[i] = [-qg * s + pg * w for s, w in zip(top, row)]
+            top = a[t]
+            if any(top[t + 1 : ncols]):
+                # Clear row t right of the pivot with column operations.
+                # Column t is zero below the pivot until an xgcd step.
+                clean = True
                 for j in range(t + 1, ncols):
-                    col_combine(t, j, t)
-                if any(a[i][t] for i in range(t + 1, nrows)):
+                    p, q = top[t], top[j]
+                    if not q:
+                        continue
+                    if q % p == 0:
+                        f = -(q // p)
+                        if clean:
+                            top[j] = 0
+                        else:
+                            for r in a[t:]:
+                                r[j] += f * r[t]
+                        vt[j] = [x + f * y for x, y in zip(vt[j], vt[t])]
+                    else:
+                        g, x, y = xgcd(p, q)
+                        pg, qg = p // g, q // g
+                        for r in a[t:]:
+                            s, w = r[t], r[j]
+                            r[t] = x * s + y * w
+                            r[j] = -qg * s + pg * w
+                        c1, c2 = vt[t], vt[j]
+                        vt[t] = [x * s + y * w for s, w in zip(c1, c2)]
+                        vt[j] = [-qg * s + pg * w for s, w in zip(c1, c2)]
+                        clean = False
+                if not clean and any(a[i][t] for i in range(t + 1, nrows)):
                     continue
             # Pivot must divide the rest of the submatrix for the chain.
-            pivot = a[t][t]
+            pivot = top[t]
+            if pivot == 1 or pivot == -1:  # a unit divides everything
+                break
             bad = next(
-                (i for i in range(t + 1, nrows) for j in range(t + 1, ncols) if a[i][j] % pivot),
+                (i for i in range(t + 1, nrows) if any(x % pivot for x in a[i][t + 1 : ncols])),
                 None,
             )
             if bad is None:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            a[t] = [x + y for x, y in zip(top, a[bad])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-    d = IntMatrix(nrows, ncols, tuple(tuple(r[:ncols]) for r in a[:nrows]))
-    u = IntMatrix(nrows, nrows, tuple(tuple(r[ncols:]) for r in a[:nrows]))
-    v = IntMatrix(ncols, ncols, tuple(tuple(r) for r in a[nrows:]))
+    d = IntMatrix(nrows, ncols, tuple(tuple(r[:ncols]) for r in a))
+    u = IntMatrix(nrows, nrows, tuple(tuple(r[ncols:]) for r in a))
+    v = IntMatrix(ncols, ncols, tuple(zip(*vt)))
     if u.mul(m).mul(v) != d:
         raise AssertionError("smith normal form internal check failed")
     return SNFResult(u, d, v, tuple(a[i][i] for i in range(limit) if a[i][i]))
@@ -289,10 +308,11 @@ def _rank_and_minor(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
     ``determinant`` stays a separate square-only elimination: it is the
     oracle that checks invariant factors against minors.
     """
-    # The rows not yet taken as pivots, on the columns not yet eliminated.
-    rest = list(rows)
+    # The nonzero rows not yet taken as pivots, on the columns not yet
+    # eliminated; a row that reduces to zero is dropped.
+    rest = [row for row in rows if any(row)]
     rank, prev = 0, 1
-    while rest and rest[0]:
+    while rest:
         for i, row in enumerate(rest):
             if row[0]:
                 break
@@ -304,7 +324,9 @@ def _rank_and_minor(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
         reduced = []
         for row in rest:
             q = row[0]
-            reduced.append([(x * p - q * y) // prev for x, y in zip(row[1:], tail)])
+            row = [(x * p - q * y) // prev for x, y in zip(row[1:], tail)]
+            if any(row):
+                reduced.append(row)
         rest = reduced
         prev = p
         rank += 1
@@ -338,11 +360,14 @@ def smith_factors(m: IntMatrix) -> tuple[int, ...]:
             return ()
         det = abs(a * d - b * c)
         return (g, det // g) if det else (g,)
-    rank, det = _rank_and_minor(m.entries)
+    # The transpose has the same factors; the elimination runs on its rows,
+    # so it costs less on the side with fewer of them.
+    entries = m.entries if m.rows <= m.cols else tuple(zip(*m.entries))
+    rank, det = _rank_and_minor(entries)
     if rank == 0:
         return ()
     mod = 2 * det
-    rows = [row for row in ([x % mod for x in r] for r in m.entries) if any(row)]
+    rows = [row for row in ([x % mod for x in r] for r in entries) if any(row)]
     diag = []
     while rows:
         if len(rows) == 1:

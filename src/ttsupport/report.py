@@ -46,9 +46,6 @@ class Report:
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.passed and not r.advisory]
 
-    def advisories(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.passed and r.advisory]
-
     def merged(self, other: "Report") -> "Report":
         return Report(self.records + other.records)
 

@@ -191,10 +191,14 @@ def check_tensor_commutes(ctx: VerifyContext) -> CheckRecord:
     rng = ctx.rng("tensor-comm")
     failures = []
     for _ in range(ctx.cases // 10):
-        a, _ = randgen.random_complex(rng, max_cells=3)
-        b, _ = randgen.random_complex(rng, max_cells=3)
-        if homology(tensor_chain(a, b)) != homology(tensor_chain(b, a)):
-            failures.append("graded commutativity failed")
+        a, ha = randgen.random_complex(rng, max_cells=3)
+        b, hb = randgen.random_complex(rng, max_cells=3)
+        # both orders against the Kunneth product of the cells' homology
+        rhs = kunneth(ha, hb)
+        for order, x, y in (("a, b", a, b), ("b, a", b, a)):
+            lhs = homology(tensor_chain(x, y))
+            if lhs != rhs:
+                failures.append(f"tensor({order}): {lhs} != {rhs}")
     return _record("homalg.tensor-commutes", failures, ctx.cases // 10)
 
 

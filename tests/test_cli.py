@@ -11,11 +11,11 @@ import sympy
 
 import sample_commands
 from deadline import within
-from ttsupport import balmer, homalg, modcalc, randgen, supportdata, verify, znum
+from ttsupport import randgen, supportdata, verify, znum
 from ttsupport.balmer import supp_object
 from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
 from ttsupport.homalg import MAX_RANK, PerfectComplex, homology, tensor_chain
-from ttsupport.modcalc import Cyclic, GradedModule, Module, kunneth
+from ttsupport.modcalc import Cyclic, GradedModule, kunneth
 from ttsupport.supportdata import five_object_model
 from ttsupport.znum import _MR_PROVEN_BOUND, PrimeSet, SpclSubset, primes_up_to
 
@@ -729,58 +729,6 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--seed", "42")
         assert code == 0
         assert out.encode("utf-8") == GOLDEN_VERIFY_DEFAULT.read_bytes()
-
-    @pytest.mark.parametrize("probe", ["thick_membership", "tau_loc"])
-    def test_sigma_tau_fails_on_a_wrong_membership_probe(self, capsys, monkeypatch, probe):
-        monkeypatch.setattr(balmer, probe, lambda *args: True)
-        code, out, _ = run(
-            capsys, "--format", "json", "verify", "--cases", str(MIN_CASES), "--primes-bound", "30"
-        )
-        assert code == 1
-        failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
-        assert failed == ["17.balmer.sigma-tau-roundtrips"]
-
-    def test_supp_agreement_fails_when_homology_drops_torsion(self, monkeypatch):
-        # supp_object and the pointwise probes both read the wrong homology,
-        # so only the support of the homology known from the cells can tell
-        real = verify.homology
-
-        def torsion_free(c):
-            h = real(c)
-            return GradedModule.of(
-                {n: [b for b in h.module_in(n).cyclics() if b.kind != "torsion"] for n in h.degrees()}
-            )
-
-        monkeypatch.setattr(verify, "homology", torsion_free)
-        record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
-        assert not record.passed
-        assert record.detail.startswith("abstract vs homological support differ")
-
-    def test_supp_agreement_fails_when_localize_point_ignores_torsion(self, monkeypatch):
-        # homology over Z has only Z and Z/p^k blocks, so ignoring torsion
-        # is the blind spot of localize_point that this check can see
-        real = modcalc.localize_point
-
-        def blind(x, m):
-            return real(x, Module(tuple(cm for cm in m.parts if cm[0].kind != "torsion")))
-
-        monkeypatch.setattr(modcalc, "localize_point", blind)
-        record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
-        assert not record.passed
-        assert record.detail.startswith("pointwise probes disagree")
-
-    def test_closed_forms_fails_when_homology_lowers_an_exponent(self, monkeypatch):
-        # the tower step reads Z/p^k off the homology of cone(Z --p^k--> Z),
-        # so a homology that finds Z/p^(k-1) fails it
-        def lowered(factor):
-            return tuple(
-                Cyclic.torsion(p, e - 1) for p, e in sorted(znum.factorint(factor).items()) if e > 1
-            )
-
-        monkeypatch.setattr(homalg, "_torsion_cyclics", lowered)
-        record = verify.check_closed_forms(verify.VerifyContext(42, MIN_CASES, 30))
-        assert record.name == "balmer.closed-forms" and not record.passed
-        assert record.detail.startswith("truncation step 2^1 has homology")
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -155,6 +155,18 @@ def test_snf_transforms_pinned():
     assert digest == SNF_CORPUS_DIGEST
 
 
+def test_entry_growth_is_bounded():
+    # A guard against blow-up, not a timing: snf on the shape of the
+    # dense-homology snf ops and smith_factors on a dense 60 x 60 matrix
+    # each take well under a second.
+    for m in _snf_corpus()[-4:]:
+        assert len(within(5, lambda: snf(m)).invariant_factors) == 12
+    rng = random.Random(60)
+    m = IntMatrix.of([[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)])
+    factors = within(5, lambda: smith_factors(m))
+    assert math.prod(factors) == abs(determinant(m)) != 0
+
+
 def _assert_minor_oracle(m, factors):
     """factors is the divisibility chain whose prefix products are the gcds
     of the k x k minors, and the rank is the number of factors."""
@@ -202,14 +214,21 @@ def _scrambled(rng, rows, cols, chain):
     return IntMatrix.of(a)
 
 
+def _transpose(m):
+    return IntMatrix(m.cols, m.rows, tuple(tuple(row[j] for row in m.entries) for j in range(m.cols)))
+
+
 class TestSmithFactors:
     """The modular smith_factors against snf with transforms and against the
-    minor-gcd oracle, neither of which shares code with it."""
+    minor-gcd oracle, neither of which shares code with it.  Each matrix is
+    also checked transposed: it has the same factors, and smith_factors
+    eliminates on the transpose of a matrix with more rows than columns."""
 
     def check(self, m):
         got = smith_factors(m)
         assert got == snf(m).invariant_factors, m.entries
         _assert_minor_oracle(m, got)
+        assert smith_factors(_transpose(m)) == got, m.entries
 
     def test_random_up_to_six(self):
         rng = random.Random(20261018)
@@ -227,6 +246,22 @@ class TestSmithFactors:
             if r * c > 25:
                 r = min(r, 4)
             self.check(_low_rank(rng, r, c, rng.randint(0, min(r, c)), rng.choice([3, 9])))
+
+    def test_tall_rank_deficient_with_dead_rows_and_columns(self):
+        # Tall, so eliminated on the transpose; a repeated row or column
+        # reduces to zero part-way through the Bareiss pass, on either path.
+        rng = random.Random(46)
+        for _ in range(60):
+            c = rng.randint(2, 5)
+            r = rng.randint(c + 1, 8)
+            m = _low_rank(rng, r, c, rng.randint(1, c - 1), rng.choice([3, 9]))
+            rows = [list(row) for row in m.entries]
+            i, k = rng.randrange(r), rng.randrange(r)
+            rows[k] = [rng.choice([-2, 1, 3]) * x for x in rows[i]]
+            j, l = rng.randrange(c), rng.randrange(c)
+            for row in rows:
+                row[l] = -row[j]
+            self.check(IntMatrix.of(rows))
 
     def test_single_rows_and_columns(self):
         rng = random.Random(42)
