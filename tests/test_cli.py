@@ -242,34 +242,6 @@ class TestCommands:
         assert out == ""
         assert err.startswith(f"input error: {path}: {message}")
 
-    @pytest.mark.parametrize(
-        "key, value, location",
-        [
-            ("sigma", {"0": [], "U": "pq", "A": ["p"], "B": ["q"], "S": ["p", "q"]},
-             "sigma.U: expected a list of point names"),
-            ("order", [["p", "q"], ["p", "q", "p"]], "order[1]: expected a pair of point names"),
-            ("points", "pq", "points: expected a list of point names"),
-        ],
-        ids=["sigma-string", "order-triple", "points-string"],
-    )
-    def test_catalogue_universal_rejects_a_malformed_datum(
-        self, capsys, samples, tmp_path, key, value, location
-    ):
-        datum = {
-            "points": ["p", "q"],
-            "order": [],
-            "sigma": {"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"], "S": ["p", "q"]},
-            key: value,
-        }
-        path = tmp_path / "datum.json"
-        path.write_text(json.dumps(datum))
-        code, out, err = run(
-            capsys, "catalogue-universal", samples["model5"], "--datum", str(path)
-        )
-        assert code == 2
-        assert out == ""
-        assert err == f"input error: {path}: {location}\n"
-
     def test_catalogue_universal_with_a_long_chain_datum(self, capsys, samples, tmp_path):
         # checking transitivity pair by pair of pairs took minutes here
         points = [f"x{i}" for i in range(300)]
@@ -369,6 +341,142 @@ class TestTensor:
         code, out, _ = within(5, lambda: run(capsys, "--format", "json", "tensor", *paths))
         assert code == 0
         assert json.loads(out)["tensor-homology"] == kunneth(*expected).to_json()
+
+
+def _model5(**changes):
+    """The five-object model's catalogue file with the given keys replaced,
+    or removed where the value is None."""
+    data = five_object_model().to_json()
+    data.update(changes)
+    return {key: value for key, value in data.items() if value is not None}
+
+
+def _datum(**changes):
+    """A support datum file for the five-object model with the given keys
+    replaced, or removed where the value is None."""
+    data = {
+        "points": ["p", "q"],
+        "order": [],
+        "sigma": {"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"], "S": ["p", "q"]},
+    }
+    data.update(changes)
+    return {key: value for key, value in data.items() if value is not None}
+
+
+# how each reader is run on a file; "points" has no command, so PointSet.from_json
+# is called with the file's JSON and its path
+READERS = {
+    "complex": ["homology"],
+    "module": ["support", "--object"],
+    "subset": ["idempotent", "--subset"],
+    "points": None,
+    "catalogue": ["catalogue-spc"],
+    "datum": ["catalogue-universal", str(ROOT / "samples" / "model5.json"), "--datum"],
+}
+
+_ONE = {"0": 1, "1": 1}
+_Z2 = {"kind": "torsion", "p": "2", "k": 1}
+_TABLE = {name: {"A": "A", "B": "A"} for name in ("A", "B")}
+
+# Every message of the file readers: the reader, the file's JSON, and what
+# follows the file's path in the message.
+MALFORMED = [
+    pytest.param("complex", [1], ": expected an object with 'ranks'", id="complex-list"),
+    pytest.param("complex", {"differentials": {}}, ": expected an object with 'ranks'",
+                 id="complex-no-ranks"),
+    pytest.param("complex", {"ranks": [1]}, ".ranks: expected an object", id="ranks-list"),
+    pytest.param("complex", {"ranks": {"x": 1}}, ".ranks.x: expected an integer, got 'x'",
+                 id="rank-key"),
+    pytest.param("complex", {"ranks": {"0": -1}}, ": rank at degree 0 is negative",
+                 id="rank-negative"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": [[["2"]]]},
+                 ".differentials: expected an object", id="differentials-list"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": {"x": [["2"]]}},
+                 ".differentials.x: expected an integer, got 'x'", id="differential-key"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": {"0": "2"}},
+                 ".differentials.0: expected a list of rows", id="matrix-string"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": {"0": [["2"], ["3"]]}},
+                 ".differentials.0: expected 1 rows, got 2", id="matrix-rows"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": {"0": [["1", "2"]]}},
+                 ".differentials.0[0]: expected a row of 1 entries", id="matrix-columns"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": {"0": ["2"]}},
+                 ".differentials.0[0]: expected a row of 1 entries", id="matrix-row-string"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": {"0": [[None]]}},
+                 ".differentials.0[0][0]: expected an integer, got None", id="matrix-null"),
+    pytest.param("complex", {"ranks": {"0": 1, "1": 1, "2": 1},
+                             "differentials": {"0": [["1"]], "1": [["1"]]}},
+                 ": d twice is nonzero between degrees 0 and 2", id="d-twice"),
+    pytest.param("module", [_Z2], ": expected a degree-keyed object", id="module-list"),
+    pytest.param("module", {"x": [_Z2]}, ".x: expected an integer, got 'x'", id="degree-key"),
+    pytest.param("module", {"0": _Z2}, ".0: expected a list of cyclics", id="degree-object"),
+    pytest.param("module", {"0": ["Z/2"]}, ".0[0]: expected an object", id="cyclic-string"),
+    pytest.param("module", {"0": [{"kind": "cyclic"}]},
+                 ".0[0].kind: expected 'free', 'torsion' or 'prufer'", id="cyclic-kind"),
+    pytest.param("module", {"0": [{"kind": "torsion", "p": "4", "k": 1}]}, ".0[0]: 4 is not prime",
+                 id="torsion-composite"),
+    pytest.param("module", {"0": [{"kind": "torsion", "p": "2", "k": 0}]},
+                 ".0[0]: torsion exponent must be >= 1", id="torsion-exponent"),
+    pytest.param("module", {"0": [{"kind": "torsion", "p": "2"}]},
+                 ".0[0].k: expected an integer, got None", id="torsion-no-exponent"),
+    pytest.param("module", {"0": [{"kind": "free", "invert": ["2"]}]},
+                 ".0[0].invert: expected an object", id="primeset-list"),
+    pytest.param("module", {"0": [{"kind": "free", "invert": {"mode": "some"}}]},
+                 ".0[0].invert.mode: expected 'finite' or 'cofinite'", id="primeset-mode"),
+    pytest.param("module", {"0": [{"kind": "free", "invert": {"mode": "finite", "primes": "2"}}]},
+                 ".0[0].invert.primes: expected a list", id="primeset-string"),
+    pytest.param("module", {"0": [{"kind": "prufer", "primes": {"mode": "finite",
+                                                                 "primes": ["1"]}}]},
+                 ".0[0].primes.primes: prime list not strictly increasing at 1",
+                 id="primeset-order"),
+    pytest.param("module", {"0": [{"kind": "prufer", "primes": {"mode": "cofinite",
+                                                                 "primes": ["9"]}}]},
+                 ".0[0].primes.primes: 9 is not prime", id="primeset-composite"),
+    pytest.param("subset", [], ": expected an object", id="subset-list"),
+    pytest.param("subset", {"kind": "open"}, ".kind: expected 'all' or 'closed'",
+                 id="subset-kind"),
+    pytest.param("subset", {"kind": "closed", "primes": ["2"]}, ".primes: expected an object",
+                 id="subset-primes-list"),
+    pytest.param("subset", {"kind": "closed", "primes": {"mode": "finite", "primes": ["x"]}},
+                 ".primes.primes[0]: expected an integer, got 'x'", id="subset-prime"),
+    pytest.param("points", "all", ": expected an object", id="points-string"),
+    pytest.param("points", {"generic": "yes", "closed": {"mode": "finite", "primes": []}},
+                 ".generic: expected a boolean", id="points-generic"),
+    pytest.param("points", {"generic": True, "closed": []}, ".closed: expected an object",
+                 id="points-closed-list"),
+    pytest.param("catalogue", [], ": expected an object", id="catalogue-list"),
+    pytest.param("catalogue", _model5(zero=None), ".zero: missing", id="catalogue-no-zero"),
+    pytest.param("catalogue", _model5(objects="0UABS"), ".objects: expected a list of object names",
+                 id="objects-string"),
+    pytest.param("catalogue", _model5(shift=[]), ".shift: expected an object", id="shift-list"),
+    pytest.param("catalogue", _model5(tensor=[]), ".tensor: expected an object", id="tensor-list"),
+    pytest.param("catalogue", _model5(tensor={**_model5()["tensor"], "A": ["0"]}),
+                 ".tensor.A: expected an object", id="tensor-row-list"),
+    pytest.param("catalogue", _model5(summands=[["S", "A"], ["U"]]),
+                 ".summands[1]: expected a pair of object names", id="summand-single"),
+    pytest.param("catalogue", _model5(summands="SA"), ".summands: expected a list",
+                 id="summands-string"),
+    pytest.param("catalogue", _model5(triangles=[["A", "S"]]),
+                 ".triangles[0]: expected a triple of object names", id="triangle-pair"),
+    pytest.param("catalogue", _model5(zero="Z"), ".zero: unknown object 'Z'", id="zero-unknown"),
+    pytest.param("catalogue", {"objects": ["A", "B"], "zero": "A", "unit": "B", "tensor": _TABLE},
+                 ".tensor: unit not neutral at B", id="tensor-unit"),
+    pytest.param("datum", [], ": expected an object", id="datum-list"),
+    pytest.param("datum", _datum(points="pq"), ": points: expected a list of point names",
+                 id="points-string"),
+    pytest.param("datum", _datum(order=[["p", "q"], ["p", "q", "p"]]),
+                 ": order[1]: expected a pair of point names", id="order-triple"),
+    pytest.param("datum", _datum(order=[["p", "r"]]), ": order: unknown point in pair (p, r)",
+                 id="order-unknown"),
+    pytest.param("datum", _datum(sigma={"0": [], "U": "pq", "A": ["p"], "B": ["q"], "S": ["p"]}),
+                 ": sigma.U: expected a list of point names", id="sigma-string"),
+    pytest.param("datum", _datum(sigma={"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"]}),
+                 ": sigma missing object 'S'", id="sigma-missing"),
+    pytest.param("datum", _datum(sigma={"0": [], "U": ["p"], "A": ["r"], "B": [], "S": []}),
+                 ": sigma[2]: r is not a point of the space", id="sigma-unknown"),
+    pytest.param("datum", _datum(order=[["p", "q"]],
+                                 sigma={"0": [], "U": ["p"], "A": [], "B": [], "S": []}),
+                 ": sigma[1]: value is not specialisation closed", id="sigma-not-closed"),
+]
 
 
 class TestErrors:
@@ -579,27 +687,19 @@ class TestErrors:
             capsys, "prime", "--closed-except", "5"
         )
 
-    @pytest.mark.parametrize(
-        "key, value, location",
-        [
-            ("shift", [], "shift: expected an object"),
-            ("tensor", [], "tensor: expected an object"),
-            ("summands", [["S", "A"], ["U"]], "summands[1]: expected a pair of object names"),
-            ("summands", "SA", "summands: expected a list"),
-            ("triangles", [["A", "S"]], "triangles[0]: expected a triple of object names"),
-        ],
-        ids=["shift-list", "tensor-list", "summand-single", "summands-string",
-             "triangle-pair"],
-    )
-    def test_malformed_catalogue_is_rejected(self, capsys, tmp_path, key, value, location):
-        data = five_object_model().to_json()
-        data[key] = value
-        path = tmp_path / "catalogue.json"
-        path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "catalogue-spc", str(path))
+    @pytest.mark.parametrize("reader, payload, message", MALFORMED)
+    def test_malformed_input_is_rejected(self, capsys, tmp_path, reader, payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        if READERS[reader] is None:
+            with pytest.raises(ValueError) as caught:
+                znum.PointSet.from_json(payload, str(path))
+            assert str(caught.value) == f"{path}{message}"
+            return
+        code, out, err = run(capsys, *READERS[reader], str(path))
         assert code == 2
         assert out == ""
-        assert err == f"input error: {path}.{location}\n"
+        assert err == f"input error: {path}{message}\n"
 
     def test_primes_bound_at_the_limit_runs(self, capsys):
         code, out, _ = within(
