@@ -16,6 +16,7 @@ from . import balmer, supportdata, verify
 from .homalg import PerfectComplex, homology
 from .modcalc import GradedModule, kunneth
 from .report import Report
+from .supportdata import Catalogue, CatalogueError, SupportDatum
 from .znum import GENERIC, PrimeSet, SpclSubset, SpecZPoint, json_int
 
 
@@ -24,13 +25,29 @@ class InputError(Exception):
 
 
 def _load_json(path: str) -> object:
+    """The JSON of the file at path; a file unreadable, not UTF-8 or not JSON is bad input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: nested too deeply")
+
+
+def _read(reader, data: object, where: str, *args):
+    """reader(data, *args, where): the one place where the ValueError of a
+    reader, which names where (the file or flag of data), is bad input."""
+    try:
+        return reader(data, *args, where)
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def _is_complex(data: object) -> bool:
@@ -39,12 +56,9 @@ def _is_complex(data: object) -> bool:
 
 def _to_object(data: object, path: str) -> GradedModule:
     """A graded module as it is, or a complex taken up to homology."""
-    try:
-        if _is_complex(data):
-            return _homology(PerfectComplex.from_json(data, path), path)
-        return GradedModule.from_json(data, path)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    if _is_complex(data):
+        return _homology(_read(PerfectComplex.from_json, data, path), path)
+    return _read(GradedModule.from_json, data, path)
 
 
 def _load_object(path: str) -> GradedModule:
@@ -62,21 +76,11 @@ def _homology(c: PerfectComplex, where: str) -> GradedModule:
         raise InputError(f"{where}: homology: {exc}")
 
 
-def _load_complex(path: str) -> PerfectComplex:
-    try:
-        return PerfectComplex.from_json(_load_json(path), path)
-    except ValueError as exc:
-        raise InputError(str(exc))
-
-
-def _load_catalogue(path: str) -> supportdata.Catalogue:
-    try:
-        cat = supportdata.Catalogue.from_json(_load_json(path), path)
-    except supportdata.CatalogueError as exc:
-        raise InputError(str(exc))
+def _load_catalogue(path: str) -> Catalogue:
+    cat = _read(Catalogue.from_json, _load_json(path), path)
     try:
         cat.ideals  # enumerated here, so that more than MAX_IDEALS is bad input
-    except supportdata.CatalogueError as exc:
+    except CatalogueError as exc:
         raise InputError(f"{path}: {exc}")
     return cat
 
@@ -86,47 +90,31 @@ def _parse_point(text: str) -> SpecZPoint:
         return GENERIC
     # json_int's decimal rule: int() would also take "1_3", " 3" or an
     # Arabic-Indic digit
-    try:
-        p = json_int(text, "--point")
-    except ValueError as exc:
-        raise InputError(str(exc))
+    p = _read(json_int, text, "--point")
     try:
         return SpecZPoint.closed(p)
     except ValueError as exc:
         raise InputError(f"--point {text!r}: {exc}")
 
 
-def _parse_prime_list(text: str, flag: str) -> list[int]:
-    """The comma-separated integers of text, by json_int's decimal rule;
+def _parse_primes(text: str, finite: bool, flag: str) -> PrimeSet:
+    """The primes listed in text, comma-separated by json_int's decimal rule;
     spaces around an item are allowed, so "2, 3" is 2 and 3."""
-    return [json_int(x.strip(), flag) for x in text.split(",") if x.strip()]
+    return PrimeSet.of([json_int(x.strip(), flag) for x in text.split(",") if x.strip()], finite)
 
 
 def _subset_from_args(args) -> SpclSubset:
-    picked = [
-        args.subset is not None,
-        bool(args.all),
-        args.closed is not None,
-        args.closed_except is not None,
-    ]
-    if sum(picked) != 1:
+    given = [args.subset, args.closed, args.closed_except]
+    if args.all + sum(x is not None for x in given) != 1:
         raise InputError("give exactly one of --subset, --all, --closed, --closed-except")
     if args.subset is not None:
-        try:
-            return SpclSubset.from_json(_load_json(args.subset), args.subset)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        return _read(SpclSubset.from_json, _load_json(args.subset), args.subset)
     if args.all:
         return SpclSubset.whole_space()
-    try:
-        if args.closed is not None:
-            closed = _parse_prime_list(args.closed, "--closed")
-            return SpclSubset.closed_points(PrimeSet.of(closed))
-        return SpclSubset.closed_points(
-            PrimeSet.cofinite(_parse_prime_list(args.closed_except, "--closed-except"))
-        )
-    except ValueError as exc:
-        raise InputError(str(exc))
+    if args.closed is not None:
+        return SpclSubset.closed_points(_read(_parse_primes, args.closed, "--closed", True))
+    excluded = _read(_parse_primes, args.closed_except, "--closed-except", False)
+    return SpclSubset.closed_points(excluded)
 
 
 def _add_subset_flags(p: argparse.ArgumentParser) -> None:
@@ -183,7 +171,8 @@ def _emit_report(args, title: str, report: Report) -> int:
 
 
 def cmd_homology(args) -> int:
-    h = _homology(_load_complex(args.complex), args.complex)
+    c = _read(PerfectComplex.from_json, _load_json(args.complex), args.complex)
+    h = _homology(c, args.complex)
     _emit(args, [str(h)], {"homology": h.to_json()})
     return 0
 
@@ -285,38 +274,12 @@ def cmd_catalogue_spc(args) -> int:
     return 0
 
 
-def _load_datum(path: str, cat: supportdata.Catalogue) -> supportdata.SupportDatum:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: expected an object")
-    try:
-        points = data["points"]
-        if not isinstance(points, list):
-            raise InputError(f"{path}: points: expected a list of point names")
-        order = []
-        for i, pair in enumerate(data.get("order", [])):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InputError(f"{path}: order[{i}]: expected a pair of point names")
-            order.append(tuple(pair))
-        space = supportdata.FiniteSpace.of(points, order)
-        sigma_raw = data["sigma"]
-        sigma = []
-        for name in cat.objects:
-            if name not in sigma_raw:
-                raise InputError(f"{path}: sigma missing object {name!r}")
-            if not isinstance(sigma_raw[name], list):
-                raise InputError(f"{path}: sigma.{name}: expected a list of point names")
-            sigma.append(frozenset(sigma_raw[name]))
-        return supportdata.SupportDatum.of(space, sigma)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: malformed datum ({exc})")
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
-
-
 def cmd_catalogue_universal(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    datum = _load_datum(args.datum, cat) if args.datum else supportdata.spc_support(cat)
+    if args.datum:
+        datum = _read(SupportDatum.from_json, _load_json(args.datum), args.datum, cat.objects)
+    else:
+        datum = supportdata.spc_support(cat)
     axioms = supportdata.check_axioms(datum, cat)
     if not axioms.passed:
         return _emit_report(args, "catalogue-universal", axioms)

@@ -16,7 +16,9 @@ from operator import lshift, mul
 from typing import Iterable, Mapping, Sequence
 
 from .modcalc import Cyclic, GradedModule, Module
-from .znum import PrimeSet, exact_int, factorint, json_int, value_class
+from .znum import (
+    PrimeSet, exact_int, factorint, json_degrees, json_int, json_items, json_shape, value_class,
+)
 
 __all__ = [
     "IntMatrix",
@@ -138,16 +140,10 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, data: object, rows: int, cols: int, where: str = "matrix") -> "IntMatrix":
-        if not isinstance(data, list):
-            raise ValueError(f"{where}: expected a list of rows")
-        if len(data) != rows:
+        if len(json_shape(data, list, where, "a list of rows")) != rows:
             raise ValueError(f"{where}: expected {rows} rows, got {len(data)}")
-        out = []
-        for i, row in enumerate(data):
-            if not isinstance(row, list) or len(row) != cols:
-                raise ValueError(f"{where}[{i}]: expected a row of {cols} entries")
-            out.append(_json_row(row, f"{where}[{i}]"))
-        return cls(rows, cols, tuple(out))
+        json_items(data, list, where, f"a row of {cols} entries", cols)
+        return cls(rows, cols, tuple([_json_row(r, f"{where}[{i}]") for i, r in enumerate(data)]))
 
 
 def _as_matrix(mat: IntMatrix | Iterable[Iterable[int]], what: str, n: int) -> IntMatrix:
@@ -558,29 +554,18 @@ class PerfectComplex:
 
     @classmethod
     def from_json(cls, data: object, where: str = "complex") -> "PerfectComplex":
-        if not isinstance(data, dict) or "ranks" not in data:
-            raise ValueError(f"{where}: expected an object with 'ranks'")
-        raw_ranks = data["ranks"]
-        if not isinstance(raw_ranks, dict):
-            raise ValueError(f"{where}.ranks: expected an object")
+        json_shape(data, dict, where, "an object with 'ranks'", key="ranks")
         ranks = {}
         total = 0
-        for key, val in raw_ranks.items():
-            at = f"{where}.ranks.{key}"
-            n = json_int(key, at)
+        for n, at, val in json_degrees(data["ranks"], f"{where}.ranks"):
             ranks[n] = json_int(val, at)
             total += ranks[n]
             if total > MAX_RANK:
                 raise ValueError(f"{at}: total rank {total} exceeds the bound {MAX_RANK}")
-        diffs = {}
-        raw_diffs = data.get("differentials", {})
-        if not isinstance(raw_diffs, dict):
-            raise ValueError(f"{where}.differentials: expected an object")
-        for key, val in raw_diffs.items():
-            n = json_int(key, f"{where}.differentials.{key}")
-            diffs[n] = IntMatrix.from_json(
-                val, ranks.get(n + 1, 0), ranks.get(n, 0), f"{where}.differentials.{key}"
-            )
+        diffs = {
+            n: IntMatrix.from_json(val, ranks.get(n + 1, 0), ranks.get(n, 0), at)
+            for n, at, val in json_degrees(data.get("differentials", {}), f"{where}.differentials")
+        }
         try:
             return cls.of(ranks, diffs)
         except ValueError as exc:

@@ -34,7 +34,9 @@ from .znum import (
     _refuse_delete,
     exact_int,
     is_prime,
+    json_degrees,
     json_int,
+    json_shape,
     value_class,
 )
 
@@ -53,6 +55,11 @@ __all__ = [
 ]
 
 _KIND_ORDER = {"free": 0, "torsion": 1, "prufer": 2}
+
+# A torsion order from this bound up prints as p^k: Python converts no more
+# digits by default, and p^k from a file can be too large to compute at all.
+_PRINT_BOUND = 10**4300
+_PRINT_BITS = _PRINT_BOUND.bit_length()
 
 
 def _check_cyclic(kind: str, primes: PrimeSet | None, p: int | None, k: int | None) -> None:
@@ -148,7 +155,11 @@ class Cyclic:
                 return "Z[" + ",".join(f"1/{p}" for p in self.primes.primes) + "]"
             return "Z_(" + ",".join(str(p) for p in self.primes.primes) + ")"
         if self.kind == "torsion":
-            return f"Z/{self.p ** self.k}"
+            p, k = self.p, self.k
+            # p^k >= 2^(k (b - 1)) for p of b bits: the first test bounds the second
+            if k * (p.bit_length() - 1) < _PRINT_BITS and (q := p**k) < _PRINT_BOUND:
+                return f"Z/{q}"
+            return f"Z/{p}^{k}"
         if self.primes.is_all():
             return "Q/Z"
         if self.primes.finite:
@@ -165,21 +176,19 @@ class Cyclic:
 
     @classmethod
     def from_json(cls, data: object, where: str = "cyclic") -> "Cyclic":
-        if not isinstance(data, dict):
-            raise ValueError(f"{where}: expected an object")
-        kind = data.get("kind")
-        if kind == "free":
-            return cls.free(PrimeSet.from_json(data.get("invert"), f"{where}.invert"))
+        kind = json_shape(data, dict, where).get("kind")
         if kind == "torsion":
-            p = json_int(data.get("p"), f"{where}.p")
-            k = json_int(data.get("k"), f"{where}.k")
-            try:
-                return cls.torsion(p, k)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-        if kind == "prufer":
-            return cls.prufer(PrimeSet.from_json(data.get("primes"), f"{where}.primes"))
-        raise ValueError(f"{where}.kind: expected 'free', 'torsion' or 'prufer'")
+            p, k = json_int(data.get("p"), f"{where}.p"), json_int(data.get("k"), f"{where}.k")
+            key = (kind, None, p, k)
+        elif kind == "free" or kind == "prufer":
+            field = "invert" if kind == "free" else "primes"
+            key = (kind, PrimeSet.from_json(data.get(field), f"{where}.{field}"), None, None)
+        else:
+            raise ValueError(f"{where}.kind: expected 'free', 'torsion' or 'prufer'")
+        try:
+            return _interned_cyclic(key)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 _CYCLICS = _Interned()
@@ -322,17 +331,13 @@ class GradedModule:
 
     @classmethod
     def from_json(cls, data: object, where: str = "object") -> "GradedModule":
-        if not isinstance(data, dict):
-            raise ValueError(f"{where}: expected a degree-keyed object")
-        out: dict[int, Module] = {}
-        for key, val in data.items():
-            n = json_int(key, f"{where}.{key}")
-            if not isinstance(val, list):
-                raise ValueError(f"{where}.{key}: expected a list of cyclics")
-            out[n] = Module.of(
-                Cyclic.from_json(item, f"{where}.{key}[{i}]") for i, item in enumerate(val)
+        return cls.of({
+            n: Module.of(
+                Cyclic.from_json(item, f"{at}[{i}]")
+                for i, item in enumerate(json_shape(val, list, at, "a list of cyclics"))
             )
-        return cls.of(out)
+            for n, at, val in json_degrees(data, where, "a degree-keyed object")
+        })
 
 
 def _one(c: Cyclic) -> Module:

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .report import CheckRecord, Report, check
-from .znum import value_class
+from .znum import json_items, json_shape, value_class
 
 __all__ = [
     "CatalogueError",
@@ -219,42 +219,33 @@ class Catalogue:
 
     @classmethod
     def from_json(cls, data: object, where: str = "catalogue") -> "Catalogue":
-        if not isinstance(data, dict):
-            raise CatalogueError(f"{where}: expected an object")
-        for key in ("objects", "zero", "unit", "tensor"):
-            if key not in data:
-                raise CatalogueError(f"{where}.{key}: missing")
-        if not isinstance(data["objects"], list):
-            raise CatalogueError(f"{where}.objects: expected a list of object names")
-        shift, tensor = data.get("shift"), data["tensor"]
-        if shift is not None and not isinstance(shift, dict):
-            raise CatalogueError(f"{where}.shift: expected an object")
-        if not isinstance(tensor, dict):
-            raise CatalogueError(f"{where}.tensor: expected an object")
-        for a, row in tensor.items():
-            if not isinstance(row, dict):
-                raise CatalogueError(f"{where}.tensor.{a}: expected an object")
-        for key, arity, shape in (("summands", 2, "pair"), ("triangles", 3, "triple")):
-            entries = data.get(key, [])
-            if not isinstance(entries, list):
-                raise CatalogueError(f"{where}.{key}: expected a list")
-            for i, entry in enumerate(entries):
-                if not isinstance(entry, list) or len(entry) != arity:
-                    raise CatalogueError(f"{where}.{key}[{i}]: expected a {shape} of object names")
         try:
+            json_shape(data, dict, where)
+            for key in ("objects", "zero", "unit", "tensor"):
+                if key not in data:
+                    raise ValueError(f"{where}.{key}: missing")
+            json_shape(data["objects"], list, f"{where}.objects", "a list of object names")
+            shift = data.get("shift")
+            if shift is not None:
+                json_shape(shift, dict, f"{where}.shift")
+            at = f"{where}.tensor"
+            tensor = json_items(json_shape(data["tensor"], dict, at), dict, at)
+            summands, triangles = (
+                json_items(
+                    json_shape(data.get(key, []), list, f"{where}.{key}"),
+                    list, f"{where}.{key}", f"a {shape} of object names", arity,
+                )
+                for key, arity, shape in (("summands", 2, "pair"), ("triangles", 3, "triple"))
+            )
             return cls.of(
-                data["objects"],
-                data["zero"],
-                data["unit"],
-                tensor,
-                shift,
-                data.get("summands", []),
-                data.get("triangles", []),
+                data["objects"], data["zero"], data["unit"], tensor, shift, summands, triangles
             )
         except (TypeError, KeyError) as exc:
             raise CatalogueError(f"{where}: malformed table ({exc})") from None
         except CatalogueError as exc:
             raise CatalogueError(f"{where}.{exc}") from None
+        except ValueError as exc:  # a shape, whose message names its location
+            raise CatalogueError(str(exc)) from None
 
 
 def _members(mask: int):
@@ -333,6 +324,29 @@ class SupportDatum:
             if not space.is_spcl_closed(s):
                 raise ValueError(f"sigma[{i}]: value is not specialisation closed")
         return cls(space, values)
+
+    @classmethod
+    def from_json(cls, data: object, objects: Sequence, where: str = "datum") -> "SupportDatum":
+        """The datum of a JSON file for a catalogue of the given objects: point
+        names, order pairs [x, y] (y in the closure of x), and sigma."""
+        json_shape(data, dict, where)
+        try:
+            points = json_shape(data["points"], list, "points", "a list of point names")
+            # list(): a string or an object is checked as what iterating it gives
+            order = list(data.get("order", []))
+            json_items(order, list, "order", "a pair of point names", 2)
+            space = FiniteSpace.of(points, order)
+            sigma = json_shape(data["sigma"], dict, "sigma")
+            for name in objects:
+                if name not in sigma:
+                    raise ValueError(f"sigma missing object {name!r}")
+            values = {name: sigma[name] for name in objects}
+            json_items(values, list, "sigma", "a list of point names")
+            return cls.of(space, values.values())
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{where}: malformed datum ({exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def _ideal_closure(c: Catalogue):

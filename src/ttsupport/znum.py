@@ -37,6 +37,9 @@ __all__ = [
     "v_of_point",
     "z_of_point",
     "json_int",
+    "json_shape",
+    "json_items",
+    "json_degrees",
     "exact_int",
     "FrozenInstanceError",
     "value_class",
@@ -302,6 +305,44 @@ def json_int(x: object, where: str) -> int:
     raise ValueError(f"{where}: expected an integer, got {x!r}")
 
 
+_SHAPES = {dict: "an object", list: "a list", bool: "a boolean"}
+
+
+def json_shape(x, kind: type, where: str, what: str | None = None, *, size=None, key=None):
+    """x if it is a kind (dict, list or bool), with size items or holding key
+    when either is given; otherwise ValueError naming where and what was
+    expected, by default the JSON name of kind."""
+    if isinstance(x, kind) and (size is None or len(x) == size) and (key is None or key in x):
+        return x
+    raise ValueError(f"{where}: expected {what or _SHAPES[kind]}")
+
+
+def json_items(xs, kind: type, where: str, what: str | None = None, size: int | None = None):
+    """xs, a list or a dict, if json_shape passes each of its items (a dict's
+    values), which one scan of their types and lengths shows in the common
+    case; otherwise json_shape's error for the first that fails."""
+    items = xs.values() if type(xs) is dict else xs
+    if {kind}.issuperset(map(type, items)) and (size is None or {size}.issuperset(map(len, items))):
+        return xs
+    names = [f".{k}" for k in xs] if type(xs) is dict else [f"[{i}]" for i in range(len(xs))]
+    for name, x in zip(names, items):
+        json_shape(x, kind, where + name, what, size=size)
+    return xs
+
+
+def json_degrees(data: object, where: str, what: str = "an object"):
+    """(n, at, value) for each key of data, a JSON object keyed by degree: n read
+    by json_int, at = where.key.  Lazy, so a caller reads each value before the
+    next key.  Two keys naming one degree ("0", "-0") raise ValueError naming both."""
+    named: dict[int, str] = {}
+    for key, value in json_shape(data, dict, where, what).items():
+        at = f"{where}.{key}"
+        n = json_int(key, at)
+        if named.setdefault(n, key) != key:
+            raise ValueError(f"{where}: keys {named[n]!r} and {key!r} both name degree {n}")
+        yield n, at, value
+
+
 def exact_int(x: object, where: str) -> int:
     """x as an int if it is one exactly: an int, or an object whose
     ``__index__`` makes one, such as an int subclass; a bool, a float or a
@@ -526,14 +567,10 @@ class PrimeSet:
 
     @classmethod
     def from_json(cls, data: object, where: str = "primeset") -> "PrimeSet":
-        if not isinstance(data, dict):
-            raise ValueError(f"{where}: expected an object")
-        mode = data.get("mode")
+        mode = json_shape(data, dict, where).get("mode")
         if mode not in ("finite", "cofinite"):
             raise ValueError(f"{where}.mode: expected 'finite' or 'cofinite'")
-        raw = data.get("primes", [])
-        if not isinstance(raw, list):
-            raise ValueError(f"{where}.primes: expected a list")
+        raw = json_shape(data.get("primes", []), list, f"{where}.primes")
         primes = [json_int(item, f"{where}.primes[{i}]") for i, item in enumerate(raw)]
         try:
             return cls.of(primes, finite=(mode == "finite"))
@@ -678,9 +715,7 @@ class SpclSubset:
 
     @classmethod
     def from_json(cls, data: object, where: str = "subset") -> "SpclSubset":
-        if not isinstance(data, dict):
-            raise ValueError(f"{where}: expected an object")
-        kind = data.get("kind")
+        kind = json_shape(data, dict, where).get("kind")
         if kind == "all":
             return cls(None)
         if kind == "closed":
@@ -759,11 +794,7 @@ class PointSet:
 
     @classmethod
     def from_json(cls, data: object, where: str = "points") -> "PointSet":
-        if not isinstance(data, dict):
-            raise ValueError(f"{where}: expected an object")
-        generic = data.get("generic")
-        if not isinstance(generic, bool):
-            raise ValueError(f"{where}.generic: expected a boolean")
+        generic = json_shape(json_shape(data, dict, where).get("generic"), bool, f"{where}.generic")
         return cls(generic, PrimeSet.from_json(data.get("closed"), f"{where}.closed"))
 
 

@@ -1,6 +1,8 @@
+import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sample_commands
 from deadline import within
@@ -24,6 +27,7 @@ GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify_seed42_cases60_primes50.txt"
 # the first prime past the bound of the proven primality test
 BEYOND_PROVEN = sympy.nextprime(_MR_PROVEN_BOUND)
 GOLDEN_VERIFY_DEFAULT = ROOT / "tests" / "golden" / "verify_seed42_cases500_primes100.txt"
+SAMPLES = ROOT / "samples"
 
 
 @pytest.fixture()
@@ -316,6 +320,28 @@ def _scrambled_complex(rng, ranks, diagonal_ranks):
     return c, GradedModule.of(parts)
 
 
+class TestLargeOrders:
+    def test_homology_prints_an_order_past_ten_to_the_4300_as_a_power(self, capsys, tmp_path):
+        # the homology in degree 1 is Z/x^2 = Z/2^28000, whose 8429 digits
+        # Python refuses to convert to decimal
+        x = str(2**14000)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(
+            {"ranks": {"0": 2, "1": 2}, "differentials": {"0": [[x, "1"], ["0", x]]}}
+        ))
+        code, out, _ = within(10, lambda: run(capsys, "homology", str(path)))
+        assert (code, out) == (0, "{1: Z/2^28000}\n")
+        code, out, _ = within(10, lambda: run(capsys, "--format", "json", "homology", str(path)))
+        assert code == 0
+        assert json.loads(out)["homology"] == {"1": [{"kind": "torsion", "p": "2", "k": 28000}]}
+
+    def test_tensor_of_a_huge_exponent_prints_without_computing_the_order(self, capsys, tmp_path):
+        path = tmp_path / "huge_exponent.json"
+        path.write_text(json.dumps({"0": [{"kind": "torsion", "p": "2", "k": "1000000000000"}]}))
+        code, out, _ = within(5, lambda: run(capsys, "tensor", str(path), str(path)))
+        assert (code, out) == (0, "{-1: Z/2^1000000000000, 0: Z/2^1000000000000}\n")
+
+
 class TestTensor:
     def test_matches_homology_of_the_total_complex(self, capsys, tmp_path):
         rng = random.Random(8)
@@ -371,7 +397,17 @@ READERS = {
     "subset": ["idempotent", "--subset"],
     "points": None,
     "catalogue": ["catalogue-spc"],
-    "datum": ["catalogue-universal", str(ROOT / "samples" / "model5.json"), "--datum"],
+    "datum": ["catalogue-universal", str(SAMPLES / "model5.json"), "--datum"],
+}
+
+# a command of each family that reads a file, given as the last argument
+FILE_COMMANDS = {
+    "homology": ["homology"],
+    "support": ["support", "--object"],
+    "tensor": ["tensor", str(SAMPLES / "mult2_complex.json")],
+    "catalogue": ["catalogue-spc"],
+    "subset": ["idempotent", "--subset"],
+    "datum": READERS["datum"],
 }
 
 _ONE = {"0": 1, "1": 1}
@@ -389,10 +425,15 @@ MALFORMED = [
                  id="rank-key"),
     pytest.param("complex", {"ranks": {"0": -1}}, ": rank at degree 0 is negative",
                  id="rank-negative"),
+    pytest.param("complex", {"ranks": {"0": 1, "-0": 1}},
+                 ".ranks: keys '0' and '-0' both name degree 0", id="rank-aliased"),
     pytest.param("complex", {"ranks": _ONE, "differentials": [[["2"]]]},
                  ".differentials: expected an object", id="differentials-list"),
     pytest.param("complex", {"ranks": _ONE, "differentials": {"x": [["2"]]}},
                  ".differentials.x: expected an integer, got 'x'", id="differential-key"),
+    pytest.param("complex", {"ranks": _ONE, "differentials": {"0": [["2"]], "00": [["3"]]}},
+                 ".differentials: keys '0' and '00' both name degree 0",
+                 id="differential-aliased"),
     pytest.param("complex", {"ranks": _ONE, "differentials": {"0": "2"}},
                  ".differentials.0: expected a list of rows", id="matrix-string"),
     pytest.param("complex", {"ranks": _ONE, "differentials": {"0": [["2"], ["3"]]}},
@@ -408,6 +449,8 @@ MALFORMED = [
                  ": d twice is nonzero between degrees 0 and 2", id="d-twice"),
     pytest.param("module", [_Z2], ": expected a degree-keyed object", id="module-list"),
     pytest.param("module", {"x": [_Z2]}, ".x: expected an integer, got 'x'", id="degree-key"),
+    pytest.param("module", {"0": [_Z2], "00": [{"kind": "torsion", "p": "3", "k": 1}]},
+                 ": keys '0' and '00' both name degree 0", id="degree-aliased"),
     pytest.param("module", {"0": _Z2}, ".0: expected a list of cyclics", id="degree-object"),
     pytest.param("module", {"0": ["Z/2"]}, ".0[0]: expected an object", id="cyclic-string"),
     pytest.param("module", {"0": [{"kind": "cyclic"}]},
@@ -418,6 +461,8 @@ MALFORMED = [
                  ".0[0]: torsion exponent must be >= 1", id="torsion-exponent"),
     pytest.param("module", {"0": [{"kind": "torsion", "p": "2"}]},
                  ".0[0].k: expected an integer, got None", id="torsion-no-exponent"),
+    pytest.param("module", {"0": [{"kind": "prufer", "primes": {"mode": "finite", "primes": []}}]},
+                 ".0[0]: empty prufer family is forbidden; omit the block", id="prufer-empty"),
     pytest.param("module", {"0": [{"kind": "free", "invert": ["2"]}]},
                  ".0[0].invert: expected an object", id="primeset-list"),
     pytest.param("module", {"0": [{"kind": "free", "invert": {"mode": "some"}}]},
@@ -438,7 +483,7 @@ MALFORMED = [
                  id="subset-primes-list"),
     pytest.param("subset", {"kind": "closed", "primes": {"mode": "finite", "primes": ["x"]}},
                  ".primes.primes[0]: expected an integer, got 'x'", id="subset-prime"),
-    pytest.param("points", "all", ": expected an object", id="points-string"),
+    pytest.param("points", "all", ": expected an object", id="pointset-string"),
     pytest.param("points", {"generic": "yes", "closed": {"mode": "finite", "primes": []}},
                  ".generic: expected a boolean", id="points-generic"),
     pytest.param("points", {"generic": True, "closed": []}, ".closed: expected an object",
@@ -447,6 +492,8 @@ MALFORMED = [
     pytest.param("catalogue", _model5(zero=None), ".zero: missing", id="catalogue-no-zero"),
     pytest.param("catalogue", _model5(objects="0UABS"), ".objects: expected a list of object names",
                  id="objects-string"),
+    pytest.param("catalogue", _model5(objects=["0", "U", "A", "B", "S", "A"]),
+                 ".objects: duplicate names", id="objects-duplicate"),
     pytest.param("catalogue", _model5(shift=[]), ".shift: expected an object", id="shift-list"),
     pytest.param("catalogue", _model5(tensor=[]), ".tensor: expected an object", id="tensor-list"),
     pytest.param("catalogue", _model5(tensor={**_model5()["tensor"], "A": ["0"]}),
@@ -461,14 +508,17 @@ MALFORMED = [
     pytest.param("catalogue", {"objects": ["A", "B"], "zero": "A", "unit": "B", "tensor": _TABLE},
                  ".tensor: unit not neutral at B", id="tensor-unit"),
     pytest.param("datum", [], ": expected an object", id="datum-list"),
+    pytest.param("datum", _datum(points=None), ": malformed datum ('points')", id="no-points"),
     pytest.param("datum", _datum(points="pq"), ": points: expected a list of point names",
-                 id="points-string"),
+                 id="datum-points-string"),
     pytest.param("datum", _datum(order=[["p", "q"], ["p", "q", "p"]]),
                  ": order[1]: expected a pair of point names", id="order-triple"),
     pytest.param("datum", _datum(order=[["p", "r"]]), ": order: unknown point in pair (p, r)",
                  id="order-unknown"),
     pytest.param("datum", _datum(sigma={"0": [], "U": "pq", "A": ["p"], "B": ["q"], "S": ["p"]}),
                  ": sigma.U: expected a list of point names", id="sigma-string"),
+    pytest.param("datum", _datum(sigma=[["p"], ["q"]]), ": sigma: expected an object",
+                 id="sigma-list"),
     pytest.param("datum", _datum(sigma={"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"]}),
                  ": sigma missing object 'S'", id="sigma-missing"),
     pytest.param("datum", _datum(sigma={"0": [], "U": ["p"], "A": ["r"], "B": [], "S": []}),
@@ -587,7 +637,7 @@ class TestErrors:
             ["homology"],
             ["support", "--object"],
             ["ltg", "--object"],
-            ["tensor", str(ROOT / "samples" / "mult2_complex.json")],
+            ["tensor", str(SAMPLES / "mult2_complex.json")],
         ],
         ids=["homology", "support", "ltg", "tensor"],
     )
@@ -687,6 +737,30 @@ class TestErrors:
             capsys, "prime", "--closed-except", "5"
         )
 
+    @pytest.mark.parametrize("command", FILE_COMMANDS.values(), ids=FILE_COMMANDS.keys())
+    def test_a_file_that_is_not_utf8_is_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: not UTF-8 (byte 5: invalid continuation byte)\n"
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS.values(), ids=FILE_COMMANDS.keys())
+    def test_a_path_that_is_not_a_readable_file_is_rejected(self, capsys, tmp_path, command):
+        # as root a file without permissions can still be read, so this
+        # takes a directory, the other OSError that open() raises
+        code, out, err = run(capsys, *command, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {tmp_path}: cannot read (Is a directory)\n"
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS.values(), ids=FILE_COMMANDS.keys())
+    def test_json_nested_past_the_recursion_limit_is_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = within(5, lambda: run(capsys, *command, str(path)))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: nested too deeply\n"
+
     @pytest.mark.parametrize("reader, payload, message", MALFORMED)
     def test_malformed_input_is_rejected(self, capsys, tmp_path, reader, payload, message):
         path = tmp_path / "input.json"
@@ -709,6 +783,81 @@ class TestErrors:
         )
         assert code == 0
         assert "point: (5)" in out
+
+
+# each sample file and commands that read it; the mutated copy takes the place of {}
+FUZZED_RUNS = [
+    ("mult2_complex.json", ["homology", "{}"]),
+    ("mult3_complex.json", ["tensor", str(SAMPLES / "mult2_complex.json"), "{}"]),
+    ("torsion_object.json", ["support", "--object", "{}"]),
+    ("torsion_object.json", ["ltg", "--object", "{}"]),
+    ("torsion_object.json", ["tensor", "{}", str(SAMPLES / "torsion_object.json")]),
+    ("rationals.json", ["classify", "--objects", str(SAMPLES / "torsion_object.json"), "{}"]),
+    ("subset_closed_2.json", ["idempotent", "--subset", "{}"]),
+    ("subset_closed_2.json", ["prime", "--subset", "{}"]),
+    ("subset_closed_2.json", ["triangle-check", "--subset", "{}"]),
+    ("model5.json", ["catalogue-spc", "{}"]),
+    ("model5.json", ["catalogue-universal", "{}"]),
+    ("nilpotent24.json", ["catalogue-spc", "{}"]),
+    ("model5_datum.json", ["catalogue-universal", str(SAMPLES / "model5.json"), "--datum", "{}"]),
+]
+# what replaces a value: a float, a bool, null, a nested list, huge and
+# negative numbers, a decimal past int()'s digit limit, and empty containers
+FUZZ_VALUES = [1.5, True, None, [[["2"]]], 10**40, "1" + "0" * 40, -7, "-7", "9" * 5000, "x",
+               {}, []]
+
+
+def _nodes(value, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, (*path, i))
+
+
+def _mutated(doc, path, how, value):
+    """A copy of doc whose value at path is replaced by value or deleted, or
+    whose container holding it gains an extra item (value) or, where its key
+    is a decimal, a second key naming the same integer ("0" and "00") with
+    the same value."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value if how == "replace" else doc
+    *head, last = path
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    if how == "replace":
+        parent[last] = value
+    elif how == "delete":
+        del parent[last]
+    elif isinstance(parent, list):
+        parent.append(value)
+    elif how == "extra key":
+        parent["extra"] = value
+    elif re.fullmatch(r"-?[0-9]+", last):
+        parent[re.sub(r"^(-?)", r"\g<1>0", last)] = parent[last]
+    return doc
+
+
+@settings(max_examples=250, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_sample_files_exit_0_1_or_2(capsys, tmp_path, data):
+    name, argv = data.draw(st.sampled_from(FUZZED_RUNS))
+    doc = json.loads((SAMPLES / name).read_text())
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    how = data.draw(st.sampled_from(["replace", "delete", "extra key", "aliased key"]))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    target = tmp_path / name
+    target.write_text(json.dumps(_mutated(doc, path, how, value)))
+    code, _, err = within(5, lambda: run(capsys, *[str(target) if a == "{}" else a for a in argv]))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("input error: ")
 
 
 class TestParserReuse:
@@ -844,7 +993,7 @@ class TestVerifyCommand:
 @pytest.fixture(params=["model5", "random"])
 def catalogue_path(request, tmp_path):
     if request.param == "model5":
-        return str(ROOT / "samples" / "model5.json")
+        return str(SAMPLES / "model5.json")
     path = tmp_path / "random.json"
     cat = supportdata.random_subset_catalogue(random.Random(7), 12)
     path.write_text(json.dumps(cat.to_json()))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deadline import within
 from ttsupport import modcalc, randgen, znum
 from ttsupport.homalg import homology, scalar_cone, tensor_chain, unit_complex
 from ttsupport.modcalc import (
@@ -90,6 +91,14 @@ class TestCanonicalForms:
             Cyclic.torsion(4, 1)
         with pytest.raises(ValueError):
             Cyclic.torsion(2, 0)
+
+    def test_orders_from_ten_to_the_4300_print_as_powers(self):
+        # 2^14284 < 10^4300 < 2^14285 and 3^9012 < 10^4300 < 3^9013
+        assert str(Cyclic.torsion(2, 14284)) == f"Z/{2**14284}"
+        assert str(Cyclic.torsion(2, 14285)) == "Z/2^14285"
+        assert str(Cyclic.torsion(3, 9012)) == f"Z/{3**9012}"
+        assert str(Cyclic.torsion(3, 9013)) == "Z/3^9013"
+        assert within(5, lambda: str(Cyclic.torsion(7, 10**12))) == "Z/7^1000000000000"
 
     def test_graded_drops_zero(self):
         assert GradedModule.of({0: [], 2: [Z]}).degrees() == [2]
