@@ -369,24 +369,18 @@ class TestTensor:
         assert json.loads(out)["tensor-homology"] == kunneth(*expected).to_json()
 
 
-def _model5(**changes):
-    """The five-object model's catalogue file with the given keys replaced,
-    or removed where the value is None."""
-    data = five_object_model().to_json()
-    data.update(changes)
-    return {key: value for key, value in data.items() if value is not None}
+def _with(data, **changes):
+    """data with the given keys replaced, or removed where the value is None."""
+    return {key: value for key, value in {**data, **changes}.items() if value is not None}
 
 
-def _datum(**changes):
-    """A support datum file for the five-object model with the given keys
-    replaced, or removed where the value is None."""
-    data = {
-        "points": ["p", "q"],
-        "order": [],
-        "sigma": {"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"], "S": ["p", "q"]},
-    }
-    data.update(changes)
-    return {key: value for key, value in data.items() if value is not None}
+_MODEL5 = five_object_model().to_json()
+# a support datum for the five-object model
+_DATUM = {
+    "points": ["p", "q"],
+    "order": [],
+    "sigma": {"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"], "S": ["p", "q"]},
+}
 
 
 # how each reader is run on a file; "points" has no command, so PointSet.from_json
@@ -489,42 +483,47 @@ MALFORMED = [
     pytest.param("points", {"generic": True, "closed": []}, ".closed: expected an object",
                  id="points-closed-list"),
     pytest.param("catalogue", [], ": expected an object", id="catalogue-list"),
-    pytest.param("catalogue", _model5(zero=None), ".zero: missing", id="catalogue-no-zero"),
-    pytest.param("catalogue", _model5(objects="0UABS"), ".objects: expected a list of object names",
-                 id="objects-string"),
-    pytest.param("catalogue", _model5(objects=["0", "U", "A", "B", "S", "A"]),
+    pytest.param("catalogue", _with(_MODEL5, zero=None), ".zero: missing", id="catalogue-no-zero"),
+    pytest.param("catalogue", _with(_MODEL5, objects="0UABS"),
+                 ".objects: expected a list of object names", id="objects-string"),
+    pytest.param("catalogue", _with(_MODEL5, objects=["0", "U", "A", "B", "S", "A"]),
                  ".objects: duplicate names", id="objects-duplicate"),
-    pytest.param("catalogue", _model5(shift=[]), ".shift: expected an object", id="shift-list"),
-    pytest.param("catalogue", _model5(tensor=[]), ".tensor: expected an object", id="tensor-list"),
-    pytest.param("catalogue", _model5(tensor={**_model5()["tensor"], "A": ["0"]}),
+    pytest.param("catalogue", _with(_MODEL5, shift=[]),
+                 ".shift: expected an object", id="shift-list"),
+    pytest.param("catalogue", _with(_MODEL5, tensor=[]),
+                 ".tensor: expected an object", id="tensor-list"),
+    pytest.param("catalogue", _with(_MODEL5, tensor={**_MODEL5["tensor"], "A": ["0"]}),
                  ".tensor.A: expected an object", id="tensor-row-list"),
-    pytest.param("catalogue", _model5(summands=[["S", "A"], ["U"]]),
+    pytest.param("catalogue", _with(_MODEL5, summands=[["S", "A"], ["U"]]),
                  ".summands[1]: expected a pair of object names", id="summand-single"),
-    pytest.param("catalogue", _model5(summands="SA"), ".summands: expected a list",
+    pytest.param("catalogue", _with(_MODEL5, summands="SA"), ".summands: expected a list",
                  id="summands-string"),
-    pytest.param("catalogue", _model5(triangles=[["A", "S"]]),
+    pytest.param("catalogue", _with(_MODEL5, triangles=[["A", "S"]]),
                  ".triangles[0]: expected a triple of object names", id="triangle-pair"),
-    pytest.param("catalogue", _model5(zero="Z"), ".zero: unknown object 'Z'", id="zero-unknown"),
+    pytest.param("catalogue", _with(_MODEL5, zero="Z"),
+                 ".zero: unknown object 'Z'", id="zero-unknown"),
     pytest.param("catalogue", {"objects": ["A", "B"], "zero": "A", "unit": "B", "tensor": _TABLE},
                  ".tensor: unit not neutral at B", id="tensor-unit"),
     pytest.param("datum", [], ": expected an object", id="datum-list"),
-    pytest.param("datum", _datum(points=None), ": malformed datum ('points')", id="no-points"),
-    pytest.param("datum", _datum(points="pq"), ": points: expected a list of point names",
+    pytest.param("datum", _with(_DATUM, points=None),
+                 ": malformed datum ('points')", id="no-points"),
+    pytest.param("datum", _with(_DATUM, points="pq"), ": points: expected a list of point names",
                  id="datum-points-string"),
-    pytest.param("datum", _datum(order=[["p", "q"], ["p", "q", "p"]]),
+    pytest.param("datum", _with(_DATUM, order=[["p", "q"], ["p", "q", "p"]]),
                  ": order[1]: expected a pair of point names", id="order-triple"),
-    pytest.param("datum", _datum(order=[["p", "r"]]), ": order: unknown point in pair (p, r)",
-                 id="order-unknown"),
-    pytest.param("datum", _datum(sigma={"0": [], "U": "pq", "A": ["p"], "B": ["q"], "S": ["p"]}),
+    pytest.param("datum", _with(_DATUM, order=[["p", "r"]]),
+                 ": order: unknown point in pair (p, r)", id="order-unknown"),
+    pytest.param("datum",
+                 _with(_DATUM, sigma={"0": [], "U": "pq", "A": ["p"], "B": ["q"], "S": ["p"]}),
                  ": sigma.U: expected a list of point names", id="sigma-string"),
-    pytest.param("datum", _datum(sigma=[["p"], ["q"]]), ": sigma: expected an object",
+    pytest.param("datum", _with(_DATUM, sigma=[["p"], ["q"]]), ": sigma: expected an object",
                  id="sigma-list"),
-    pytest.param("datum", _datum(sigma={"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"]}),
+    pytest.param("datum", _with(_DATUM, sigma={"0": [], "U": ["p", "q"], "A": ["p"], "B": ["q"]}),
                  ": sigma missing object 'S'", id="sigma-missing"),
-    pytest.param("datum", _datum(sigma={"0": [], "U": ["p"], "A": ["r"], "B": [], "S": []}),
+    pytest.param("datum", _with(_DATUM, sigma={"0": [], "U": ["p"], "A": ["r"], "B": [], "S": []}),
                  ": sigma[2]: r is not a point of the space", id="sigma-unknown"),
-    pytest.param("datum", _datum(order=[["p", "q"]],
-                                 sigma={"0": [], "U": ["p"], "A": [], "B": [], "S": []}),
+    pytest.param("datum", _with(_DATUM, order=[["p", "q"]],
+                                sigma={"0": [], "U": ["p"], "A": [], "B": [], "S": []}),
                  ": sigma[1]: value is not specialisation closed", id="sigma-not-closed"),
 ]
 
