@@ -316,41 +316,36 @@ def tau_is_prime(v: SpclSubset) -> SpecZPoint | None:
     return None
 
 
-def _witness_pair(v: SpclSubset) -> tuple[PerfectComplex, PerfectComplex] | None:
-    """Two complexes outside tau(V) whose tensor lands in it, when V is not
-    of the form Z(x)."""
-    if v.is_all:
-        return None
+def _witness_pair(v: SpclSubset) -> tuple[PerfectComplex, PerfectComplex]:
+    """Two complexes outside tau(V) whose tensor lands in it, for a proper V
+    not of the form Z(x): the cones on two primes that V leaves out."""
     missing = v.closed.complement()
     if missing.finite:
-        first_two = missing.primes[:2]
+        p, q = missing.primes[:2]
     else:
         # all primes but finitely many, so the search ends
-        first_two = tuple(islice(filter(missing.contains, count(2)), 2))
-    if len(first_two) == 2:
-        return scalar_cone(first_two[0]), scalar_cone(first_two[1])
-    return None
+        p, q = islice(filter(missing.contains, count(2)), 2)
+    return scalar_cone(p), scalar_cone(q)
 
 
-def prime_to_point(v: SpclSubset, probe_bound: int = 100) -> SpecZPoint:
+def prime_to_point(v: SpclSubset) -> SpecZPoint:
     """Recover the point from a prime coded as tau(V).
 
-    Probes n over the primes up to the bound plus the primes named in V,
-    asking which cones of multiplication land outside the subcategory; the
-    excluded n generate the recovered prime ideal of Z.
+    Probes n over the primes named in V and those up to _PROBE_BOUND, asking
+    which cones of multiplication land outside the subcategory; the excluded
+    n generate the recovered prime ideal of Z.
     """
     x = tau_is_prime(v)
     if x is None:
-        wit = _witness_pair(v)
-        if wit is not None:
-            raise NotPrimeError(
-                "coded subcategory is not prime: both cone factors lie outside "
-                "while their tensor lies inside",
-                wit,
-            )
-        raise NotPrimeError("coded subcategory is not proper, hence not prime")
+        if v.is_all:
+            raise NotPrimeError("coded subcategory is not proper, hence not prime")
+        raise NotPrimeError(
+            "coded subcategory is not prime: both cone factors lie outside "
+            "while their tensor lies inside",
+            _witness_pair(v),
+        )
     target = v.point_set()
-    probes = sorted(set(primes_up_to(probe_bound)) | set(v.closed.primes))
+    probes = sorted(set(primes_up_to(_PROBE_BOUND)) | set(v.closed.primes))
     excluded = [
         n for n in probes if not supp_object(homology(scalar_cone(n))).leq(target)
     ]

@@ -24,11 +24,23 @@ class InputError(Exception):
     pass
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice raises ValueError, where
+    json.load would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {key!r} appears twice in one object")
+    return obj
+
+
 def _load_json(path: str) -> object:
-    """The JSON of the file at path; a file unreadable, not UTF-8 or not JSON is bad input."""
+    """The JSON of the file at path; a file unreadable, not UTF-8 or not JSON,
+    or an object that gives a key twice, is bad input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except OSError as exc:
@@ -39,6 +51,8 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except RecursionError:
         raise InputError(f"{path}: nested too deeply")
+    except ValueError as exc:  # from _json_object
+        raise InputError(f"{path}: {exc}")
 
 
 def _read(reader, data: object, where: str, *args):
@@ -100,7 +114,11 @@ def _parse_point(text: str) -> SpecZPoint:
 def _parse_primes(text: str, finite: bool, flag: str) -> PrimeSet:
     """The primes listed in text, comma-separated by json_int's decimal rule;
     spaces around an item are allowed, so "2, 3" is 2 and 3."""
-    return PrimeSet.of([json_int(x.strip(), flag) for x in text.split(",") if x.strip()], finite)
+    listed = [json_int(x.strip(), flag) for x in text.split(",") if x.strip()]
+    try:
+        return PrimeSet.of(listed, finite)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _subset_from_args(args) -> SpclSubset:
@@ -129,8 +147,8 @@ def _add_subset_flags(p: argparse.ArgumentParser) -> None:
 # Below this many cases, the checks that run cases // 10 of them (tensor-commutes
 # and kunneth-laws) would run none and still report a pass.
 MIN_CASES = 10
-# --primes-bound sizes a sieve and one homology probe per prime; at this limit
-# verify takes about 2 s, at 10^6 the prime command alone takes 20 s.
+# verify's --primes-bound sets how far two checks sweep the primes: closed-forms
+# to at most 100 (its case count follows), primeset-bruteforce to at most 1000.
 MAX_PRIMES_BOUND = 10_000
 
 
@@ -242,7 +260,7 @@ def cmd_prime(args) -> int:
         return 0
     v = _subset_from_args(args)
     try:
-        x = balmer.prime_to_point(v, args.primes_bound)
+        x = balmer.prime_to_point(v)
     except balmer.NotPrimeError as exc:
         lines = [f"not prime: {exc}"]
         payload = {"prime": False, "reason": str(exc)}
@@ -364,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prime", help="point/prime dictionary in both directions")
     p.add_argument("--point", help="a prime, or 'generic'")
     _add_subset_flags(p)
-    p.add_argument("--primes-bound", type=_int_in(2, MAX_PRIMES_BOUND), default=100)
     p.set_defaults(func=cmd_prime)
 
     p = sub.add_parser("catalogue-spc", help="spectrum of a finite catalogue")

@@ -697,7 +697,11 @@ def five_object_model() -> Catalogue:
     )
 
 
-def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int = 6) -> Catalogue:
+# random_subset_catalogue draws posets on 2 to this many points.
+MAX_POSET_POINTS = 6
+
+
+def random_subset_catalogue(rng: random.Random, n_objects: int) -> Catalogue:
     """A random valid catalogue: the lattice of specialisation-closed subsets
     of a random finite poset, with intersection as tensor, unions as
     triangles and containments as summands.
@@ -712,7 +716,7 @@ def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int 
     more points with exactly n_objects.
 
     Raises ValueError when n_objects exceeds MAX_OBJECTS or when no poset on
-    2..max_points points has n_objects up-sets.
+    2..MAX_POSET_POINTS points has n_objects up-sets.
     """
     if n_objects > MAX_OBJECTS:
         raise CatalogueError(f"n_objects={n_objects} exceeds the bound {MAX_OBJECTS}")
@@ -721,7 +725,7 @@ def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int 
         npts, ups = stack.pop()
         if npts >= 2 and len(ups) == n_objects:
             break
-        if npts < max_points:
+        if npts < MAX_POSET_POINTS:
             grown = []
             for w in ups:
                 below = [u for u in ups if not u & ~w]
@@ -731,7 +735,7 @@ def random_subset_catalogue(rng: random.Random, n_objects: int, max_points: int 
             stack.extend(grown)
     else:
         raise ValueError(
-            f"n_objects={n_objects}: no poset on 2..{max_points} points has that many up-sets"
+            f"n_objects={n_objects}: no poset on 2..{MAX_POSET_POINTS} points has that many up-sets"
         )
     up_sets = [frozenset(_members(u)) for u in ups]
     up_sets.sort(key=lambda s: (len(s), sorted(s)))

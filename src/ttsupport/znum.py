@@ -322,11 +322,10 @@ def json_items(xs, kind: type, where: str, what: str | None = None, size: int | 
     values), which one scan of their types and lengths shows in the common
     case; otherwise json_shape's error for the first that fails."""
     items = xs.values() if type(xs) is dict else xs
-    if {kind}.issuperset(map(type, items)) and (size is None or {size}.issuperset(map(len, items))):
-        return xs
-    names = [f".{k}" for k in xs] if type(xs) is dict else [f"[{i}]" for i in range(len(xs))]
-    for name, x in zip(names, items):
-        json_shape(x, kind, where + name, what, size=size)
+    if {kind} != set(map(type, items)) or size is not None and {size} != set(map(len, items)):
+        names = [f".{k}" for k in xs] if type(xs) is dict else [f"[{i}]" for i in range(len(xs))]
+        for name, x in zip(names, items):
+            json_shape(x, kind, where + name, what, size=size)
     return xs
 
 
@@ -415,10 +414,10 @@ def _check_primes(primes: tuple) -> None:
     """Validate a listing of ints as strictly increasing primes."""
     prev = 1
     for p in primes:
-        if p <= prev:
-            raise ValueError(f"prime list not strictly increasing at {p}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        if p <= prev:
+            raise ValueError(f"prime list not strictly increasing at {p}")
         prev = p
 
 

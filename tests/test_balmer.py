@@ -456,6 +456,58 @@ class TestPointPrimeDictionary:
         assert tau_is_prime(closed_except()) == GENERIC
         assert tau_is_prime(closed(2, 3)) is None
 
+    def test_probe_finds_the_point_it_found_up_to_100(self):
+        # the probe once ran over the primes up to a bound, 100 by default;
+        # the primes V names and those up to 13 find the same point, and a V
+        # that is not prime gives the same message and witness as before
+        named = (2, 3, 5, 7, 101, 10007)
+        subsets = [SpclSubset.whole_space()] + [
+            make(*s)
+            for make in (closed, closed_except)
+            for r in range(len(named) + 1)
+            for s in combinations(named, r)
+        ]
+        for v in subsets:
+            if v.is_all:
+                with pytest.raises(NotPrimeError) as exc:
+                    prime_to_point(v)
+                assert (str(exc.value), exc.value.witness) == (
+                    "coded subcategory is not proper, hence not prime", None
+                )
+                continue
+            outside = [p for p in primes_up_to(10007) if not v.closed.contains(p)]
+            if len(outside) > 1:
+                with pytest.raises(NotPrimeError) as exc:
+                    prime_to_point(v)
+                assert str(exc.value) == (
+                    "coded subcategory is not prime: both cone factors lie outside "
+                    "while their tensor lies inside"
+                )
+                assert exc.value.witness == (scalar_cone(outside[0]), scalar_cone(outside[1]))
+                continue
+            target = v.point_set()
+            probes = sorted(set(primes_up_to(100)) | set(v.closed.primes))
+            excluded = [n for n in probes if not supp_object(homology(scalar_cone(n))).leq(target)]
+            want = SpecZPoint.closed(*excluded) if excluded else GENERIC
+            assert prime_to_point(v) == want == (SpecZPoint.closed(*outside) if outside else GENERIC)
+
+    @pytest.mark.parametrize(
+        "support, error, message",
+        [
+            (SpclSubset.whole_space().point_set(), NotPrimeError,
+             "probe excluded more than one prime: [2, 3, 5, 7, 11, 13]"),
+            (PointSet.empty(), AssertionError, "probe recovered (0), structure says (5)"),
+        ],
+        ids=["every-cone-outside", "no-cone-outside"],
+    )
+    def test_probe_that_disagrees_with_the_structure_raises(
+        self, monkeypatch, support, error, message
+    ):
+        monkeypatch.setattr(balmer, "supp_object", lambda x: support)
+        with pytest.raises(error) as exc:
+            prime_to_point(closed_except(5))
+        assert str(exc.value) == message
+
 
 class TestThickMembership:
     def test_four_in_two_with_witness_triangle(self):

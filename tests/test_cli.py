@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -143,6 +144,11 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "point: (5)"
 
+    def test_prime_of_the_whole_space(self, capsys):
+        code, out, _ = run(capsys, "prime", "--all")
+        assert code == 1
+        assert out == "not prime: coded subcategory is not proper, hence not prime\n"
+
     def test_prime_rejects_non_prime(self, capsys, samples):
         code, out, _ = run(capsys, "prime", "--closed", "2,3")
         assert code == 1
@@ -269,6 +275,22 @@ class TestCommands:
 def test_sample_command_matches_golden(monkeypatch, entry):
     monkeypatch.chdir(ROOT)
     assert sample_commands.run_in_process(entry["argv"]) == entry
+
+
+@pytest.mark.parametrize(
+    "module, runs",
+    [("ttsupport", "ttsupport.__main__"), ("ttsupport.cli", "ttsupport.cli")],
+    ids=["ttsupport", "ttsupport.cli"],
+)
+def test_python_m_runs_the_command_line(monkeypatch, capsys, module, runs):
+    # run in this process, as python -m would run it; runpy warns when the
+    # module it runs is already imported
+    monkeypatch.delitem(sys.modules, runs, raising=False)
+    monkeypatch.setattr(sys, "argv", [module, "prime", "--closed-except", "5"])
+    with pytest.raises(SystemExit) as caught:
+        runpy.run_module(module, run_name="__main__")
+    assert caught.value.code == 0
+    assert capsys.readouterr().out == "point: (5)\n"
 
 
 def test_golden_lists_every_sample_command():
@@ -406,10 +428,16 @@ FILE_COMMANDS = {
 
 _ONE = {"0": 1, "1": 1}
 _Z2 = {"kind": "torsion", "p": "2", "k": 1}
+_Z3 = {"kind": "torsion", "p": "3", "k": 1}
 _TABLE = {name: {"A": "A", "B": "A"} for name in ("A", "B")}
 
-# Every message of the file readers: the reader, the file's JSON, and what
-# follows the file's path in the message.
+
+class _Raw(str):
+    """A file's text as it is, for what json.dumps cannot write: a key given twice."""
+
+
+# Every message of the file readers: the reader, the file's JSON (or _Raw
+# text), and what follows the file's path in the message.
 MALFORMED = [
     pytest.param("complex", [1], ": expected an object with 'ranks'", id="complex-list"),
     pytest.param("complex", {"differentials": {}}, ": expected an object with 'ranks'",
@@ -443,8 +471,10 @@ MALFORMED = [
                  ": d twice is nonzero between degrees 0 and 2", id="d-twice"),
     pytest.param("module", [_Z2], ": expected a degree-keyed object", id="module-list"),
     pytest.param("module", {"x": [_Z2]}, ".x: expected an integer, got 'x'", id="degree-key"),
-    pytest.param("module", {"0": [_Z2], "00": [{"kind": "torsion", "p": "3", "k": 1}]},
+    pytest.param("module", {"0": [_Z2], "00": [_Z3]},
                  ": keys '0' and '00' both name degree 0", id="degree-aliased"),
+    pytest.param("module", _Raw(f'{{"0": [{json.dumps(_Z2)}], "0": [{json.dumps(_Z3)}]}}'),
+                 ": key '0' appears twice in one object", id="degree-twice"),
     pytest.param("module", {"0": _Z2}, ".0: expected a list of cyclics", id="degree-object"),
     pytest.param("module", {"0": ["Z/2"]}, ".0[0]: expected an object", id="cyclic-string"),
     pytest.param("module", {"0": [{"kind": "cyclic"}]},
@@ -465,8 +495,7 @@ MALFORMED = [
                  ".0[0].invert.primes: expected a list", id="primeset-string"),
     pytest.param("module", {"0": [{"kind": "prufer", "primes": {"mode": "finite",
                                                                  "primes": ["1"]}}]},
-                 ".0[0].primes.primes: prime list not strictly increasing at 1",
-                 id="primeset-order"),
+                 ".0[0].primes.primes: 1 is not prime", id="primeset-one"),
     pytest.param("module", {"0": [{"kind": "prufer", "primes": {"mode": "cofinite",
                                                                  "primes": ["9"]}}]},
                  ".0[0].primes.primes: 9 is not prime", id="primeset-composite"),
@@ -494,6 +523,9 @@ MALFORMED = [
                  ".tensor: expected an object", id="tensor-list"),
     pytest.param("catalogue", _with(_MODEL5, tensor={**_MODEL5["tensor"], "A": ["0"]}),
                  ".tensor.A: expected an object", id="tensor-row-list"),
+    pytest.param("catalogue", _Raw(json.dumps(_MODEL5).replace('"B": "0", "S": "A"}',
+                                                               '"B": "0", "B": "B", "S": "A"}')),
+                 ": key 'B' appears twice in one object", id="tensor-row-key-twice"),
     pytest.param("catalogue", _with(_MODEL5, summands=[["S", "A"], ["U"]]),
                  ".summands[1]: expected a pair of object names", id="summand-single"),
     pytest.param("catalogue", _with(_MODEL5, summands="SA"), ".summands: expected a list",
@@ -678,11 +710,8 @@ class TestErrors:
             (["verify", "--primes-bound", "1"], "--primes-bound", f"[2, {MAX_PRIMES_BOUND}]"),
             (["verify", "--primes-bound", "1000000000"], "--primes-bound",
              f"[2, {MAX_PRIMES_BOUND}]"),
-            (["prime", "--closed-except", "5", "--primes-bound", "1000000000"], "--primes-bound",
-             f"[2, {MAX_PRIMES_BOUND}]"),
         ],
-        ids=["cases-negative", "cases-too-few", "verify-bound-low", "verify-bound-high",
-             "prime-bound-high"],
+        ids=["cases-negative", "cases-too-few", "verify-bound-low", "verify-bound-high"],
     )
     def test_out_of_range_sizes_are_rejected(self, capsys, argv, flag, limit):
         with pytest.raises(SystemExit) as caught:
@@ -719,10 +748,8 @@ class TestErrors:
             (["verify", "--cases", "1_0"], "--cases", "1_0"),
             (["verify", "--seed", "\u0663"], "--seed", "\u0663"),
             (["verify", "--primes-bound", " 30"], "--primes-bound", " 30"),
-            (["prime", "--closed-except", "5", "--primes-bound", "1_00"], "--primes-bound", "1_00"),
         ],
-        ids=["seed-underscore", "cases-underscore", "seed-arabic-indic", "bound-space",
-             "prime-bound-underscore"],
+        ids=["seed-underscore", "cases-underscore", "seed-arabic-indic", "bound-space"],
     )
     def test_size_arguments_follow_the_decimal_rule(self, capsys, argv, flag, value):
         with pytest.raises(SystemExit) as caught:
@@ -763,7 +790,7 @@ class TestErrors:
     @pytest.mark.parametrize("reader, payload, message", MALFORMED)
     def test_malformed_input_is_rejected(self, capsys, tmp_path, reader, payload, message):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, _Raw) else json.dumps(payload))
         if READERS[reader] is None:
             with pytest.raises(ValueError) as caught:
                 znum.PointSet.from_json(payload, str(path))
@@ -774,14 +801,26 @@ class TestErrors:
         assert out == ""
         assert err == f"input error: {path}{message}\n"
 
-    def test_primes_bound_at_the_limit_runs(self, capsys):
-        code, out, _ = within(
-            10,
-            lambda: run(capsys, "prime", "--closed-except", "5", "--primes-bound",
-                        str(MAX_PRIMES_BOUND)),
-        )
-        assert code == 0
-        assert "point: (5)" in out
+    def test_prime_takes_no_primes_bound(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["prime", "--closed-except", "5", "--primes-bound", "100"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --primes-bound 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["prime", "--closed", "4"], "--closed: 4 is not prime"),
+            (["prime", "--closed", "2,0"], "--closed: 0 is not prime"),
+            (["idempotent", "--closed", "-3"], "--closed: -3 is not prime"),
+            (["triangle-check", "--closed-except", "5,9"], "--closed-except: 9 is not prime"),
+        ],
+        ids=["four", "zero", "negative", "closed-except-nine"],
+    )
+    def test_a_listed_non_prime_is_named_with_its_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
 
 
 # each sample file and commands that read it; the mutated copy takes the place of {}

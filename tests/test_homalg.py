@@ -390,6 +390,7 @@ class TestClosedForms:
         monkeypatch.setattr(homalg, "_rank_and_minor", refuse)
         assert smith_factors(IntMatrix.of([[0, -6, 4]])) == (2,)
         assert smith_factors(IntMatrix.of([[0], [0]])) == ()
+        assert smith_factors(IntMatrix.of([])) == ()
         assert smith_factors(IntMatrix.of([[2, 4], [6, 8]])) == (2, 4)
         assert smith_factors(IntMatrix.of([[2, 4], [1, 2]])) == (1,)
         assert smith_factors(IntMatrix.of([[10**40, 1], [0, 10**40]])) == (1, 10**80)
@@ -455,6 +456,10 @@ class TestExactConstruction:
             (
                 lambda: ChainMap.of(unit_complex(), unit_complex(), {0: [[True]]}),
                 "component at degree 0: row 0, column 0: expected an integer, got True",
+            ),
+            (
+                lambda: ChainMap.of(unit_complex(), unit_complex(), {0: [[1, 0]]}),
+                "component at degree 0 has shape 1x2, expected (1, 1)",
             ),
         ],
     )

@@ -100,6 +100,10 @@ class TestCanonicalForms:
         assert str(Cyclic.torsion(3, 9013)) == "Z/3^9013"
         assert within(5, lambda: str(Cyclic.torsion(7, 10**12))) == "Z/7^1000000000000"
 
+    def test_zero_prints_as_0(self):
+        assert str(Module.zero()) == "0"
+        assert str(GradedModule.zero()) == "0"
+
     def test_graded_drops_zero(self):
         assert GradedModule.of({0: [], 2: [Z]}).degrees() == [2]
 

@@ -818,31 +818,34 @@ def _lattice_height(cat):
 
 class TestRandomSubsetCatalogue:
     @pytest.mark.parametrize("n_objects, max_points", [(2, 6), (63, 6), (19, 5), (7, 3)])
-    def test_unreachable_sizes_rejected(self, n_objects, max_points):
+    def test_unreachable_sizes_rejected(self, monkeypatch, n_objects, max_points):
+        monkeypatch.setattr(supportdata, "MAX_POSET_POINTS", max_points)
         with pytest.raises(ValueError):
-            within(5, lambda: random_subset_catalogue(random.Random(0), n_objects, max_points))
+            within(5, lambda: random_subset_catalogue(random.Random(0), n_objects))
 
     def test_rejects_exactly_the_unreachable_sizes(self, monkeypatch):
         # sizes up to 2^5 + 1 are tried, past the default bound on objects
         monkeypatch.setattr(supportdata, "MAX_OBJECTS", 2 ** 5 + 1)
         for max_points in (2, 3, 4, 5):
+            monkeypatch.setattr(supportdata, "MAX_POSET_POINTS", max_points)
             reachable = _up_set_counts_by_brute_force(max_points)
             rng = random.Random(max_points)
             for n_objects in range(2 ** max_points + 2):
                 if n_objects in reachable:
-                    assert random_subset_catalogue(rng, n_objects, max_points).size == n_objects
+                    assert random_subset_catalogue(rng, n_objects).size == n_objects
                 else:
                     with pytest.raises(ValueError):
-                        within(5, lambda: random_subset_catalogue(rng, n_objects, max_points))
+                        within(5, lambda: random_subset_catalogue(rng, n_objects))
 
-    def test_rare_and_large_sizes_are_drawn_quickly(self):
+    def test_rare_and_large_sizes_are_drawn_quickly(self, monkeypatch):
         # 23 objects come from about one in a thousand random 2..6-point
         # orders, so drawing orders until one fits took over a second
         rng = random.Random(23)
         cats = within(1, lambda: [random_subset_catalogue(rng, 23) for _ in range(20)])
         assert all(cat.size == 23 for cat in cats)
         for max_points in (7, 8, 9, 10):
-            cat = within(1, lambda: random_subset_catalogue(rng, 24, max_points))
+            monkeypatch.setattr(supportdata, "MAX_POSET_POINTS", max_points)
+            cat = within(1, lambda: random_subset_catalogue(rng, 24))
             assert cat.size == 24
             assert 2 <= _lattice_height(cat) <= max_points
             assert classify(cat).passed

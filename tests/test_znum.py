@@ -136,10 +136,10 @@ class TestFactorint:
         homalg._torsion_cyclics.cache_clear()
         assert main(["verify", "--seed", "42"]) == 0
         capsys.readouterr()
-        # distinct invariant factors: 55 of at most 8 bits, and 23 more
+        # distinct invariant factors: 36 of at most 8 bits, and 23 more
         # prime powers p^k (p <= 7, k <= 8, up to 23 bits) from the
         # homology of the closed-forms tower
-        assert len(seen) == 78
+        assert len(seen) == 59
         for n in seen:
             assert real(n) == sympy.factorint(n), n
 
@@ -442,6 +442,12 @@ class TestPoints:
 
 
 class TestSpclLattice:
+    def test_subsets_print(self):
+        assert str(SpclSubset.whole_space()) == "Spec Z"
+        assert str(SpclSubset.closed_points(PrimeSet.cofinite([2]))) == (
+            "closed points of all primes except {2}"
+        )
+
     def test_examples(self):
         a = SpclSubset.closed_points(PrimeSet.of([2]))
         b = SpclSubset.closed_points(PrimeSet.of([3]))
