@@ -24,6 +24,7 @@ from .homalg import PerfectComplex, homology, scalar_cone
 from .modcalc import (
     Cyclic,
     GradedModule,
+    _one,
     kunneth,
     localize_point,
     supp_blocks,
@@ -77,7 +78,7 @@ def gamma_v(v: SpclSubset) -> GradedModule:
     s = v.closed
     if s.is_empty():
         return GradedModule.zero()
-    return GradedModule.of({1: [Cyclic.prufer(s)]})
+    return GradedModule(((1, _one(Cyclic.prufer(s))),))
 
 
 def l_v(v: SpclSubset) -> GradedModule:
@@ -88,7 +89,7 @@ def l_v(v: SpclSubset) -> GradedModule:
     """
     if v.is_all:
         return GradedModule.zero()
-    return GradedModule.of({0: [Cyclic.free(v.closed)]})
+    return GradedModule(((0, _one(Cyclic.free(v.closed))),))
 
 
 @lru_cache(maxsize=256)

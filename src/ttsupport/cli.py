@@ -17,7 +17,7 @@ from .homalg import PerfectComplex, homology
 from .modcalc import GradedModule, kunneth
 from .report import Report
 from .supportdata import Catalogue, CatalogueError, SupportDatum
-from .znum import GENERIC, PrimeSet, SpclSubset, SpecZPoint, json_int
+from .znum import GENERIC, PrimeSet, SpclSubset, SpecZPoint, is_prime, json_int
 
 
 class InputError(Exception):
@@ -105,10 +105,14 @@ def _parse_point(text: str) -> SpecZPoint:
     # json_int's decimal rule: int() would also take "1_3", " 3" or an
     # Arabic-Indic digit
     p = _read(json_int, text, "--point")
+    # worded as the list flags word a bad prime; is_prime raises past the
+    # bound of its proven test
     try:
-        return SpecZPoint.closed(p)
+        if is_prime(p):
+            return SpecZPoint.closed(p)
     except ValueError as exc:
-        raise InputError(f"--point {text!r}: {exc}")
+        raise InputError(f"--point: {exc}")
+    raise InputError(f"--point: {p} is not prime")
 
 
 def _parse_primes(text: str, finite: bool, flag: str) -> PrimeSet:

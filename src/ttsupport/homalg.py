@@ -302,7 +302,7 @@ def _rank_and_minor(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
     (Bareiss) pass with row pivoting.
 
     ``determinant`` stays a separate square-only elimination: it is the
-    oracle that checks invariant factors against minors.
+    oracle of verify's check that Smith transforms are unimodular.
     """
     # The nonzero rows not yet taken as pivots, on the columns not yet
     # eliminated; a row that reduces to zero is dropped.

@@ -351,96 +351,97 @@ def _pair(a: Cyclic, b: Cyclic) -> tuple[Cyclic, Cyclic]:
     return b, a
 
 
-def _tensor_block(a: Cyclic, b: Cyclic) -> Cyclic | None:
-    """The tensor product of two blocks: one block, or None for zero.
+def _products(a: Cyclic, b: Cyclic) -> tuple[Cyclic | None, Cyclic | None]:
+    """The tensor product and Tor_1 of two blocks: each one block, or None for zero.
 
     A result equal to an input is that input, so no prime is tested again.
     """
     x, y = _pair(a, b)
     if x.kind == "free":
+        # localisations are flat: Tor_1 is zero
         if y.kind == "free":
             primes = x.primes.union(y.primes)
             if primes == x.primes:
-                return x
-            return y if primes == y.primes else Cyclic.free(primes)
+                return x, None
+            return (y if primes == y.primes else Cyclic.free(primes)), None
         if y.kind == "torsion":
-            return None if x.primes.contains(y.p) else y
+            return (None if x.primes.contains(y.p) else y), None
         rest = y.primes.difference(x.primes)
         if rest.is_empty():
-            return None
-        return y if rest == y.primes else Cyclic.prufer(rest)
-    if x.kind == "torsion" and y.kind == "torsion" and x.p == y.p:
-        return x if x.k <= y.k else y
-    # distinct primes, or a divisible Prufer factor
-    return None
-
-
-def _tor_block(a: Cyclic, b: Cyclic) -> Cyclic | None:
-    """Tor_1 of two blocks: one block, or None for zero.
-
-    A result equal to an input is that input, so no prime is tested again.
-    """
-    x, y = _pair(a, b)
-    if x.kind == "free":
-        return None  # localisations are flat
+            return None, None
+        return (y if rest == y.primes else Cyclic.prufer(rest)), None
+    # below, a Prufer factor is divisible, so the tensor product is zero
     if x.kind == "torsion":
         if y.kind == "torsion":
             if x.p != y.p:
-                return None
-            return x if x.k <= y.k else y
-        return x if y.primes.contains(x.p) else None
+                return None, None
+            c = x if x.k <= y.k else y
+            return c, c
+        return None, (x if y.primes.contains(x.p) else None)
     common = x.primes.intersect(y.primes)
     if common.is_empty():
-        return None
+        return None, None
     if common == x.primes:
-        return x
-    return y if common == y.primes else Cyclic.prufer(common)
+        return None, x
+    return None, (y if common == y.primes else Cyclic.prufer(common))
 
 
 def tensor_mod(a: Cyclic, b: Cyclic) -> Module:
     """Tensor product of two blocks, as a Module (possibly zero)."""
-    c = _tensor_block(a, b)
+    c = _products(a, b)[0]
     return Module.zero() if c is None else _one(c)
 
 
 def tor_mod(a: Cyclic, b: Cyclic) -> Module:
     """Tor_1 of two blocks, as a Module (possibly zero)."""
-    c = _tor_block(a, b)
+    c = _products(a, b)[1]
     return Module.zero() if c is None else _one(c)
 
 
-def _bilinear(block, x: Module, y: Module, counts: dict[Cyclic, int]) -> dict[Cyclic, int]:
-    """Add block of every pair of blocks of x and y into counts; return counts."""
+def _bilinear(half: int, x: Module, y: Module) -> Module:
+    """The sum over the pairs of blocks of x and y of one half of _products:
+    0 for the tensor product, 1 for Tor_1."""
+    counts: dict[Cyclic, int] = {}
     for a, ma in x.parts:
         for b, mb in y.parts:
-            c = block(a, b)
+            c = _products(a, b)[half]
             if c is not None:
                 counts[c] = counts.get(c, 0) + ma * mb
-    return counts
+    return Module._of_counts(counts)
 
 
 def tensor_modules(x: Module, y: Module) -> Module:
-    return Module._of_counts(_bilinear(_tensor_block, x, y, {}))
+    return _bilinear(0, x, y)
 
 
 def tor_modules(x: Module, y: Module) -> Module:
-    return Module._of_counts(_bilinear(_tor_block, x, y, {}))
+    return _bilinear(1, x, y)
 
 
 def kunneth(x: GradedModule, y: GradedModule) -> GradedModule:
     """Derived tensor of formal objects.
 
     H^n(X x Y) collects the tensors of H^i X and H^j Y with i + j = n and
-    the Tor terms with i + j = n + 1.
+    the Tor terms with i + j = n + 1.  Each pair of blocks is multiplied
+    once, and a degree gets its count dict only from a nonzero product.
     """
     out: dict[int, dict[Cyclic, int]] = {}
     for i, mi in x.graded:
         for j, mj in y.graded:
-            _bilinear(_tensor_block, mi, mj, out.setdefault(i + j, {}))
-            _bilinear(_tor_block, mi, mj, out.setdefault(i + j - 1, {}))
-    return GradedModule(
-        tuple(sorted((n, Module._of_counts(c)) for n, c in out.items() if c))
-    )
+            n = i + j
+            for a, ma in mi.parts:
+                for b, mb in mj.parts:
+                    t, tor = _products(a, b)
+                    if t is not None:
+                        counts = out.setdefault(n, {})
+                        counts[t] = counts.get(t, 0) + ma * mb
+                    if tor is not None:
+                        counts = out.setdefault(n - 1, {})
+                        counts[tor] = counts.get(tor, 0) + ma * mb
+    graded = [(n, Module._of_counts(counts)) for n, counts in out.items()]
+    if len(graded) > 1:
+        graded.sort()  # the degrees differ, so no Module is compared
+    return GradedModule(tuple(graded))
 
 
 def supp_cyclic(c: Cyclic) -> PointSet:

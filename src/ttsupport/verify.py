@@ -113,13 +113,30 @@ def check_point_functors(ctx: VerifyContext) -> CheckRecord:
 
 
 def _minor_gcds(m: IntMatrix) -> list[int]:
+    """The gcd of the k x k minors of m for k = 1 .. min(rows, cols).
+
+    Each k x k minor is expanded along its first row over the (k - 1) x (k - 1)
+    minors of its other rows; the minors of one size are kept in one dict
+    keyed by (row subset, column subset).  Nothing of homalg is called, so
+    this oracle stays independent of the Smith form it checks.
+    """
     out = []
+    rows = m.entries
+    minors = {((), ()): 1}
     for k in range(1, min(m.rows, m.cols) + 1):
+        larger = {}
         g = 0
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
-                sub = IntMatrix.of([[m[i, j] for j in cols] for i in rows])
-                g = math.gcd(g, determinant(sub))
+        for rs in combinations(range(m.rows), k):
+            top, rest = rows[rs[0]], rs[1:]
+            for cs in combinations(range(m.cols), k):
+                det = 0
+                for t, j in enumerate(cs):
+                    if top[j]:
+                        term = top[j] * minors[rest, cs[:t] + cs[t + 1 :]]
+                        det += -term if t % 2 else term
+                larger[rs, cs] = det
+                g = math.gcd(g, det)
+        minors = larger
         out.append(g)
     return out
 

@@ -584,10 +584,11 @@ class TestErrors:
         assert code == 2
         assert "exactly one" in err
 
-    def test_bad_point(self, capsys):
-        code, _, err = run(capsys, "idempotent", "--point", "6")
-        assert code == 2
-        assert "prime" in err
+    @pytest.mark.parametrize("argv", [["idempotent", "--point", "4"], ["prime", "--point", "6"]])
+    def test_a_non_prime_point_is_worded_like_the_list_flags(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"input error: --point: {argv[-1]} is not prime\n"
 
     @pytest.mark.parametrize(
         "block, location",
@@ -698,9 +699,12 @@ class TestErrors:
         assert f"budget of {znum._RHO_BUDGET} steps" in err
 
     def test_point_beyond_proven_bound_is_rejected(self, capsys):
-        code, _, err = within(5, lambda: run(capsys, "idempotent", "--point", str(BEYOND_PROVEN)))
-        assert code == 2
-        assert str(_MR_PROVEN_BOUND) in err
+        code, out, err = within(5, lambda: run(capsys, "idempotent", "--point", str(BEYOND_PROVEN)))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"input error: --point: {BEYOND_PROVEN} is too large to test for primality: "
+            f"the proven test covers numbers below {_MR_PROVEN_BOUND}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, flag, limit",

@@ -7,7 +7,8 @@ expected side of each of its records is the homology that ``randgen`` knows
 from the cells of its random complexes, which no Smith form computes, so a
 fault in ``homology`` reaches only the side it computes.  The rows after it
 fault ``balmer``'s membership probes, ``verify``'s view of homology,
-``modcalc.localize_point`` and the torsion factoriser's exponents.
+``modcalc.localize_point``, the torsion factoriser's exponents and
+``modcalc._products``, the table of tensor and Tor of two blocks.
 """
 
 import json
@@ -110,3 +111,42 @@ def test_closed_forms_fails_when_homology_lowers_an_exponent(monkeypatch):
     record = verify.check_closed_forms(verify.VerifyContext(42, MIN_CASES, 30))
     assert record.name == "balmer.closed-forms" and not record.passed
     assert record.detail.startswith("truncation step 2^1 has homology")
+
+
+REAL_PRODUCTS = modcalc._products
+
+
+def first_of_a_torsion_pair(a, b):
+    # Z/p^j x Z/p^k is Z/p^min(j,k); this fault answers with its first block
+    if a.kind == b.kind == "torsion" and a.p == b.p:
+        return a, a
+    return REAL_PRODUCTS(a, b)
+
+
+def without_prufer_tor(a, b):
+    tensor, tor = REAL_PRODUCTS(a, b)
+    return tensor, None if a.kind == b.kind == "prufer" else tor
+
+
+# table-symmetry compares tensor_mod and tor_mod of (a, b) with those of
+# (b, a), and kunneth-laws kunneth(x, y) with kunneth(y, x): the fault answers
+# with its first argument, so swapping them moves the wrong answer to the
+# other side; idempotent-laws compares kunneth(g, g) with g = gamma_v(v),
+# whose Prufer family is built in closed form, and only Tor keeps it in g x g
+PRODUCT_FAULTS = [
+    (first_of_a_torsion_pair, verify.check_table_symmetry, 10, "tensor not symmetric at"),
+    (first_of_a_torsion_pair, verify.check_kunneth_laws, 100, "commutativity failed on"),
+    (without_prufer_tor, verify.check_idempotent_laws, 10, "gamma not idempotent at"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, check, cases, detail",
+    PRODUCT_FAULTS,
+    ids=["table-symmetry", "kunneth-laws", "idempotent-laws"],
+)
+def test_record_fails_under_a_block_product_fault(monkeypatch, fault, check, cases, detail):
+    monkeypatch.setattr(modcalc, "_products", fault)
+    record = check(verify.VerifyContext(42, cases, 30))
+    assert not record.passed
+    assert record.detail.startswith(detail)

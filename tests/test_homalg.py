@@ -36,7 +36,7 @@ from ttsupport.homalg import (
     unit_complex,
 )
 from ttsupport.modcalc import Cyclic, GradedModule
-from ttsupport import homalg
+from ttsupport import homalg, verify
 from ttsupport.randgen import _primary_parts, compact_catalogue, random_chain_map, random_complex
 from ttsupport.znum import PrimeSet
 
@@ -477,10 +477,27 @@ class TestExactConstruction:
         assert homology(c) == GradedModule.of({1: [Cyclic.torsion(3, 1)]})
 
 
+def test_verify_minor_gcds_against_the_cofactor_oracle():
+    # verify's oracle expands each minor along its first row over the smaller
+    # minors; gcd_of_minors takes each one's cofactor determinant afresh
+    rng = random.Random(71)
+    shapes = [(r, c) for r in range(7) for c in range(7)]
+    for r, c in shapes * 4:
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if r and c and rng.random() < 0.3:
+            rows[rng.randrange(r)] = [0] * c
+        if r and c and rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = 0
+        m = IntMatrix.of(rows)
+        assert verify._minor_gcds(m) == gcd_of_minors(m), m.entries
+
+
 class TestDeterminant:
     def test_against_cofactor_expansion(self):
-        # determinant is the oracle of verify's minor checks: row exchanges,
-        # singular matrices and zero pivots included
+        # determinant is the oracle of verify's unimodularity check: row
+        # exchanges, singular matrices and zero pivots included
         rng = random.Random(47)
         for _ in range(300):
             n = rng.randint(1, 5)
@@ -712,6 +729,17 @@ class TestShift:
 
     def test_shifted_unit(self):
         assert homology(shift(unit_complex(), 3)) == GradedModule.of({-3: [Z]})
+
+    def test_odd_shifts_negate_the_differentials(self):
+        # (shift^k C)^n = C^{n+k} with differential (-1)^k d; homology cannot
+        # see the sign, so it is pinned on the matrices
+        c = tensor_chain(mult_complex(2), mult_complex(3, -1))
+        diffs = dict(c.diffs)
+        assert len(diffs) == 2
+        for k in (1, -1, 3):
+            assert dict(shift(c, k).diffs) == {n - k: d.neg() for n, d in diffs.items()}
+        for k in (2, -2):
+            assert dict(shift(c, k).diffs) == {n - k: d for n, d in diffs.items()}
 
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40)
