@@ -151,9 +151,9 @@ def _add_subset_flags(p: argparse.ArgumentParser) -> None:
 # Below this many cases, the checks that run cases // 10 of them (tensor-commutes
 # and kunneth-laws) would run none and still report a pass.
 MIN_CASES = 10
-# verify's --primes-bound sets how far two checks sweep the primes: closed-forms
-# to at most 100 (its case count follows), primeset-bruteforce to at most 1000.
-MAX_PRIMES_BOUND = 10_000
+# verify's --primes-bound sets how far closed-forms (its case count follows) and
+# primeset-bruteforce sweep the primes; a bound past 100 changed no record.
+MAX_PRIMES_BOUND = 100
 
 
 def _int(text: str) -> int:

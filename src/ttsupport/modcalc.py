@@ -13,9 +13,10 @@ tensor products of formal objects computable degree by degree:
 >>> print(kunneth(GradedModule.of({0: [Cyclic.free()]}), X))
 {0: Z/2}
 
-Canonical forms are unique and blocks are hash-consed, one live object per
-canonical form, so identity is isomorphism: the block types listed above
-have no isomorphisms across kinds or parameters, and multiplicities of
+Canonical forms are unique and blocks are interned, one object per canonical
+form that lives for the rest of the process (a ``verify`` run leaves about
+4,150), so identity is isomorphism: the block types listed above have no
+isomorphisms across kinds or parameters, and multiplicities of
 indecomposables in a finite direct sum are determined (Krull-Schmidt-style
 uniqueness, taken as given for this module class), so modules are equal
 exactly when they list the same blocks with the same multiplicities.
@@ -29,7 +30,6 @@ from .znum import (
     PointSet,
     PrimeSet,
     SpecZPoint,
-    _Interned,
     _refuse_assign,
     _refuse_delete,
     exact_int,
@@ -92,13 +92,14 @@ class Cyclic:
     kind "prufer":  the sum of Prufer groups Z(p^oo) for p in ``primes``;
                     the empty family is forbidden (normalise to absence).
 
-    Blocks are hash-consed: every constructor returns the one live block
-    for ``(kind, primes, p, k)``, so equality and hashing are identity, and
-    a block is validated, and its sort key computed, only when no equal
-    block is alive; that p and k are ints is tested on every call.
+    Blocks are interned: every constructor returns the one block for
+    ``(kind, primes, p, k)``, which lives for the rest of the process, so
+    equality and hashing are identity, and a block is validated, and its
+    sort key computed, only the first time it is built; that p and k are
+    ints is tested on every call.
     """
 
-    __slots__ = ("kind", "primes", "p", "k", "_sort_key", "__weakref__")
+    __slots__ = ("kind", "primes", "p", "k", "_sort_key")
 
     kind: str
     primes: PrimeSet | None
@@ -109,7 +110,7 @@ class Cyclic:
         cls, kind: str, primes: PrimeSet | None = None, p: int | None = None, k: int | None = None
     ) -> "Cyclic":
         if not (p is None or type(p) is int) or not (k is None or type(k) is int):
-            # 2.0 or True would find the live block of an equal int before
+            # 2.0 or True would find the interned block of an equal int before
             # validation; _check_cyclic refuses such a field whatever the kind
             _check_cyclic(kind, primes, p, k)
         return _interned_cyclic((kind, primes, p, k))
@@ -191,16 +192,18 @@ class Cyclic:
             raise ValueError(f"{where}: {exc}") from None
 
 
-_CYCLICS = _Interned()
+# (kind, primes, p, k) -> the one Cyclic of that value; a PrimeSet field
+# hashes by identity, so every key hashes and compares in C, and setdefault
+# below keeps one block per key under concurrent inserts
+_CYCLICS: dict[tuple, Cyclic] = {}
 
 
 def _interned_cyclic(key: tuple) -> Cyclic:
-    """The live block for key = (kind, primes, p, k), validated if new."""
+    """The interned block for key = (kind, primes, p, k), validated if new."""
     try:
-        ref = _CYCLICS.ref(key)
+        out = _CYCLICS.get(key)
     except TypeError:  # an unhashable field, which validation rejects
-        ref = None
-    out = ref and ref()
+        out = None
     if out is None:
         kind, primes, p, k = key
         _check_cyclic(kind, primes, p, k)
@@ -214,7 +217,7 @@ def _interned_cyclic(key: tuple) -> Cyclic:
         else:
             sort_key = (0 if kind == "free" else 2, *primes.sort_key())
         object.__setattr__(out, "_sort_key", sort_key)
-        out = _CYCLICS.add(key, out)
+        out = _CYCLICS.setdefault(key, out)
     return out
 
 

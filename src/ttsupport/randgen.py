@@ -34,21 +34,10 @@ __all__ = [
 ]
 
 
-# Every prime set and block that random_primeset and random_cyclic have
-# drawn, keyed by the draw: at most 352 prime sets and 352 free, 40 torsion
-# and 351 Prufer blocks.  Holding them keeps a repeated draw from rebuilding,
-# re-validating and re-interning a value that has died since it was drawn.
-_DRAWN: dict = {}
-
-
 def random_primeset(rng: random.Random) -> PrimeSet:
     """At most three of SMALL_PRIMES, as a finite or a cofinite set."""
     picked = rng.sample(SMALL_PRIMES, rng.randint(0, 3))
-    key = (rng.random() < 0.5, frozenset(picked))
-    out = _DRAWN.get(key)
-    if out is None:
-        out = _DRAWN[key] = PrimeSet.of(picked, finite=key[0])
-    return out
+    return PrimeSet.of(picked, finite=rng.random() < 0.5)
 
 
 def random_spcl(rng: random.Random) -> SpclSubset:
@@ -68,10 +57,7 @@ def random_cyclic(rng: random.Random) -> Cyclic:
         if fam.is_empty():
             fam = PrimeSet.of([rng.choice(SMALL_PRIMES)])
         key = ("prufer", fam)
-    out = _DRAWN.get(key)
-    if out is None:
-        out = _DRAWN[key] = Cyclic(*key)
-    return out
+    return Cyclic(*key)
 
 
 def random_module(rng: random.Random) -> Module:

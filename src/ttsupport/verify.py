@@ -42,7 +42,7 @@ def _record(name: str, failures: list[str], cases: int) -> CheckRecord:
 
 def check_primeset_bruteforce(ctx: VerifyContext) -> CheckRecord:
     rng = ctx.rng("primeset")
-    bound = min(ctx.primes_bound, 1000)
+    bound = ctx.primes_bound
     failures = []
     modes = [(True, True), (True, False), (False, True), (False, False)]
     cases = 0
@@ -357,7 +357,7 @@ def check_closed_forms(ctx: VerifyContext) -> CheckRecord:
         s = PrimeSet.cofinite(excluded)
         val = balmer.gamma_v(SpclSubset.closed_points(s))
         fam = val.module_in(1)
-        for q in znum.primes_up_to(min(ctx.primes_bound, 100)):
+        for q in znum.primes_up_to(ctx.primes_bound):
             cases += 1
             in_family = any(
                 c.kind == "prufer" and c.primes.contains(q) for c, _ in fam.parts

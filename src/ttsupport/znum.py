@@ -9,16 +9,17 @@ refused with ValueError rather than guessed or left running.
 Finite and cofinite sets of rational primes are the computable fragment of
 Spec Z used by the rest of the toolkit: localisation loci, torsion loci and
 specialisation-closed subsets are all built from them.  Every value here is
-immutable and every operation is pure.  PrimeSet values are hash-consed: the
-table of live values is read without a lock and written under one
-``threading.RLock``, so unrestricted concurrent use is safe.
+immutable and every operation is pure.  PrimeSet values are interned in a
+plain dict and live for the rest of the process: a ``verify`` run draws its
+sets from the first ten primes, so the table stops growing at about 2,050.
+An insert is one ``dict.setdefault``, atomic under the GIL because every key
+hashes and compares in C, so concurrent construction keeps one object per
+value without a lock.
 """
 
 from __future__ import annotations
 
 import re
-import threading
-import weakref
 from bisect import bisect_right
 from itertools import compress
 from math import gcd, isqrt
@@ -355,61 +356,6 @@ def exact_int(x: object, where: str) -> int:
     raise ValueError(f"{where}: expected an integer, got {x!r}")
 
 
-class _KeyedRef(weakref.ref):
-    """A weak reference that knows its table key, as weakref.KeyedRef does,
-    but is made without a call into Python code."""
-
-    __slots__ = ("key",)
-
-
-class _Interned:
-    """The one live instance of each value, by key.
-
-    The table holds each instance by weak reference only, so an entry lasts
-    as long as its value is alive anywhere and no longer.  Lookups take no
-    lock: ``ref(key)`` is the weak reference held for key, or None.  Inserts
-    run under a re-entrant lock, as a weakref callback can fire in the
-    thread that holds it whenever a value dies.  A callback deletes its key
-    only while the entry is still its own reference, since an insert may
-    already have replaced a dead entry with a new live value.
-    """
-
-    def __init__(self) -> None:
-        self._refs: dict = {}
-        self._lock = threading.RLock()
-        self._drop_ref = self._drop  # one callback shared by every reference
-        self.ref = self._refs.get
-
-    def add(self, key: object, value: object) -> object:
-        """Intern value under key: value, or the live instance that another
-        thread added first."""
-        ref = _KeyedRef(value, self._drop_ref)
-        ref.key = key
-        # acquire and release cost less than a with block on this path,
-        # which every new value takes, and so does the callback below
-        self._lock.acquire()
-        try:
-            held = self._refs.get(key)
-            live = held and held()
-            if live is not None:
-                return live
-            self._refs[key] = ref
-        finally:
-            self._lock.release()
-        return value
-
-    def _drop(self, ref: _KeyedRef) -> None:
-        self._lock.acquire()
-        try:
-            if self._refs.get(ref.key) is ref:
-                del self._refs[ref.key]
-        finally:
-            self._lock.release()
-
-    def __len__(self) -> int:
-        return len(self._refs)
-
-
 def _check_primes(primes: tuple) -> None:
     """Validate a listing of ints as strictly increasing primes."""
     prev = 1
@@ -429,13 +375,13 @@ class PrimeSet:
     strictly increasing and individually verified prime; ``listed`` holds
     them as a frozenset.
 
-    Values are hash-consed: every constructor returns the one live instance
-    for ``(finite, listed)``, so equality and hashing are identity, and a
-    set's primes are validated only when no equal set is alive; that they
-    are ints is tested on every call.
+    Values are interned: every constructor returns the one instance for
+    ``(finite, listed)``, which lives for the rest of the process, so
+    equality and hashing are identity, and a set's primes are validated only
+    the first time it is built; that they are ints is tested on every call.
     """
 
-    __slots__ = ("finite", "primes", "listed", "__weakref__")
+    __slots__ = ("finite", "primes", "listed")
 
     finite: bool
     primes: tuple[int, ...]
@@ -459,8 +405,7 @@ class PrimeSet:
         set algebra below builds its results here, without re-testing each
         prime.  Outside input goes through the validating constructors."""
         key = (finite, frozenset(primes))
-        ref = _PRIMESETS.ref(key)
-        out = ref and ref()
+        out = _PRIMESETS.get(key)
         if out is None:
             out = _new_primeset(key, tuple(sorted(key[1])))
         return out
@@ -577,14 +522,15 @@ class PrimeSet:
             raise ValueError(f"{where}.primes: {exc}") from None
 
 
-_PRIMESETS = _Interned()
+# (finite, listed) -> the one PrimeSet of that value
+_PRIMESETS: dict[tuple[bool, frozenset[int]], PrimeSet] = {}
 
 
 def _interned_primeset(finite: bool, primes: tuple, ordered: bool) -> PrimeSet:
-    """The live PrimeSet listing primes, validated if it is new.
+    """The interned PrimeSet listing primes, validated if it is new.
 
     Each listed prime must be an int, tested before the lookup, where 2.0 or
-    True would find the live set of an equal int.  When ordered, primes is
+    True would find the interned set of an equal int.  When ordered, primes is
     the caller's own listing: a new set is validated and kept in that order,
     so a listing out of order is refused.
     """
@@ -592,8 +538,7 @@ def _interned_primeset(finite: bool, primes: tuple, ordered: bool) -> PrimeSet:
         if type(p) is not int:
             raise ValueError(f"{p!r} is a {type(p).__name__}, not an int")
     key = (finite, frozenset(primes))
-    ref = _PRIMESETS.ref(key)
-    out = ref and ref()
+    out = _PRIMESETS.get(key)
     if out is None:
         listing = primes if ordered else tuple(sorted(key[1]))
         _check_primes(listing)
@@ -602,12 +547,13 @@ def _interned_primeset(finite: bool, primes: tuple, ordered: bool) -> PrimeSet:
 
 
 def _new_primeset(key: tuple[bool, frozenset[int]], primes: tuple[int, ...]) -> PrimeSet:
-    """Intern a PrimeSet with validated, sorted primes under key."""
+    """Intern a PrimeSet with validated, sorted primes under key: it, or the
+    one another thread put there first."""
     out = object.__new__(PrimeSet)
     object.__setattr__(out, "finite", key[0])
     object.__setattr__(out, "primes", primes)
     object.__setattr__(out, "listed", key[1])
-    return _PRIMESETS.add(key, out)
+    return _PRIMESETS.setdefault(key, out)
 
 
 @value_class

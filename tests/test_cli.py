@@ -984,6 +984,17 @@ class TestVerifyCommand:
         assert code == 0
         assert " (0 cases)" not in out
 
+    def test_primes_bound_stops_at_100(self, capsys):
+        # a bound past 100 changed no record, so it is refused
+        with pytest.raises(SystemExit) as caught:
+            main(["verify", "--primes-bound", "101"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --primes-bound: " in err and "[2, 100]" in err
+        code, out, err = run(capsys, "verify", "--cases", str(MIN_CASES), "--primes-bound", "100")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"(seed 42, cases {MIN_CASES}, primes-bound 100)\n")
+
     def test_byte_identical_across_processes(self, tmp_path):
         env = dict(os.environ)
         outs = []

@@ -7,8 +7,9 @@ expected side of each of its records is the homology that ``randgen`` knows
 from the cells of its random complexes, which no Smith form computes, so a
 fault in ``homology`` reaches only the side it computes.  The rows after it
 fault ``balmer``'s membership probes, ``verify``'s view of homology,
-``modcalc.localize_point``, the torsion factoriser's exponents and
-``modcalc._products``, the table of tensor and Tor of two blocks.
+``modcalc.localize_point``, the torsion factoriser's exponents,
+``modcalc._products``, the table of tensor and Tor of two blocks, and the
+interning of the prime sets that the set algebra builds.
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 from ttsupport import balmer, homalg, modcalc, verify, znum
 from ttsupport.cli import MIN_CASES, main
 from ttsupport.modcalc import Cyclic, GradedModule, Module
+from ttsupport.znum import PrimeSet
 
 REAL_TORSION_CYCLICS = homalg._torsion_cyclics
 REAL_SMITH_FACTORS = homalg.smith_factors
@@ -148,5 +150,42 @@ PRODUCT_FAULTS = [
 def test_record_fails_under_a_block_product_fault(monkeypatch, fault, check, cases, detail):
     monkeypatch.setattr(modcalc, "_products", fault)
     record = check(verify.VerifyContext(42, cases, 30))
+    assert not record.passed
+    assert record.detail.startswith(detail)
+
+
+def uninterned(cls, finite, primes):
+    # the set algebra's result built anew on every call, as if its table
+    # were skipped: equal in value to the interned set, but another object
+    out = object.__new__(PrimeSet)
+    listed = frozenset(primes)
+    object.__setattr__(out, "finite", finite)
+    object.__setattr__(out, "primes", tuple(sorted(listed)))
+    object.__setattr__(out, "listed", listed)
+    return out
+
+
+# Equality of prime sets is identity.  The fault reaches only the results of
+# union, intersect, complement and the empty and full sets, which go through
+# PrimeSet._checked; each record compares one with a set the validating
+# constructors intern: spcl-lattice-laws a join with its random inputs,
+# point-functors V(x) minus Z(x) with the singleton PrimeSet.of([p]), and
+# gamma-uniqueness a pair's difference with that same singleton.
+INTERNING_FAULTS = [
+    (verify.check_spcl_subset_lattice, "join-comm on"),
+    (verify.check_point_functors, "V\\(Z meet V) at (0)"),
+    (verify.check_gamma_uniqueness,
+     "pair (closed points of {2}; closed points of {}) does not isolate (2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, detail",
+    INTERNING_FAULTS,
+    ids=["spcl-lattice-laws", "point-functors", "gamma-uniqueness"],
+)
+def test_record_fails_when_the_set_algebra_skips_interning(monkeypatch, check, detail):
+    monkeypatch.setattr(PrimeSet, "_checked", classmethod(uninterned))
+    record = check(verify.VerifyContext(42, 10, 30))
     assert not record.passed
     assert record.detail.startswith(detail)

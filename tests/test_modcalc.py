@@ -1,5 +1,4 @@
 import copy
-import gc
 import hashlib
 import json
 import math
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deadline import within
-from ttsupport import modcalc, randgen, znum
+from ttsupport import modcalc, znum
 from ttsupport.homalg import homology, scalar_cone, tensor_chain, unit_complex
 from ttsupport.modcalc import (
     Cyclic,
@@ -38,7 +37,7 @@ from ttsupport.randgen import (
     random_module,
     random_primeset,
 )
-from ttsupport.verify import _generator_cyclics
+from ttsupport.verify import _generator_cyclics, run_verify
 from ttsupport.znum import GENERIC, PointSet, PrimeSet, SpecZPoint, primes_up_to
 
 Z = Cyclic.free(PrimeSet.none())
@@ -154,9 +153,8 @@ class TestExactConstruction:
 
 
 def _block_entry(kind, primes=None, p=None, k=None):
-    """The live block that the table holds for this key, or None."""
-    ref = modcalc._CYCLICS.ref((kind, primes, p, k))
-    return ref and ref()
+    """The block that the table holds for this key, or None."""
+    return modcalc._CYCLICS.get((kind, primes, p, k))
 
 
 class TestHashConsing:
@@ -212,7 +210,6 @@ class TestHashConsing:
     def test_invalid_blocks_are_rejected_and_leave_no_entry(self, kind, primes, p, k, message):
         # 7883.0 and True equal 7883 and 1: were they let in, the table would
         # hand them out for Z/7883 later
-        gc.collect()
         size = len(modcalc._CYCLICS)
         with pytest.raises(ValueError, match=message):
             Cyclic(kind, primes, p, k)
@@ -236,35 +233,27 @@ class TestHashConsing:
             build()
         assert _block_entry("torsion", None, 2, 1) is alive
 
-    def test_table_holds_only_live_values(self):
-        gc.collect()
+    def test_verify_fills_the_tables_once(self):
+        # verify's blocks are over its first ten primes and bounded
+        # exponents, so the tables that hold each value for good stop growing
+        run_verify(1, 60, 50)
         sizes = len(modcalc._CYCLICS), len(znum._PRIMESETS)
-        family = PrimeSet.of([7901, 7907])
-        blocks = [Cyclic.torsion(7901, 5), Cyclic.free(family), Cyclic.prufer(family)]
-        assert [_block_entry(c.kind, c.primes, c.p, c.k) for c in blocks] == blocks
-        assert len(modcalc._CYCLICS) == sizes[0] + 3
-        del blocks, family
-        gc.collect()
-        assert _block_entry("torsion", None, 7901, 5) is None
+        run_verify(2, 60, 50)
         assert (len(modcalc._CYCLICS), len(znum._PRIMESETS)) == sizes
 
     def test_randgen_keeps_each_drawn_value_once(self):
-        # randgen holds what it has drawn, so a repeated draw finds its live
-        # value; there are 352 prime sets of at most three of its ten primes
+        # a repeated draw is the interned object, so there are as many
+        # objects as values: at most 352 prime sets of at most three of its
+        # ten primes, and 352 free, 40 torsion and 351 Prufer blocks
         rng = random.Random(11)
+        sets, blocks = set(), set()
         for _ in range(20000):
-            random_primeset(rng)
-            random_cyclic(rng)
-        drawn = list(randgen._DRAWN.values())
-        assert len({id(v) for v in drawn}) == len(drawn) <= 1095
-        sets = [v for v in drawn if isinstance(v, PrimeSet)]
-        assert len(sets) <= 352
+            sets.add(random_primeset(rng))
+            blocks.add(random_cyclic(rng))
+        assert len(sets) == len({repr(v) for v in sets}) <= 352
+        assert len(blocks) == len({repr(c) for c in blocks}) <= 352 + 40 + 351
         for v in sets:
             assert PrimeSet.of(v.primes, v.finite) is v
-        blocks = [v for v in drawn if not isinstance(v, PrimeSet)]
-        bounds = {"free": 352, "torsion": 40, "prufer": 351}
-        for kind, bound in bounds.items():
-            assert len([c for c in blocks if c.kind == kind]) <= bound
         for c in blocks:
             assert Cyclic(c.kind, c.primes, c.p, c.k) is c
 
@@ -342,6 +331,49 @@ class TestHashConsing:
             sys.setswitchinterval(old)
         assert not any(w.is_alive() for w in workers)
         assert errors == []
+
+
+    def test_threads_racing_to_insert_new_values_keep_one_object(self):
+        """Eight threads leave a barrier together each round and build values
+        that no earlier round built, so every round races on the inserts:
+        a value once in a table is never inserted again."""
+        threads_n, rounds, width = 8, 20, 40
+        primes = primes_up_to(60000)[-rounds * width:]  # far past what other tests build
+        barrier = threading.Barrier(threads_n, timeout=30)
+        built = [[] for _ in range(threads_n)]
+        errors: list = []
+
+        def work(t):
+            try:
+                for r in range(rounds):
+                    ps = primes[r * width:(r + 1) * width]
+                    barrier.wait()
+                    if t % 2:
+                        sets = [PrimeSet(i % 2 == 1, (p,)) for i, p in enumerate(ps)]
+                        blocks = [Cyclic("torsion", None, p, 1) for p in ps]
+                    else:
+                        sets = [PrimeSet.of([p], finite=i % 2 == 1) for i, p in enumerate(ps)]
+                        blocks = [Cyclic.torsion(p, 1) for p in ps]
+                    built[t] += sets + blocks + [Cyclic.prufer(s) for s in sets]
+            except Exception as exc:  # a broken barrier or a failed build
+                errors.append(exc)
+                barrier.abort()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(threads_n)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        for t in range(1, threads_n):
+            assert len(built[t]) == len(built[0])
+            assert all(a is b for a, b in zip(built[0], built[t]))
 
 
 class TestTableAgainstChainOracle:

@@ -1,10 +1,7 @@
 import copy
-import gc
 import math
 import pickle
 import random
-import threading
-import time
 
 import pytest
 import sympy
@@ -14,6 +11,7 @@ from deadline import within
 from oracles import primeset_members
 from ttsupport import homalg, znum
 from ttsupport.cli import main
+from ttsupport.verify import run_verify
 from ttsupport.znum import (
     GENERIC,
     FrozenInstanceError,
@@ -275,9 +273,8 @@ class TestPrimeSet:
 
 
 def _entry(finite, primes):
-    """The live PrimeSet that the table holds for this set, or None."""
-    ref = znum._PRIMESETS.ref((finite, frozenset(primes)))
-    return ref and ref()
+    """The PrimeSet that the table holds for this set, or None."""
+    return znum._PRIMESETS.get((finite, frozenset(primes)))
 
 
 class TestHashConsing:
@@ -353,48 +350,13 @@ class TestHashConsing:
             build()
         assert _entry(True, [2]) is alive[0] and _entry(False, [2]) is alive[1]
 
-    def test_table_holds_only_live_values(self):
-        gc.collect()
+    def test_verify_fills_the_table_once(self):
+        # every set verify builds is finite or cofinite over its first ten
+        # primes, so the table that holds each set for good stops growing
+        run_verify(1, 60, 50)
         size = len(znum._PRIMESETS)
-        a = PrimeSet.of([7907, 7919])
-        b = a.complement()
-        assert _entry(True, [7907, 7919]) is a and _entry(False, [7907, 7919]) is b
-        assert len(znum._PRIMESETS) == size + 2
-        del a, b
-        gc.collect()
-        assert _entry(True, [7907, 7919]) is None and _entry(False, [7907, 7919]) is None
+        run_verify(2, 60, 50)
         assert len(znum._PRIMESETS) == size
-
-    def test_a_late_callback_keeps_the_entry_that_replaced_it(self):
-        """A value dies while another thread holds the table's lock; that
-        thread replaces the dead entry before the value's callback can run,
-        and the callback must then leave the new entry alone."""
-
-        class Value:
-            __slots__ = ("__weakref__",)
-
-        table = znum._Interned()
-        old, new = Value(), Value()
-        table.add("key", old)
-        stale = table.ref("key")
-        locked = threading.Event()
-
-        def insert_while_old_dies():
-            with table._lock:
-                locked.set()
-                deadline = time.monotonic() + 10
-                while stale() is not None and time.monotonic() < deadline:
-                    time.sleep(0.001)
-                table.add("key", new)
-
-        inserter = threading.Thread(target=insert_while_old_dies)
-        inserter.start()
-        assert locked.wait(timeout=10)
-        del old  # its callback waits for the lock, then finds another entry
-        inserter.join(timeout=10)
-        assert not inserter.is_alive()
-        assert table.ref("key") is not stale and table.ref("key")() is new
-        assert len(table) == 1
 
 
 class TestJsonInt:
