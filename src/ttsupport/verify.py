@@ -2,14 +2,22 @@
 
 Every module invariant is a named check producing one record; each check
 draws its own seeded generator, so a record depends only on the seed and the
-sizes.  The checks run serially.  Randomised case counts scale with the
-requested ``cases``.
+sizes.  Randomised case counts scale with the requested ``cases``.
+
+The checks are independent, so ``run_verify`` shares them with one forked
+helper process when that is safe and can help: both processes claim checks
+from one pipe, and the records are put back in the order of ``CHECKS``, so
+the report is the same as when every check runs in this process, which is
+what happens otherwise (see ``_helper_can_help``).
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import sys
 from itertools import combinations
 
 from . import balmer, homalg, modcalc, randgen, supportdata, znum
@@ -650,10 +658,112 @@ CHECKS = [
 ]
 
 
+def _claims(queue: int):
+    """The indices of CHECKS read from the pipe queue until it is empty.
+
+    Each read takes one byte, and a read of one byte from a pipe is atomic,
+    so two processes reading the same pipe never claim the same check."""
+    while claimed := os.read(queue, 1):
+        yield claimed[0]
+
+
+def _helper_can_help() -> bool:
+    """Whether a forked helper is safe and can shorten a run.
+
+    It needs two usable CPUs, a process of one thread (a fork copies only
+    the calling thread, and Python 3.12 warns of a fork with others) and
+    os.fork.  A trace or profile function, as the census, coverage, pdb and
+    cProfile set, would miss the checks that the helper runs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    try:  # every thread, as Python's own warning counts them on Linux
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no procfs: the threads that the threading module knows
+        import threading
+
+        threads = threading.active_count()
+    return (
+        cpus >= 2
+        and threads == 1
+        and hasattr(os, "fork")
+        and sys.gettrace() is None
+        and sys.getprofile() is None
+    )
+
+
+def _fork_helper(ctx: VerifyContext, queue: int, mask: set):
+    """Fork a helper that runs the checks it claims from queue, sending each
+    record back as it finishes; its pid and the reader of its records, or
+    None when the fork fails.
+
+    The caller blocks signals around the call, and the helper restores mask
+    first.  The helper leaves through os._exit, so it runs no handler, flush
+    or finaliser of this process, and a check that raises ends it quietly:
+    the caller runs each check that the helper claimed and did not report."""
+    import signal
+
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the caller runs every check
+        os.close(reader)
+        os.close(writer)
+        return None
+    if pid == 0:
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for i in _claims(queue):
+                rec = CHECKS[i](ctx)
+                os.write(writer, marshal.dumps((i, rec.name, rec.passed, rec.detail, rec.advisory)))
+        finally:
+            os._exit(0)
+    os.close(writer)
+    return pid, open(reader, "rb")
+
+
 def run_verify(seed: int, cases: int, primes_bound: int) -> Report:
     ctx = VerifyContext(seed, cases, primes_bound)
+    records: list[CheckRecord | None] = [None] * len(CHECKS)
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(CHECKS))))
+    os.close(fill)
+    helper = None
+    try:
+        if _helper_can_help():
+            import signal
+
+            # A handler that raised between the fork and the assignment
+            # would leave the helper unreaped, so signals wait until then.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                helper = _fork_helper(ctx, queue, mask)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for i in _claims(queue):
+            records[i] = CHECKS[i](ctx)
+        if helper is not None:
+            while True:
+                try:  # a helper that died part way leaves a short record
+                    i, *fields = marshal.load(helper[1])
+                except EOFError:
+                    break
+                records[i] = CheckRecord(*fields)
+    finally:
+        os.close(queue)
+        if helper is not None:
+            # a run stopped by a signal or a raising check leaves no process
+            pid, replies = helper
+            replies.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # the checks that the helper claimed but did not report, in their order
+    for i, rec in enumerate(records):
+        if rec is None:
+            records[i] = CHECKS[i](ctx)
     # case ids are registry positions
     return Report.of(
         CheckRecord(f"{i:02d}.{rec.name}", rec.passed, rec.detail)
-        for i, rec in enumerate(f(ctx) for f in CHECKS)
+        for i, rec in enumerate(records)
     )

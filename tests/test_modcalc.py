@@ -233,7 +233,7 @@ class TestHashConsing:
             build()
         assert _block_entry("torsion", None, 2, 1) is alive
 
-    def test_verify_fills_the_tables_once(self):
+    def test_verify_fills_the_tables_once(self, checks_in_process):
         # verify's blocks are over its first ten primes and bounded
         # exponents, so the tables that hold each value for good stop growing
         run_verify(1, 60, 50)
@@ -269,11 +269,13 @@ class TestHashConsing:
 
     def test_concurrent_construction_gives_one_object_per_value(self):
         """Eight threads, more than there are cores, race to build the same
-        values through different constructors, round after round, each round
-        starting from values that have died."""
+        values through different constructors, round after round; each
+        round builds values that no earlier round built, so every round
+        races on the inserts."""
         threads_n, rounds, deadline = 8, 30, time.monotonic() + 10
-        primes = primes_up_to(200)
-        specs = [(fin, tuple(primes[i:i + 3])) for i in range(0, 40) for fin in (True, False)]
+        # 42 primes a round, below those of the racing-insert test below and
+        # far past what other tests build
+        primes = primes_up_to(50000)[-rounds * 42:]
         builders = [
             lambda fin, ps: PrimeSet(fin, ps),
             lambda fin, ps: PrimeSet.of(reversed(ps), finite=fin),
@@ -282,10 +284,11 @@ class TestHashConsing:
                                                 "primes": [str(p) for p in ps]}),
         ]
 
-        def build(t):
+        def build(t, r):
             make = builders[t % len(builders)]
+            window = primes[r * 42:(r + 1) * 42]
             out = []
-            for fin, ps in specs:
+            for fin, ps in ((fin, tuple(window[i:i + 3])) for i in range(40) for fin in (True, False)):
                 s = make(fin, ps)
                 out.append(s)
                 out.append(Cyclic.free(s) if t % 2 else Cyclic("free", s))
@@ -301,8 +304,8 @@ class TestHashConsing:
 
         def work(t):
             try:
-                for _ in range(rounds):
-                    built[t] = build(t)
+                for r in range(rounds):
+                    built[t] = build(t, r)
                     barrier.wait()
                     if t == 0:
                         errors.extend(
@@ -311,7 +314,6 @@ class TestHashConsing:
                         )
                         late[0] = time.monotonic() > deadline
                     barrier.wait()
-                    built[t] = None  # the next round builds these values anew
                     if late[0]:
                         break
                     barrier.wait()

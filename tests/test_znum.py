@@ -122,7 +122,7 @@ class TestFactorint:
             p, q = (sympy.nextprime(rng.randrange(2**39, 2**40)) for _ in range(2))
             assert within(20, lambda: factorint(p * q)) == sympy.factorint(p * q)
 
-    def test_every_number_verify_factors(self, capsys, monkeypatch):
+    def test_every_number_verify_factors(self, capsys, monkeypatch, checks_in_process):
         seen = set()
         real = homalg.factorint
 
@@ -350,7 +350,7 @@ class TestHashConsing:
             build()
         assert _entry(True, [2]) is alive[0] and _entry(False, [2]) is alive[1]
 
-    def test_verify_fills_the_table_once(self):
+    def test_verify_fills_the_table_once(self, checks_in_process):
         # every set verify builds is finite or cofinite over its first ten
         # primes, so the table that holds each set for good stops growing
         run_verify(1, 60, 50)
