@@ -125,10 +125,18 @@ def _parse_primes(text: str, finite: bool, flag: str) -> PrimeSet:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _subset_from_args(args) -> SpclSubset:
-    given = [args.subset, args.closed, args.closed_except]
+def _point_or_subset(args) -> SpecZPoint | SpclSubset:
+    """The point or subset that exactly one flag names; only the commands
+    with a --point flag can give a point."""
+    point = getattr(args, "point", None)
+    given = [point, args.subset, args.closed, args.closed_except]
     if args.all + sum(x is not None for x in given) != 1:
-        raise InputError("give exactly one of --subset, --all, --closed, --closed-except")
+        flags = "--subset, --all, --closed, --closed-except"
+        if hasattr(args, "point"):
+            flags = "--point, " + flags
+        raise InputError(f"give exactly one of {flags}")
+    if point is not None:
+        return _parse_point(point)
     if args.subset is not None:
         return _read(SpclSubset.from_json, _load_json(args.subset), args.subset)
     if args.all:
@@ -151,6 +159,9 @@ def _add_subset_flags(p: argparse.ArgumentParser) -> None:
 # Below this many cases, the checks that run cases // 10 of them (tensor-commutes
 # and kunneth-laws) would run none and still report a pass.
 MIN_CASES = 10
+# verify's time grows in proportion to its cases: at this bound it took 28.8 s
+# on one CPU of a 2-core Xeon (Python 3.11), and should finish within 60 s.
+MAX_CASES = 50_000
 # verify's --primes-bound sets how far closed-forms (its case count follows) and
 # primeset-bruteforce sweep the primes; a bound past 100 changed no record.
 MAX_PRIMES_BOUND = 100
@@ -164,14 +175,13 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names it in "invalid int value: ..."
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """An argparse type: an integer of at least lo, and at most hi if given."""
-    limit = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+def _int_in(lo: int, hi: int):
+    """An argparse type: an integer in [lo, hi]."""
 
     def parse(text: str) -> int:
         n = _int(text)
-        if n < lo or (hi is not None and n > hi):
-            raise argparse.ArgumentTypeError(f"must be {limit}, got {n}")
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {n}")
         return n
 
     parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
@@ -216,14 +226,16 @@ def cmd_support(args) -> int:
 
 
 def cmd_idempotent(args) -> int:
-    if args.point is not None:
-        x = _parse_point(args.point)
-        value = balmer.gamma_point(x)
-        name = f"gamma at point {x}"
+    if args.point is not None and args.flavor is not None:
+        raise InputError("--flavor applies to a subset, not to --point")
+    where = _point_or_subset(args)
+    if isinstance(where, SpecZPoint):
+        value = balmer.gamma_point(where)
+        name = f"gamma at point {where}"
     else:
-        v = _subset_from_args(args)
-        value = balmer.l_v(v) if args.flavor == "l" else balmer.gamma_v(v)
-        name = f"{args.flavor} at {v}"
+        flavor = args.flavor or "gamma"
+        value = balmer.l_v(where) if flavor == "l" else balmer.gamma_v(where)
+        name = f"{flavor} at {where}"
     square = kunneth(value, value)
     ok = square == value
     lines = [f"{name}: {value}", f"idempotency: {'pass' if ok else 'FAIL'}"]
@@ -237,7 +249,7 @@ def cmd_idempotent(args) -> int:
 
 
 def cmd_triangle_check(args) -> int:
-    v = _subset_from_args(args)
+    v = _point_or_subset(args)
     return _emit_report(args, "triangle-check", balmer.localization_triangle_check(v))
 
 
@@ -253,16 +265,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_prime(args) -> int:
-    if args.point is not None:
-        x = _parse_point(args.point)
-        prime = balmer.point_to_prime(x)
+    v = _point_or_subset(args)
+    if isinstance(v, SpecZPoint):
+        prime = balmer.point_to_prime(v)
         lines = [
             f"{prime}",
             f"membership: complexes with support inside {prime.defining}",
         ]
-        _emit(args, lines, {"point": str(x), "defining": prime.defining.to_json()})
+        _emit(args, lines, {"point": str(v), "defining": prime.defining.to_json()})
         return 0
-    v = _subset_from_args(args)
     try:
         x = balmer.prime_to_point(v)
     except balmer.NotPrimeError as exc:
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("idempotent", help="tensor-idempotent for a point or subset")
     p.add_argument("--point", help="a prime, or 'generic'")
     _add_subset_flags(p)
-    p.add_argument("--flavor", choices=["gamma", "l"], default="gamma")
+    p.add_argument("--flavor", choices=["gamma", "l"], help="for a subset (default: gamma)")
     p.set_defaults(func=cmd_idempotent)
 
     p = sub.add_parser("triangle-check", help="acyclisation/localisation triangle checks")
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full property suite")
     p.add_argument("--seed", type=_int, default=42)
-    p.add_argument("--cases", type=_int_in(MIN_CASES), default=500)
+    p.add_argument("--cases", type=_int_in(MIN_CASES, MAX_CASES), default=500)
     p.add_argument("--primes-bound", type=_int_in(2, MAX_PRIMES_BOUND), default=100)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -732,25 +732,6 @@ def tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     return PerfectComplex.of(ranks, diffs)
 
 
-def direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
-    """Degreewise direct sum, block-diagonal differential."""
-    degrees = sorted(set(a.degrees()) | set(b.degrees()))
-    ranks = {n: a.rank(n) + b.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        da, db = a.diff_of.get(n), b.diff_of.get(n)
-        if da is None and db is None:
-            continue
-        ra1 = a.rank(n + 1)
-        rows = [[0] * ranks[n] for _ in range(ra1 + b.rank(n + 1))]
-        if da is not None:
-            _put(rows, 0, 0, da.entries)
-        if db is not None:
-            _put(rows, ra1, a.rank(n), db.entries)
-        diffs[n] = IntMatrix(len(rows), ranks[n], tuple(map(tuple, rows)))
-    return PerfectComplex.of(ranks, diffs)
-
-
 def cone(f: ChainMap) -> PerfectComplex:
     """Mapping cone: cone(f)^n = A^{n+1} + B^n, d = [[-dA, 0], [f, dB]].
 
@@ -774,3 +755,13 @@ def cone(f: ChainMap) -> PerfectComplex:
             _put(rows, ra2, a.rank(n + 1), db.entries)
         diffs[n] = IntMatrix(len(rows), ranks[n], tuple(map(tuple, rows)))
     return PerfectComplex.of(ranks, diffs)
+
+
+def direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
+    """Degreewise direct sum, block-diagonal differential.
+
+    It is the cone of the zero map shift(a, -1) -> b: the cone's degree n is
+    shift(a, -1)^(n+1) + b^n = a^n + b^n, and its block -d of shift(a, -1)
+    is d of a, as an odd shift negates the differential.
+    """
+    return cone(ChainMap.of(shift(a, -1), b, {}))

@@ -46,8 +46,6 @@ __all__ = [
     "GradedModule",
     "tensor_mod",
     "tor_mod",
-    "tensor_modules",
-    "tor_modules",
     "kunneth",
     "supp_cyclic",
     "supp_blocks",
@@ -399,26 +397,6 @@ def tor_mod(a: Cyclic, b: Cyclic) -> Module:
     """Tor_1 of two blocks, as a Module (possibly zero)."""
     c = _products(a, b)[1]
     return Module.zero() if c is None else _one(c)
-
-
-def _bilinear(half: int, x: Module, y: Module) -> Module:
-    """The sum over the pairs of blocks of x and y of one half of _products:
-    0 for the tensor product, 1 for Tor_1."""
-    counts: dict[Cyclic, int] = {}
-    for a, ma in x.parts:
-        for b, mb in y.parts:
-            c = _products(a, b)[half]
-            if c is not None:
-                counts[c] = counts.get(c, 0) + ma * mb
-    return Module._of_counts(counts)
-
-
-def tensor_modules(x: Module, y: Module) -> Module:
-    return _bilinear(0, x, y)
-
-
-def tor_modules(x: Module, y: Module) -> Module:
-    return _bilinear(1, x, y)
 
 
 def kunneth(x: GradedModule, y: GradedModule) -> GradedModule:

@@ -14,7 +14,9 @@ import random
 from itertools import chain
 
 from .balmer import gamma_v, l_v
-from .homalg import ChainMap, IntMatrix, PerfectComplex, direct_sum, scalar_cone, shift, snf, unit_complex
+from .homalg import (
+    ChainMap, IntMatrix, PerfectComplex, _Z, direct_sum, scalar_cone, shift, snf, unit_complex,
+)
 from .modcalc import Cyclic, GradedModule, Module, kunneth
 from .znum import PrimeSet, SpclSubset
 
@@ -116,7 +118,6 @@ _ENTRY_BOUND = 9
 _SHEARS = 3
 _NONZERO_ENTRIES = tuple(x for x in range(-_ENTRY_BOUND, _ENTRY_BOUND + 1) if x != 0)
 _SHEAR_FACTORS = (-2, -1, 1, 2)
-_Z = Cyclic.free(PrimeSet.none())
 # the homology blocks of a multiplication cell, by its entry
 _CELL_PARTS = {m: tuple(_primary_parts(m)) for m in _NONZERO_ENTRIES}
 

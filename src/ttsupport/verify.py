@@ -23,10 +23,9 @@ from itertools import combinations
 from . import balmer, homalg, modcalc, randgen, supportdata, znum
 from .homalg import IntMatrix, determinant, homology, snf, tensor_chain
 from .modcalc import Cyclic, GradedModule, kunneth
+from .randgen import SMALL_PRIMES
 from .report import CheckRecord, Report
 from .znum import GENERIC, PointSet, PrimeSet, SpclSubset, SpecZPoint, value_class
-
-FIRST_TEN = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 @value_class
@@ -100,7 +99,7 @@ def check_spcl_subset_lattice(ctx: VerifyContext) -> CheckRecord:
 
 def check_point_functors(ctx: VerifyContext) -> CheckRecord:
     failures = []
-    points = [GENERIC] + [SpecZPoint.closed(p) for p in FIRST_TEN]
+    points = [GENERIC] + [SpecZPoint.closed(p) for p in SMALL_PRIMES]
     for x in points:
         v = znum.v_of_point(x)
         z = znum.z_of_point(x)
@@ -300,9 +299,8 @@ def check_supp_laws(ctx: VerifyContext) -> CheckRecord:
         cases += 2
         if modcalc.supp_mod(x.plus(y)) != modcalc.supp_mod(x).union(modcalc.supp_mod(y)):
             failures.append(f"sum law failed on ({x}, {y})")
-        prod_supp = modcalc.supp_mod(
-            modcalc.tensor_modules(x, y).plus(modcalc.tor_modules(x, y))
-        )
+        # the derived product: degree 0 is x tensor y, degree -1 is Tor(x, y)
+        prod_supp = balmer.supp_object(kunneth(GradedModule.of({0: x}), GradedModule.of({0: y})))
         meet = modcalc.supp_mod(x).intersect(modcalc.supp_mod(y))
         if not prod_supp.leq(meet):
             failures.append(f"product support not inside intersection on ({x}, {y})")
@@ -321,8 +319,8 @@ def check_supp_laws(ctx: VerifyContext) -> CheckRecord:
 
 def _idempotent_family() -> list[SpclSubset]:
     family = [SpclSubset.whole_space(), SpclSubset.empty()]
-    for r in range(len(FIRST_TEN) + 1):
-        for combo in combinations(FIRST_TEN, r):
+    for r in range(len(SMALL_PRIMES) + 1):
+        for combo in combinations(SMALL_PRIMES, r):
             family.append(SpclSubset.closed_points(PrimeSet.of(combo)))
             family.append(SpclSubset.closed_points(PrimeSet.cofinite(combo)))
     return family
@@ -410,7 +408,7 @@ def check_gamma_uniqueness(ctx: VerifyContext) -> CheckRecord:
     failures = []
     cases = 0
     for p in (2, 3, 5):
-        others = [q for q in FIRST_TEN if q != p][:2]
+        others = [q for q in SMALL_PRIMES if q != p][:2]
         pairs = [
             (SpclSubset.closed_points(PrimeSet.of([p])), SpclSubset.empty()),
             (
@@ -468,7 +466,7 @@ def check_triangle_subadditivity(ctx: VerifyContext) -> CheckRecord:
 def check_sigma_tau(ctx: VerifyContext) -> CheckRecord:
     failures = []
     cases = 0
-    first_six = FIRST_TEN[:6]
+    first_six = SMALL_PRIMES[:6]
     for generic in (False, True):
         for r in range(len(first_six) + 1):
             for combo in combinations(first_six, r):

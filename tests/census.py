@@ -67,8 +67,6 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("verify", "failures.append(f'shift inverse failed at {k}')"),
         ("verify", "failures.append(f'unit law failed on {x}')"),
         ("verify", "failures.append(f'associativity failed on ({x}, {y}, {z})')"),
-        ("verify", "failures.append(f'sum law failed on ({x}, {y})')"),
-        ("verify", "failures.append(f'product support not inside intersection on ({x}, {y})')"),
         ("verify", "failures.append(f'finitely generated equality failed on ({x}, {y})')"),
         ("verify", "failures.append(f'l not idempotent at {v}')"),
         ("verify", "failures.append(f'gamma x l nonzero at {v}')"),

@@ -17,7 +17,7 @@ import sample_commands
 from deadline import within
 from ttsupport import randgen, supportdata, verify, znum
 from ttsupport.balmer import supp_object
-from ttsupport.cli import MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
+from ttsupport.cli import MAX_CASES, MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
 from ttsupport.homalg import MAX_RANK, PerfectComplex, homology, tensor_chain
 from ttsupport.modcalc import Cyclic, GradedModule, kunneth
 from ttsupport.supportdata import five_object_model
@@ -579,10 +579,29 @@ class TestErrors:
         assert "differentials.0" in err
         assert "expected" in err
 
-    def test_conflicting_subset_flags(self, capsys):
-        code, _, err = run(capsys, "triangle-check", "--all", "--closed", "2")
-        assert code == 2
-        assert "exactly one" in err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["triangle-check", "--all", "--closed", "2"],
+             "give exactly one of --subset, --all, --closed, --closed-except"),
+            # --point once overrode the subset flags, and --flavor with it, exiting 0
+            (["idempotent", "--point", "2", "--closed", "3"],
+             "give exactly one of --point, --subset, --all, --closed, --closed-except"),
+            (["prime", "--point", "2", "--all"],
+             "give exactly one of --point, --subset, --all, --closed, --closed-except"),
+            (["prime"], "give exactly one of --point, --subset, --all, --closed, --closed-except"),
+            (["idempotent", "--point", "2", "--flavor", "l"],
+             "--flavor applies to a subset, not to --point"),
+            (["idempotent", "--point", "2", "--flavor", "gamma"],
+             "--flavor applies to a subset, not to --point"),
+        ],
+        ids=["subset-twice", "idempotent-point-and-closed", "prime-point-and-all", "prime-none",
+             "idempotent-point-and-flavor-l", "idempotent-point-and-flavor-gamma"],
+    )
+    def test_conflicting_point_and_subset_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("argv", [["idempotent", "--point", "4"], ["prime", "--point", "6"]])
     def test_a_non_prime_point_is_worded_like_the_list_flags(self, capsys, argv):
@@ -709,13 +728,17 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, flag, limit",
         [
-            (["verify", "--cases", "-8"], "--cases", f"at least {MIN_CASES}"),
-            (["verify", "--cases", str(MIN_CASES - 1)], "--cases", f"at least {MIN_CASES}"),
+            (["verify", "--cases", "-8"], "--cases", f"[{MIN_CASES}, {MAX_CASES}]"),
+            (["verify", "--cases", str(MIN_CASES - 1)], "--cases", f"[{MIN_CASES}, {MAX_CASES}]"),
+            # a larger run is refused, not started: 10^9 cases would run for days
+            (["verify", "--cases", str(MAX_CASES + 1)], "--cases", f"[{MIN_CASES}, {MAX_CASES}]"),
+            (["verify", "--cases", "1000000000"], "--cases", f"[{MIN_CASES}, {MAX_CASES}]"),
             (["verify", "--primes-bound", "1"], "--primes-bound", f"[2, {MAX_PRIMES_BOUND}]"),
             (["verify", "--primes-bound", "1000000000"], "--primes-bound",
              f"[2, {MAX_PRIMES_BOUND}]"),
         ],
-        ids=["cases-negative", "cases-too-few", "verify-bound-low", "verify-bound-high"],
+        ids=["cases-negative", "cases-too-few", "cases-too-many", "cases-billion",
+             "verify-bound-low", "verify-bound-high"],
     )
     def test_out_of_range_sizes_are_rejected(self, capsys, argv, flag, limit):
         with pytest.raises(SystemExit) as caught:

@@ -8,8 +8,9 @@ from the cells of its random complexes, which no Smith form computes, so a
 fault in ``homology`` reaches only the side it computes.  The rows after it
 fault ``balmer``'s membership probes, ``verify``'s view of homology,
 ``modcalc.localize_point``, the torsion factoriser's exponents,
-``modcalc._products``, the table of tensor and Tor of two blocks, and the
-interning of the prime sets that the set algebra builds.
+``modcalc._products``, the table of tensor and Tor of two blocks,
+``Module.plus``, and the interning of the prime sets that the set algebra
+builds.
 """
 
 import json
@@ -125,6 +126,14 @@ def first_of_a_torsion_pair(a, b):
     return REAL_PRODUCTS(a, b)
 
 
+def smaller_prime_of_a_torsion_pair(a, b):
+    # Z/p x Z/q is zero for primes p != q; this fault answers with the block
+    # of the smaller prime
+    if a.kind == b.kind == "torsion" and a.p != b.p:
+        return min(a, b, key=lambda c: c.p), None
+    return REAL_PRODUCTS(a, b)
+
+
 def without_prufer_tor(a, b):
     tensor, tor = REAL_PRODUCTS(a, b)
     return tensor, None if a.kind == b.kind == "prufer" else tor
@@ -134,24 +143,38 @@ def without_prufer_tor(a, b):
 # (b, a), and kunneth-laws kunneth(x, y) with kunneth(y, x): the fault answers
 # with its first argument, so swapping them moves the wrong answer to the
 # other side; idempotent-laws compares kunneth(g, g) with g = gamma_v(v),
-# whose Prufer family is built in closed form, and only Tor keeps it in g x g
+# whose Prufer family is built in closed form, and only Tor keeps it in g x g;
+# supp-laws compares the support of kunneth(x, y) with the meet of the
+# supports of x and y, which are read off their own blocks with no product
+# (10 cases draw three pairs, none of which shows this fault, so 30)
 PRODUCT_FAULTS = [
     (first_of_a_torsion_pair, verify.check_table_symmetry, 10, "tensor not symmetric at"),
     (first_of_a_torsion_pair, verify.check_kunneth_laws, 100, "commutativity failed on"),
     (without_prufer_tor, verify.check_idempotent_laws, 10, "gamma not idempotent at"),
+    (smaller_prime_of_a_torsion_pair, verify.check_supp_laws, 30,
+     "product support not inside intersection on"),
 ]
 
 
 @pytest.mark.parametrize(
     "fault, check, cases, detail",
     PRODUCT_FAULTS,
-    ids=["table-symmetry", "kunneth-laws", "idempotent-laws"],
+    ids=["table-symmetry", "kunneth-laws", "idempotent-laws", "supp-laws"],
 )
 def test_record_fails_under_a_block_product_fault(monkeypatch, fault, check, cases, detail):
     monkeypatch.setattr(modcalc, "_products", fault)
     record = check(verify.VerifyContext(42, cases, 30))
     assert not record.passed
     assert record.detail.startswith(detail)
+
+
+def test_supp_laws_fails_when_plus_drops_its_left_summand(monkeypatch):
+    # the sum law compares the support of x.plus(y) with the union of the
+    # supports of x and y, each read off its own blocks with no sum formed
+    monkeypatch.setattr(Module, "plus", lambda self, other: other)
+    record = verify.check_supp_laws(verify.VerifyContext(42, 30, 100))
+    assert record.name == "modcalc.supp-laws" and not record.passed
+    assert record.detail.startswith("sum law failed on")
 
 
 def uninterned(cls, finite, primes):

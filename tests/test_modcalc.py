@@ -24,9 +24,7 @@ from ttsupport.modcalc import (
     localize_point,
     supp_mod,
     tensor_mod,
-    tensor_modules,
     tor_mod,
-    tor_modules,
 )
 from oracles import naive_bilinear, naive_kunneth, naive_supp
 from ttsupport.randgen import (
@@ -74,6 +72,13 @@ GENERATORS = FG_BLOCKS + [
 ]
 
 PROBE_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def module_products(x: Module, y: Module) -> tuple[Module, Module]:
+    """The tensor product and Tor of two modules: degrees 0 and -1 of the
+    Kunneth product of x and y placed in degree 0."""
+    got = kunneth(GradedModule.of({0: x}), GradedModule.of({0: y}))
+    return got.module_in(0), got.module_in(-1)
 
 
 class TestCanonicalForms:
@@ -439,11 +444,11 @@ class TestLocalisationRows:
             assert prod == Module.of([Cyclic.free(s.union(t))])
             # probing with residue fields distinguishes localisations
             for q in PROBE_PRIMES:
-                via_assoc = tensor_modules(
+                via_assoc = module_products(
                     tensor_mod(Cyclic.torsion(q, 1), Cyclic.free(s)),
                     Module.of([Cyclic.free(t)]),
-                )
-                direct = tensor_modules(Module.of([Cyclic.torsion(q, 1)]), prod)
+                )[0]
+                direct = module_products(Module.of([Cyclic.torsion(q, 1)]), prod)[0]
                 assert via_assoc == direct
 
     def test_rationals_kill_everything_torsion(self):
@@ -511,9 +516,10 @@ class TestSymmetryAndBilinearity:
     def test_bilinear_extension(self):
         x = Module.of([(Cyclic.torsion(2, 1), 2)])
         y = Module.of([Cyclic.torsion(2, 2), Z])
-        got = tensor_modules(x, y)
-        assert got == Module.of([(Cyclic.torsion(2, 1), 4)])
-        assert tor_modules(x, y) == Module.of([(Cyclic.torsion(2, 1), 2)])
+        assert module_products(x, y) == (
+            Module.of([(Cyclic.torsion(2, 1), 4)]),
+            Module.of([(Cyclic.torsion(2, 1), 2)]),
+        )
 
 
 # tensor_mod and tor_mod over every pair of verify's generators, pinned:
@@ -535,13 +541,10 @@ def test_block_tables_pinned():
         tensor, tor = entry["tensor"], entry["tor"]
         assert _table_json(tensor_mod(a, b)) == tensor, (a, b)
         assert _table_json(tor_mod(a, b)) == tor, (a, b)
-        # the bilinear extension and kunneth read the same tables
-        x, y = Module.of([a]), Module.of([b])
-        assert _table_json(tensor_modules(x, y)) == tensor, (a, b)
-        assert _table_json(tor_modules(x, y)) == tor, (a, b)
-        got = kunneth(GradedModule.of({0: x}), GradedModule.of({0: y}))
-        assert _table_json(got.module_in(0)) == tensor, (a, b)
-        assert _table_json(got.module_in(-1)) == tor, (a, b)
+        # kunneth reads the same tables
+        got_tensor, got_tor = module_products(Module.of([a]), Module.of([b]))
+        assert _table_json(got_tensor) == tensor, (a, b)
+        assert _table_json(got_tor) == tor, (a, b)
 
 
 class TestKunneth:
@@ -645,16 +648,16 @@ class TestSupport:
         rng = random.Random(23)
         for _ in range(200):
             x, y = random_module(rng), random_module(rng)
-            derived = tensor_modules(x, y).plus(tor_modules(x, y))
+            tensor, tor = module_products(x, y)
             meet = supp_mod(x).intersect(supp_mod(y))
-            assert supp_mod(derived).leq(meet)
+            assert supp_mod(tensor.plus(tor)).leq(meet)
             fg = all(
                 c.kind == "torsion" or (c.kind == "free" and c.primes.is_empty())
                 for m in (x, y)
                 for c, _ in m.parts
             )
             if fg:
-                assert supp_mod(tensor_modules(x, y)) == meet
+                assert supp_mod(tensor) == meet
 
 
 class TestGradedOps:
@@ -684,7 +687,7 @@ def _with_repeats(rng: random.Random) -> GradedModule:
 
 
 class TestOnePassCanonicalForms:
-    """kunneth, tensor_modules and tor_modules against the pairwise fold."""
+    """kunneth against the pairwise fold."""
 
     @staticmethod
     def inputs(seed: int, n: int):
@@ -710,14 +713,15 @@ class TestOnePassCanonicalForms:
         for x, y in self.inputs(7, 600):
             for (_, a), (_, b) in product(x.graded, y.graded):
                 cases += 1
-                assert tensor_modules(a, b) == naive_bilinear(tensor_mod, a, b)
-                assert tor_modules(a, b) == naive_bilinear(tor_mod, a, b)
+                assert module_products(a, b) == (
+                    naive_bilinear(tensor_mod, a, b), naive_bilinear(tor_mod, a, b)
+                )
         assert cases >= 500
         zero = Module.zero()
         rng = random.Random(8)
         for _ in range(50):
             m = random_module(rng)
-            assert tensor_modules(zero, m) == tor_modules(m, zero) == zero
+            assert module_products(zero, m) == module_products(m, zero) == (zero, zero)
 
     def test_plus_matches_concatenation(self):
         rng = random.Random(9)
