@@ -353,24 +353,16 @@ def _pair(a: Cyclic, b: Cyclic) -> tuple[Cyclic, Cyclic]:
 
 
 def _products(a: Cyclic, b: Cyclic) -> tuple[Cyclic | None, Cyclic | None]:
-    """The tensor product and Tor_1 of two blocks: each one block, or None for zero.
-
-    A result equal to an input is that input, so no prime is tested again.
-    """
+    """The tensor product and Tor_1 of two blocks: each one block, or None for zero."""
     x, y = _pair(a, b)
     if x.kind == "free":
         # localisations are flat: Tor_1 is zero
         if y.kind == "free":
-            primes = x.primes.union(y.primes)
-            if primes == x.primes:
-                return x, None
-            return (y if primes == y.primes else Cyclic.free(primes)), None
+            return Cyclic.free(x.primes.union(y.primes)), None
         if y.kind == "torsion":
             return (None if x.primes.contains(y.p) else y), None
         rest = y.primes.difference(x.primes)
-        if rest.is_empty():
-            return None, None
-        return (y if rest == y.primes else Cyclic.prufer(rest)), None
+        return (None if rest.is_empty() else Cyclic.prufer(rest)), None
     # below, a Prufer factor is divisible, so the tensor product is zero
     if x.kind == "torsion":
         if y.kind == "torsion":
@@ -380,11 +372,7 @@ def _products(a: Cyclic, b: Cyclic) -> tuple[Cyclic | None, Cyclic | None]:
             return c, c
         return None, (x if y.primes.contains(x.p) else None)
     common = x.primes.intersect(y.primes)
-    if common.is_empty():
-        return None, None
-    if common == x.primes:
-        return None, x
-    return None, (y if common == y.primes else Cyclic.prufer(common))
+    return None, (None if common.is_empty() else Cyclic.prufer(common))
 
 
 def tensor_mod(a: Cyclic, b: Cyclic) -> Module:

@@ -293,7 +293,7 @@ def check_supp_laws(ctx: VerifyContext) -> CheckRecord:
     rng = ctx.rng("supp-laws")
     failures = []
     cases = 0
-    for _ in range(ctx.cases // 3):
+    for _ in range(max(ctx.cases // 3, 10)):
         x = randgen.random_module(rng)
         y = randgen.random_module(rng)
         cases += 2

@@ -375,6 +375,10 @@ class PrimeSet:
     strictly increasing and individually verified prime; ``listed`` holds
     them as a frozenset.
 
+    ``intersect`` and ``complement`` are the only primitives of the Boolean
+    algebra: ``union``, ``difference`` and ``leq`` are written through them,
+    so a fault in either reaches every operation.
+
     Values are interned: every constructor returns the one instance for
     ``(finite, listed)``, which lives for the rest of the process, so
     equality and hashing are identity, and a set's primes are validated only
@@ -447,21 +451,7 @@ class PrimeSet:
             return n in self.listed
         return n not in self.listed and is_prime(n)
 
-    def union(self, other: "PrimeSet") -> "PrimeSet":
-        if other is self:
-            return self
-        a, b = self.listed, other.listed
-        if self.finite and other.finite:
-            return PrimeSet._checked(True, a | b)
-        if self.finite:
-            return PrimeSet._checked(False, b - a)
-        if other.finite:
-            return PrimeSet._checked(False, a - b)
-        return PrimeSet._checked(False, a & b)
-
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
-        if other is self:
-            return self
         a, b = self.listed, other.listed
         if self.finite and other.finite:
             return PrimeSet._checked(True, a & b)
@@ -474,22 +464,15 @@ class PrimeSet:
     def complement(self) -> "PrimeSet":
         return PrimeSet._checked(not self.finite, self.listed)
 
+    def union(self, other: "PrimeSet") -> "PrimeSet":
+        return self.complement().intersect(other.complement()).complement()
+
     def difference(self, other: "PrimeSet") -> "PrimeSet":
-        """self intersected with the complement of other, in one step."""
-        a, b = self.listed, other.listed
-        if self.finite:
-            return PrimeSet._checked(True, a - b if other.finite else a & b)
-        if other.finite:
-            return PrimeSet._checked(False, a | b)
-        return PrimeSet._checked(True, b - a)
+        return self.intersect(other.complement())
 
     def leq(self, other: "PrimeSet") -> bool:
         """Subset order on the underlying sets."""
-        if self.finite:
-            if other.finite:
-                return self.listed <= other.listed
-            return self.listed.isdisjoint(other.listed)
-        return not other.finite and other.listed <= self.listed
+        return self.difference(other).is_empty()
 
     def up_to(self, bound: int) -> list[int]:
         """Member primes <= bound."""

@@ -7,10 +7,12 @@ expected side of each of its records is the homology that ``randgen`` knows
 from the cells of its random complexes, which no Smith form computes, so a
 fault in ``homology`` reaches only the side it computes.  The rows after it
 fault ``balmer``'s membership probes, ``verify``'s view of homology,
-``modcalc.localize_point``, the torsion factoriser's exponents,
+``localize_point``, the torsion factoriser's exponents,
 ``modcalc._products``, the table of tensor and Tor of two blocks,
-``Module.plus``, and the interning of the prime sets that the set algebra
-builds.
+``Module.plus``, the interning of the prime sets that the set algebra
+builds and the two primitives of that algebra.  The last test holds every
+record of ``verify`` to a fault row, or to the list of those still awaiting
+one.
 """
 
 import json
@@ -21,6 +23,29 @@ from ttsupport import balmer, homalg, modcalc, verify, znum
 from ttsupport.cli import MIN_CASES, main
 from ttsupport.modcalc import Cyclic, GradedModule, Module
 from ttsupport.znum import PrimeSet
+
+# the verify checks that some row below makes fail, filled in by fault_row
+COVERED = set()
+
+
+def fault_row(*checks):
+    """Mark a test as a fault row of the verify checks it makes fail."""
+
+    def mark(test):
+        COVERED.update(checks)
+        return test
+
+    return mark
+
+
+@pytest.fixture
+def cold_gamma_point():
+    # gamma_point keeps its values for the process: start from none made
+    # before the fault, and keep none made under it
+    balmer.gamma_point.cache_clear()
+    yield
+    balmer.gamma_point.cache_clear()
+
 
 REAL_TORSION_CYCLICS = homalg._torsion_cyclics
 REAL_SMITH_FACTORS = homalg.smith_factors
@@ -52,6 +77,7 @@ RECORDS = {
 }
 
 
+@fault_row(*RECORDS.values())
 @pytest.mark.parametrize("record", sorted(RECORDS))
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_record_fails_under_homology_fault(monkeypatch, fault, record):
@@ -61,6 +87,7 @@ def test_record_fails_under_homology_fault(monkeypatch, fault, record):
     assert not rec.passed
 
 
+@fault_row(verify.check_sigma_tau)
 @pytest.mark.parametrize("probe", ["thick_membership", "tau_loc"])
 def test_sigma_tau_fails_on_a_wrong_membership_probe(capsys, monkeypatch, probe):
     monkeypatch.setattr(balmer, probe, lambda *args: True)
@@ -71,6 +98,7 @@ def test_sigma_tau_fails_on_a_wrong_membership_probe(capsys, monkeypatch, probe)
     assert failed == ["17.balmer.sigma-tau-roundtrips"]
 
 
+@fault_row(verify.check_supp_agreement)
 def test_supp_agreement_fails_when_homology_drops_torsion(monkeypatch):
     # supp_object and the pointwise probes both read the wrong homology,
     # so only the support of the homology known from the cells can tell
@@ -88,6 +116,7 @@ def test_supp_agreement_fails_when_homology_drops_torsion(monkeypatch):
     assert record.detail.startswith("abstract vs homological support differ")
 
 
+@fault_row(verify.check_supp_agreement)
 def test_supp_agreement_fails_when_localize_point_ignores_torsion(monkeypatch):
     # homology over Z has only Z and Z/p^k blocks, so ignoring torsion
     # is the blind spot of localize_point that this check can see
@@ -102,6 +131,24 @@ def test_supp_agreement_fails_when_localize_point_ignores_torsion(monkeypatch):
     assert record.detail.startswith("pointwise probes disagree")
 
 
+@fault_row(verify.check_ltg)
+def test_local_to_global_fails_when_localize_point_ignores_prufer(monkeypatch):
+    # supp_object reads a Prufer family's support off its block, not through
+    # the probe; ten cases draw no Prufer block, so 30.  supp-agreement still
+    # passes under this fault: it probes localize_point only on the homology
+    # of random complexes, which has no Prufer blocks
+    real = balmer.localize_point
+
+    def blind(x, m):
+        return real(x, Module(tuple(cm for cm in m.parts if cm[0].kind != "prufer")))
+
+    monkeypatch.setattr(balmer, "localize_point", blind)
+    record = verify.check_ltg(verify.VerifyContext(42, 30, 100))
+    assert not record.passed
+    assert record.detail.startswith("{every (p) except p in {5, 7}} != the localisations at (2)")
+
+
+@fault_row(verify.check_closed_forms)
 def test_closed_forms_fails_when_homology_lowers_an_exponent(monkeypatch):
     # the tower step reads Z/p^k off the homology of cone(Z --p^k--> Z),
     # so a homology that finds Z/p^(k-1) fails it
@@ -146,16 +193,16 @@ def without_prufer_tor(a, b):
 # whose Prufer family is built in closed form, and only Tor keeps it in g x g;
 # supp-laws compares the support of kunneth(x, y) with the meet of the
 # supports of x and y, which are read off their own blocks with no product
-# (10 cases draw three pairs, none of which shows this fault, so 30)
 PRODUCT_FAULTS = [
     (first_of_a_torsion_pair, verify.check_table_symmetry, 10, "tensor not symmetric at"),
     (first_of_a_torsion_pair, verify.check_kunneth_laws, 100, "commutativity failed on"),
     (without_prufer_tor, verify.check_idempotent_laws, 10, "gamma not idempotent at"),
-    (smaller_prime_of_a_torsion_pair, verify.check_supp_laws, 30,
+    (smaller_prime_of_a_torsion_pair, verify.check_supp_laws, MIN_CASES,
      "product support not inside intersection on"),
 ]
 
 
+@fault_row(*(check for _, check, _, _ in PRODUCT_FAULTS))
 @pytest.mark.parametrize(
     "fault, check, cases, detail",
     PRODUCT_FAULTS,
@@ -168,6 +215,7 @@ def test_record_fails_under_a_block_product_fault(monkeypatch, fault, check, cas
     assert record.detail.startswith(detail)
 
 
+@fault_row(verify.check_supp_laws)
 def test_supp_laws_fails_when_plus_drops_its_left_summand(monkeypatch):
     # the sum law compares the support of x.plus(y) with the union of the
     # supports of x and y, each read off its own blocks with no sum formed
@@ -202,13 +250,107 @@ INTERNING_FAULTS = [
 ]
 
 
+@fault_row(*(check for check, _ in INTERNING_FAULTS))
 @pytest.mark.parametrize(
     "check, detail",
     INTERNING_FAULTS,
     ids=["spcl-lattice-laws", "point-functors", "gamma-uniqueness"],
 )
-def test_record_fails_when_the_set_algebra_skips_interning(monkeypatch, check, detail):
+def test_record_fails_when_the_set_algebra_skips_interning(
+    monkeypatch, cold_gamma_point, check, detail
+):
     monkeypatch.setattr(PrimeSet, "_checked", classmethod(uninterned))
     record = check(verify.VerifyContext(42, 10, 30))
     assert not record.passed
     assert record.detail.startswith(detail)
+
+
+REAL_INTERSECT = PrimeSet.intersect
+REAL_COMPLEMENT = PrimeSet.complement
+
+
+def meet_of_cofinites_excluding_too_little(self, other):
+    # all primes but L1 met with all primes but L2 is all primes but L1 | L2;
+    # this fault excludes only L1 & L2
+    if not self.finite and not other.finite:
+        return PrimeSet._checked(False, self.listed & other.listed)
+    return REAL_INTERSECT(self, other)
+
+
+def complement_dropping_two_from_its_list(self):
+    # the complement lists the same primes; this fault drops 2 from the list
+    return PrimeSet._checked(not self.finite, self.listed - {2})
+
+
+def complement_without_two(self):
+    # this fault leaves the prime 2 out of every complement
+    out = REAL_COMPLEMENT(self)
+    return PrimeSet._checked(out.finite, out.listed - {2} if out.finite else out.listed | {2})
+
+
+# PrimeSet.intersect and complement are the primitives of the set algebra:
+# union, difference and leq are written through them.
+# primeset-bruteforce: the model applies Python's set operations to the
+#   members each input lists up to the bound (up_to), which calls neither;
+# separation: the fault reaches both sides, but with other operands:
+#   l_V(1) x X unites the finite sets of primes two free blocks invert, the
+#   expected side meets supp X with the complement of V, and for V at
+#   {3, 5, 7} the two answers differ;
+# localization-triangles: gamma_V(1) x l_V(1) at V = {2} takes the Prufer
+#   family {2} minus the inverted {2} through the complement, and the
+#   expected side is the constant 0;
+# local-to-global: gamma_(2) x X is compared with supp X, which supp_object
+#   reads off X's blocks in one pass with no set operation;
+# residue-lemma: Q x Z[1/T] unites all primes with T, and the expected
+#   block Q is Cyclic.rationals(), built in closed form.
+SET_ALGEBRA_FAULTS = [
+    ("intersect", meet_of_cofinites_excluding_too_little,
+     verify.check_primeset_bruteforce, "union({3, 19, 23}, {}): [] != [3, 19, 23]"),
+    ("intersect", meet_of_cofinites_excluding_too_little,
+     verify.check_separation, "l separation failed: V=closed points of {3, 5, 7}"),
+    ("complement", complement_dropping_two_from_its_list,
+     verify.check_localization_triangles, "closed points of {2}: triangle.gamma-tensor-l-vanishes"),
+    ("complement", complement_dropping_two_from_its_list, verify.check_ltg, "0 != {(2)}"),
+    ("complement", complement_without_two, verify.check_residue, "Z_(2) != Q"),
+]
+
+
+@fault_row(*(check for _, _, check, _ in SET_ALGEBRA_FAULTS))
+@pytest.mark.parametrize(
+    "name, fault, check, detail",
+    SET_ALGEBRA_FAULTS,
+    ids=[
+        "primeset-bruteforce",
+        "separation",
+        "localization-triangles",
+        "local-to-global",
+        "residue-lemma",
+    ],
+)
+def test_record_fails_under_a_set_algebra_fault(
+    monkeypatch, cold_gamma_point, name, fault, check, detail
+):
+    monkeypatch.setattr(PrimeSet, name, fault)
+    record = check(verify.VerifyContext(42, MIN_CASES, 100))
+    assert not record.passed
+    assert record.detail.startswith(detail)
+
+
+# Records no honest fault has been found for yet.  The list can only shrink:
+# a record that gains a row must leave it.
+AWAITING_FAULT_ROW = {
+    "homalg.snf",
+    "homalg.homology-oracle",
+    "balmer.zero-detection",
+    "supportdata.model5",
+    "supportdata.random-catalogues",
+}
+
+
+def test_every_record_has_a_fault_row_or_awaits_one():
+    ctx = verify.VerifyContext(42, MIN_CASES, 30)
+    names = {check: check(ctx).name for check in verify.CHECKS}
+    assert COVERED <= names.keys()
+    without_row = {names[check] for check in verify.CHECKS if check not in COVERED}
+    assert sorted(without_row - AWAITING_FAULT_ROW) == [], "a record arrived with no fault row"
+    assert sorted(AWAITING_FAULT_ROW - without_row) == [], "a record with a row still awaits one"
