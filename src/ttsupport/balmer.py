@@ -260,15 +260,11 @@ def sigma_of_tau(w: PointSet) -> PointSet:
     """Support of the subcategory coded by w, assembled from the canonical
     generators attached to the points of w; equals w because every point
     idempotent is nonzero."""
-    out = PointSet.empty()
-    if w.generic:
-        gen = gamma_point(GENERIC)
-        if not gen.is_zero():
-            out = out.union(supp_object(gen))
+    gens = [gamma_point(GENERIC)] if w.generic else []
     if not w.closed.is_empty():
         # One Prufer family realises all closed points of w at once.
-        out = out.union(supp_object(GradedModule.of({1: [Cyclic.prufer(w.closed)]})))
-    return out
+        gens.append(GradedModule.of({1: [Cyclic.prufer(w.closed)]}))
+    return sigma_loc(gens)
 
 
 @value_class

@@ -574,7 +574,9 @@ class SpclSubset:
 
     ``closed=None`` is the whole space (the only specialisation-closed set
     containing the generic point, whose closure is everything); otherwise the
-    set is the closed points {(p) : p in closed}.
+    set is the closed points {(p) : p in closed}.  Every lattice operation is
+    read through ``point_set`` from the two primitives of :class:`PointSet`,
+    ``intersect`` and ``complement``, so a fault in either reaches them all.
     """
 
     closed: PrimeSet | None = None
@@ -591,35 +593,26 @@ class SpclSubset:
     def empty(cls) -> "SpclSubset":
         return cls(PrimeSet.none())
 
+    @classmethod
+    def _of_points(cls, points: "PointSet") -> "SpclSubset":
+        # a specialisation-closed set of points that holds (0) is the whole space
+        return cls(None if points.generic else points.closed)
+
     @property
     def is_all(self) -> bool:
         return self.closed is None
 
     def join(self, other: "SpclSubset") -> "SpclSubset":
-        if self.is_all or other.is_all:
-            return SpclSubset(None)
-        return SpclSubset(self.closed.union(other.closed))
+        return SpclSubset._of_points(self.point_set().union(other.point_set()))
 
     def meet(self, other: "SpclSubset") -> "SpclSubset":
-        if self.is_all:
-            return other
-        if other.is_all:
-            return self
-        return SpclSubset(self.closed.intersect(other.closed))
+        return SpclSubset._of_points(self.point_set().intersect(other.point_set()))
 
     def leq(self, other: "SpclSubset") -> bool:
-        if other.is_all:
-            return True
-        if self.is_all:
-            return False
-        return self.closed.leq(other.closed)
+        return self.point_set().leq(other.point_set())
 
     def contains_point(self, x: SpecZPoint) -> bool:
-        if self.is_all:
-            return True
-        if x.is_generic:
-            return False
-        return self.closed.contains(x.p)
+        return self.point_set().contains(x)
 
     def point_set(self) -> "PointSet":
         if self.is_all:
@@ -627,9 +620,7 @@ class SpclSubset:
         return PointSet(False, self.closed)
 
     def complement(self) -> "PointSet":
-        if self.is_all:
-            return PointSet(False, PrimeSet.none())
-        return PointSet(True, self.closed.complement())
+        return self.point_set().complement()
 
     def __str__(self) -> str:
         if self.is_all:
@@ -658,7 +649,9 @@ class PointSet:
     Unlike :class:`SpclSubset` this need not be specialisation closed; it is
     the value type for supports and for subset codes of localising
     subcategories: a generic-point flag plus a finite/cofinite set of closed
-    points.
+    points.  ``intersect`` and ``complement`` are the only primitives of its
+    Boolean algebra: ``union`` and ``leq`` are written through them, so a
+    fault in either reaches every operation.
     """
 
     generic: bool
@@ -685,19 +678,17 @@ class PointSet:
             return self.generic
         return self.closed.contains(x.p)
 
-    def union(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.generic or other.generic, self.closed.union(other.closed))
-
     def intersect(self, other: "PointSet") -> "PointSet":
         return PointSet(self.generic and other.generic, self.closed.intersect(other.closed))
 
     def complement(self) -> "PointSet":
         return PointSet(not self.generic, self.closed.complement())
 
+    def union(self, other: "PointSet") -> "PointSet":
+        return self.complement().intersect(other.complement()).complement()
+
     def leq(self, other: "PointSet") -> bool:
-        if self.generic and not other.generic:
-            return False
-        return self.closed.leq(other.closed)
+        return self.intersect(other.complement()).is_empty()
 
     def __str__(self) -> str:
         if self.is_empty():

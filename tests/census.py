@@ -62,7 +62,6 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("verify", "failures.append(f'rank disagrees with minors for {m.entries}')"),
         ("verify", "failures.append('UMV != D on a 6x6 case')"),
         ("verify", "failures.append(f'6x6 divisibility chain broken: {f}')"),
-        ("verify", "failures.append(f'{got} != {expected} for ranks {dict(c.ranks)}')"),
         ("verify", "failures.append(f'shift inverse failed at {k}')"),
         ("verify", "failures.append(f'unit law failed on {x}')"),
         ("verify", "failures.append(f'associativity failed on ({x}, {y}, {z})')"),
@@ -73,19 +72,12 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("verify", "failures.append(f'gamma value at {p} is {val}')"),
         ("verify", "failures.append(f'cofinite gamma at {s}: prime {q} mismatch')"),
         ("verify", "failures.append(f'invertibility certificate failed at {q}')"),
-        ("verify", "failures.append(f'zero detection failed on {x}')"),
         ("verify", "failures.append(f'pair ({v}; {w}) gives {got}, expected {want}')"),
         ("verify", "failures.append(f'sigma(tau(W)) != W at {w}')"),
-        ("verify", "failures.append(f'phi-inverse of phi({x}) is not {x}')"),
-        ("verify", "failures.append(f'expected 2 primes, got {len(primes)}')"),
-        ("verify", "failures.append('axioms failed on the canonical datum')"),
         ("verify", "failures.append('universal map verification failed')"),
         ("verify", "failures.append('universal map from the spectrum is not the identity')"),
-        ("verify", "failures.append('classification bijection failed')"),
         ("verify", "failures.append('spectrum of a random catalogue is empty')"),
         ("verify", "failures.append('a maximal proper ideal is not prime')"),
-        ("verify", "failures.append('axioms failed on a random catalogue')"),
-        ("verify", "failures.append('classification failed on a random catalogue')"),
     ],
 }
 

@@ -7,12 +7,14 @@ expected side of each of its records is the homology that ``randgen`` knows
 from the cells of its random complexes, which no Smith form computes, so a
 fault in ``homology`` reaches only the side it computes.  The rows after it
 fault ``balmer``'s membership probes, ``verify``'s view of homology,
-``localize_point``, the torsion factoriser's exponents,
-``modcalc._products``, the table of tensor and Tor of two blocks,
-``Module.plus``, the interning of the prime sets that the set algebra
-builds and the two primitives of that algebra.  The last test holds every
-record of ``verify`` to a fault row, or to the list of those still awaiting
-one.
+``localize_point``, the support that ``balmer`` reads off an object's
+blocks, the torsion factoriser's exponents, ``modcalc._products``, the
+table of tensor and Tor of two blocks, ``Module.plus``, the interning of
+the prime sets that the set algebra builds, the two primitives of that
+algebra, ``intersect`` and ``complement``, in ``PrimeSet`` and in
+``PointSet``, and the primes of a catalogue's spectrum.  The last test
+holds every record of ``verify`` to a fault row, or to the list of those
+still awaiting one, which is ``snf`` alone.
 """
 
 import json
@@ -22,7 +24,8 @@ import pytest
 from ttsupport import balmer, homalg, modcalc, verify, znum
 from ttsupport.cli import MIN_CASES, main
 from ttsupport.modcalc import Cyclic, GradedModule, Module
-from ttsupport.znum import PrimeSet
+from ttsupport.supportdata import Catalogue, FiniteSpace, SupportDatum
+from ttsupport.znum import PointSet, PrimeSet
 
 # the verify checks that some row below makes fail, filled in by fault_row
 COVERED = set()
@@ -64,12 +67,14 @@ FAULTS = {
     "smith_factors": without_last_factor,
 }
 
+# homology-oracle: homology(c) against the cells' homology itself;
 # shift-homology: homology(shift(c, k)) against the cells' homology shifted;
 # tensor-commutes and kunneth-chain-oracle: homology(tensor_chain(a, b))
 # against the Kunneth product of the cells' homology (tensor-commutes also
 # with b, a); triangle-subadditivity: the cone's support through homology
 # against the ends' supports from their cells
 RECORDS = {
+    "homalg.homology-oracle": verify.check_homology_oracle,
     "homalg.shift-homology": verify.check_shift_homology,
     "homalg.tensor-commutes": verify.check_tensor_commutes,
     "modcalc.kunneth-chain-oracle": verify.check_kunneth_chain_oracle,
@@ -96,6 +101,21 @@ def test_sigma_tau_fails_on_a_wrong_membership_probe(capsys, monkeypatch, probe)
     assert code == 1
     failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
     assert failed == ["17.balmer.sigma-tau-roundtrips"]
+
+
+@fault_row(verify.check_sigma_tau)
+def test_sigma_tau_fails_when_a_round_trip_raises(monkeypatch):
+    # prime_to_point raises when its probe disagrees with its structure;
+    # the record fails and names the exception, and verify goes on
+    def disagreeing(v):
+        raise AssertionError("probe recovered (0), structure says (2)")
+
+    monkeypatch.setattr(balmer, "prime_to_point", disagreeing)
+    record = verify.check_sigma_tau(verify.VerifyContext(42, MIN_CASES, 30))
+    assert not record.passed
+    assert record.detail == (
+        "phi-inverse of phi((2)) gives AssertionError('probe recovered (0), structure says (2)')"
+    )
 
 
 @fault_row(verify.check_supp_agreement)
@@ -129,6 +149,22 @@ def test_supp_agreement_fails_when_localize_point_ignores_torsion(monkeypatch):
     record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
     assert not record.passed
     assert record.detail.startswith("pointwise probes disagree")
+
+
+REAL_SUPP_BLOCKS = modcalc.supp_blocks
+
+
+@fault_row(verify.check_zero_detection)
+def test_zero_detection_fails_when_supports_skip_free_blocks(monkeypatch):
+    # supp_object reads its blocks through supp_blocks, and x.is_zero()
+    # reads no support, so an object with a free block shows the fault
+    def without_free(blocks):
+        return REAL_SUPP_BLOCKS(c for c in blocks if c.kind != "free")
+
+    monkeypatch.setattr(balmer, "supp_blocks", without_free)
+    record = verify.check_zero_detection(verify.VerifyContext(42, MIN_CASES, 30))
+    assert not record.passed
+    assert record.detail.startswith("zero detection failed on {2: Z[1/11,1/13] + 2*Z[1/17]}")
 
 
 @fault_row(verify.check_ltg)
@@ -288,8 +324,22 @@ def complement_without_two(self):
     return PrimeSet._checked(out.finite, out.listed - {2} if out.finite else out.listed | {2})
 
 
+def meet_keeping_the_left_generic_flag(self, other):
+    # the generic point lies in a meet only when both operands hold it;
+    # this fault keeps the left operand's flag
+    return PointSet(self.generic, self.closed.intersect(other.closed))
+
+
+def complement_keeping_the_generic_flag(self):
+    # the complement holds the generic point exactly when the set does not;
+    # this fault keeps the flag
+    return PointSet(self.generic, self.closed.complement())
+
+
 # PrimeSet.intersect and complement are the primitives of the set algebra:
-# union, difference and leq are written through them.
+# union, difference and leq are written through them; PointSet's union and
+# leq are written through its own two, which read PrimeSet's, and
+# SpclSubset's lattice through PointSet's.
 # primeset-bruteforce: the model applies Python's set operations to the
 #   members each input lists up to the bound (up_to), which calls neither;
 # separation: the fault reaches both sides, but with other operands:
@@ -302,22 +352,43 @@ def complement_without_two(self):
 # local-to-global: gamma_(2) x X is compared with supp X, which supp_object
 #   reads off X's blocks in one pass with no set operation;
 # residue-lemma: Q x Z[1/T] unites all primes with T, and the expected
-#   block Q is Cyclic.rationals(), built in closed form.
+#   block Q is Cyclic.rationals(), built in closed form;
+# sigma-tau-roundtrips: sigma(tau(W)) is read off the generators' blocks in
+#   one pass, but the membership probes and prime_to_point decide through
+#   leq, and the expected side is the localisation at each point; a probe
+#   that disagrees with its structure is a failed record, not a crash;
+# spcl-lattice-laws: the expected sides are the random inputs and the
+#   constant top and bottom, built by their constructors;
+# supp-laws: the sum law's left side, the support of x + y, is read off its
+#   blocks in one pass, and only the union of the summands' supports goes
+#   through the algebra;
+# point-functors: V(x) minus Z(x) is compared with PointSet.singleton(x).
 SET_ALGEBRA_FAULTS = [
-    ("intersect", meet_of_cofinites_excluding_too_little,
+    (PrimeSet, "intersect", meet_of_cofinites_excluding_too_little,
      verify.check_primeset_bruteforce, "union({3, 19, 23}, {}): [] != [3, 19, 23]"),
-    ("intersect", meet_of_cofinites_excluding_too_little,
+    (PrimeSet, "intersect", meet_of_cofinites_excluding_too_little,
      verify.check_separation, "l separation failed: V=closed points of {3, 5, 7}"),
-    ("complement", complement_dropping_two_from_its_list,
+    (PrimeSet, "complement", complement_dropping_two_from_its_list,
      verify.check_localization_triangles, "closed points of {2}: triangle.gamma-tensor-l-vanishes"),
-    ("complement", complement_dropping_two_from_its_list, verify.check_ltg, "0 != {(2)}"),
-    ("complement", complement_without_two, verify.check_residue, "Z_(2) != Q"),
+    (PrimeSet, "complement", complement_dropping_two_from_its_list, verify.check_ltg,
+     "0 != {(2)}"),
+    (PrimeSet, "complement", complement_without_two, verify.check_residue, "Z_(2) != Q"),
+    (PrimeSet, "complement", complement_dropping_two_from_its_list, verify.check_sigma_tau,
+     "membership probe disagrees with subset code"),
+    (PointSet, "intersect", meet_keeping_the_left_generic_flag,
+     verify.check_spcl_subset_lattice, "top on ("),
+    (PointSet, "intersect", meet_keeping_the_left_generic_flag, verify.check_supp_laws,
+     "sum law failed on ("),
+    (PointSet, "complement", complement_keeping_the_generic_flag,
+     verify.check_point_functors, "V\\(Z meet V) at (0): {}"),
+    (PointSet, "complement", complement_keeping_the_generic_flag,
+     verify.check_spcl_subset_lattice, "top on ("),
 ]
 
 
-@fault_row(*(check for _, _, check, _ in SET_ALGEBRA_FAULTS))
+@fault_row(*(check for _, _, _, check, _ in SET_ALGEBRA_FAULTS))
 @pytest.mark.parametrize(
-    "name, fault, check, detail",
+    "cls, name, fault, check, detail",
     SET_ALGEBRA_FAULTS,
     ids=[
         "primeset-bruteforce",
@@ -325,26 +396,56 @@ SET_ALGEBRA_FAULTS = [
         "localization-triangles",
         "local-to-global",
         "residue-lemma",
+        "sigma-tau-roundtrips",
+        "pointset-intersect-spcl-lattice-laws",
+        "pointset-intersect-supp-laws",
+        "pointset-complement-point-functors",
+        "pointset-complement-spcl-lattice-laws",
     ],
 )
 def test_record_fails_under_a_set_algebra_fault(
-    monkeypatch, cold_gamma_point, name, fault, check, detail
+    monkeypatch, cold_gamma_point, cls, name, fault, check, detail
 ):
-    monkeypatch.setattr(PrimeSet, name, fault)
+    monkeypatch.setattr(cls, name, fault)
     record = check(verify.VerifyContext(42, MIN_CASES, 100))
     assert not record.passed
     assert record.detail.startswith(detail)
 
 
+def every_proper_ideal_prime(cat):
+    # a proper ideal is prime only when it holds no product of two objects
+    # outside it; this fault takes every proper ideal as prime
+    n = cat.size
+    primes = [p for p in cat.ideals if len(p) < n]
+    order = [(p, q) for p in primes for q in primes if q <= p]
+    sigma = [frozenset(p for p in primes if i not in p) for i in range(n)]
+    return SupportDatum.of(FiniteSpace.of(primes, order), sigma)
+
+
+# model5 counts the spectrum's points against the worked example's constant
+# 2; random-catalogues checks the support axioms, which check_axioms reads
+# off the catalogue's tensor, sum and triangle tables, not the spectrum
+SPECTRUM_FAULTS = [
+    (verify.check_model5, "expected 2 primes, got 3"),
+    (verify.check_random_catalogues, "axioms failed on a random catalogue"),
+]
+
+
+@fault_row(*(check for check, _ in SPECTRUM_FAULTS))
+@pytest.mark.parametrize("check, detail", SPECTRUM_FAULTS, ids=["model5", "random-catalogues"])
+def test_record_fails_when_every_proper_ideal_is_prime(monkeypatch, check, detail):
+    # a plain property: a cached_property set on a made class has no name to cache under
+    monkeypatch.setattr(Catalogue, "spectrum", property(every_proper_ideal_prime))
+    record = check(verify.VerifyContext(42, MIN_CASES, 30))
+    assert not record.passed
+    assert record.detail.startswith(detail)
+
+
 # Records no honest fault has been found for yet.  The list can only shrink:
-# a record that gains a row must leave it.
-AWAITING_FAULT_ROW = {
-    "homalg.snf",
-    "homalg.homology-oracle",
-    "balmer.zero-detection",
-    "supportdata.model5",
-    "supportdata.random-catalogues",
-}
+# a record that gains a row must leave it.  snf closes with its own check
+# that u * m * v = d, which turns any fault in its elimination into an
+# AssertionError rather than a failed record (ROADMAP item 14).
+AWAITING_FAULT_ROW = {"homalg.snf"}
 
 
 def test_every_record_has_a_fault_row_or_awaits_one():

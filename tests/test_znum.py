@@ -38,6 +38,61 @@ subsets = st.one_of(
     st.just(SpclSubset.whole_space()),
     st.builds(SpclSubset.closed_points, primesets),
 )
+pointsets = st.builds(PointSet, st.booleans(), primesets)
+
+UNIVERSE = frozenset(primes_up_to(1000))
+SAMPLE_POINTS = [GENERIC] + [SpecZPoint.closed(p) for p in POOL + [37]]
+
+
+def points_model(w):
+    """Model of a subset of Spec Z: its generic flag and its member primes up
+    to 1000; a SpclSubset is read off its fields, not through point_set."""
+    if isinstance(w, PointSet):
+        return w.generic, frozenset(primeset_members(w.closed, 1000))
+    if w.is_all:
+        return True, UNIVERSE
+    return False, frozenset(primeset_members(w.closed, 1000))
+
+
+def held(contains):
+    """The sample points that a subset holds, by its own membership test."""
+    return lambda a, b: {x for x in SAMPLE_POINTS if contains(a, x)}
+
+
+def model_holds(m, n):
+    generic, primes = m
+    return {x for x in SAMPLE_POINTS if (generic if x.is_generic else x.p in primes)}
+
+
+def model_union(m, n):
+    return m[0] or n[0], m[1] | n[1]
+
+
+def model_meet(m, n):
+    return m[0] and n[0], m[1] & n[1]
+
+
+def model_leq(m, n):
+    return m[0] <= n[0] and m[1] <= n[1]
+
+
+def model_complement(m, n):
+    return not m[0], UNIVERSE - m[1]
+
+
+# (inputs, operation, its model on points_model of the inputs)
+SUBSET_OPS = [
+    (pointsets, PointSet.union, model_union),
+    (pointsets, PointSet.intersect, model_meet),
+    (pointsets, lambda a, b: a.complement(), model_complement),
+    (pointsets, PointSet.leq, model_leq),
+    (pointsets, held(PointSet.contains), model_holds),
+    (subsets, SpclSubset.join, model_union),
+    (subsets, SpclSubset.meet, model_meet),
+    (subsets, lambda a, b: a.complement(), model_complement),
+    (subsets, SpclSubset.leq, model_leq),
+    (subsets, held(SpclSubset.contains_point), model_holds),
+]
 
 
 class TestPrimality:
@@ -447,6 +502,15 @@ class TestSpclLattice:
 
 
 class TestPointSet:
+    @given(st.data(), st.sampled_from(SUBSET_OPS))
+    def test_bruteforce_semantics(self, data, op):
+        inputs, method, model = op
+        a, b = data.draw(inputs), data.draw(inputs)
+        got = method(a, b)
+        if isinstance(got, (PointSet, SpclSubset)):
+            got = points_model(got)
+        assert got == model(points_model(a), points_model(b))
+
     @given(subsets, subsets)
     def test_spcl_conversions(self, a, b):
         assert a.point_set().union(a.complement()).is_everything()
