@@ -2,10 +2,11 @@
 
 Random perfect complexes are built as direct sums of elementary cells
 (free summands and two-term multiplication cells) mixed by unimodular basis
-shears, so their homology is known by construction; random chain maps are
-sampled from the integer solution lattice of the chain-map equations.
-Everything is driven by an explicit ``random.Random`` so runs reproduce
-byte for byte.
+shears, so their homology is known by construction; a random chain map is a
+multiple of the inclusion of one such complex into its sum with another,
+sheared the same way, so the homology of its source, target and cone is
+known by construction too.  Everything is driven by an explicit
+``random.Random`` so runs reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import random
 from itertools import chain
 
 from .balmer import gamma_v, l_v
-from .homalg import (
-    ChainMap, IntMatrix, PerfectComplex, _Z, direct_sum, scalar_cone, shift, snf, unit_complex,
-)
+from .homalg import ChainMap, PerfectComplex, _Z, direct_sum, scalar_cone, shift, unit_complex
 from .modcalc import Cyclic, GradedModule, Module, kunneth
 from .znum import PrimeSet, SpclSubset
 
@@ -122,6 +121,25 @@ _SHEAR_FACTORS = (-2, -1, 1, 2)
 _CELL_PARTS = {m: tuple(_primary_parts(m)) for m in _NONZERO_ENTRIES}
 
 
+def _shear(rng: random.Random, rank: int, cols: tuple, rows: tuple) -> None:
+    """One random unimodular basis change of a free module of the given rank:
+    column j += s * column i of each matrix in cols, the maps out of it, and
+    the inverse, row i -= s * row j, of each matrix in rows, the maps into
+    it.  Matrices are lists of row lists, changed in place; None is skipped.
+    """
+    if rank < 2:
+        return
+    i, j = rng.sample(range(rank), 2)
+    s = rng.choice(_SHEAR_FACTORS)
+    for m in cols:
+        if m is not None:
+            for row in m:
+                row[j] += s * row[i]
+    for m in rows:
+        if m is not None:
+            m[i] = [x - s * y for x, y in zip(m[i], m[j])]
+
+
 def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectComplex, GradedModule]:
     """A bounded complex of at most max_cells cells, with known homology.
 
@@ -156,18 +174,7 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
         degrees = list(ranks)
         for _ in range(rng.randint(0, _SHEARS)):
             d = rng.choice(degrees)
-            r = ranks[d]
-            if r < 2:
-                continue
-            i, j = rng.sample(range(r), 2)
-            s = rng.choice(_SHEAR_FACTORS)
-            # basis change at degree d: columns of d^d, rows of d^{d-1}
-            if d in mats:
-                for row in mats[d]:
-                    row[j] += s * row[i]
-            if d - 1 in mats:
-                rows = mats[d - 1]
-                rows[i] = [x - s * y for x, y in zip(rows[i], rows[j])]
+            _shear(rng, ranks[d], (mats.get(d),), (mats.get(d - 1),))
         every_row = chain.from_iterable(mats.values())
         if all(-_ENTRY_BOUND <= min(row) and max(row) <= _ENTRY_BOUND for row in every_row):
             complex_ = PerfectComplex.of(ranks, mats)
@@ -176,59 +183,33 @@ def random_complex(rng: random.Random, max_cells: int = 4) -> tuple[PerfectCompl
     raise RuntimeError("failed to sample a complex within the entry bound")
 
 
-def random_chain_map(rng: random.Random, a: PerfectComplex, b: PerfectComplex) -> ChainMap:
-    """A random integer chain map a -> b, sampled from the solution lattice
-    of the commutation equations via Smith normal form."""
-    degrees = sorted(set(a.degrees()) | set(b.degrees()))
-    layout = []  # (degree, rows, cols, offset)
-    offset = 0
-    for n in degrees:
-        r, c = b.rank(n), a.rank(n)
-        if r and c:
-            layout.append((n, r, c, offset))
-            offset += r * c
-    nvars = offset
-    if nvars == 0:
-        return ChainMap.of(a, b, {})
-    pos = {n: (c, off) for n, r, c, off in layout}
-    rows: list[list[int]] = []
-    for n in degrees:
-        # d_B^n . f_n - f_{n+1} . d_A^n = 0, one row per target entry; an
-        # absent differential adds no term
-        db, da = b.diff_of.get(n), a.diff_of.get(n)
-        left = pos.get(n) if db is not None else None
-        right = pos.get(n + 1) if da is not None else None
-        if left is None and right is None:
-            continue
-        da_cols = list(zip(*da.entries)) if right is not None else None
-        for i in range(b.rank(n + 1)):
-            for j in range(a.rank(n)):
-                # f_n and f_{n+1} have disjoint variables and each term its
-                # own variable, so no terms cancel: a zero row has none
-                row = [0] * nvars
-                if left is not None:
-                    c, off = left
-                    for k, x in enumerate(db.entries[i]):
-                        row[off + k * c + j] = x
-                if right is not None:
-                    c, off = right
-                    for k, x in enumerate(da_cols[j]):
-                        row[off + i * c + k] = -x
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        sol = [rng.randint(-2, 2) for _ in range(nvars)]
-    else:
-        res = snf(IntMatrix.of(rows))
-        rank = len(res.invariant_factors)
-        sol = [0] * nvars
-        # the columns of v past the rank are a basis of the solution lattice
-        for vec in list(zip(*res.v.entries))[rank:]:
-            coeff = rng.randint(-2, 2)
-            if coeff:
-                sol = [x + coeff * y for x, y in zip(sol, vec)]
-    maps = {n: [sol[off + i * c : off + (i + 1) * c] for i in range(r)] for n, r, c, off in layout}
-    return ChainMap.of(a, b, maps)
+def random_chain_map(
+    rng: random.Random,
+) -> tuple[ChainMap, GradedModule, GradedModule, GradedModule]:
+    """A chain map f: A -> B, with the homology of A, of B and of cone(f).
+
+    A and B' are random complexes of at most two cells, B is A + B', and f
+    is n times the inclusion of A for a nonzero n; random shears then change
+    the basis of B, acting on d_B and on the rows of f.  So H(A) is known
+    from A's cells, H(B) = H(A) + H(B'), and, as the cone of n on A is
+    A x cone(n), H(cone f) = kunneth(H(A), Z/n) + H(B').  Returns
+    (f, H(A), H(B), H(cone f)); no homology is computed.
+    """
+    a, ha = random_complex(rng, 2)
+    other, h_other = random_complex(rng, 2)
+    n = rng.choice(_NONZERO_ENTRIES)
+    b = direct_sum(a, other)
+    ranks = dict(b.ranks)
+    mats = {d: [list(row) for row in m.entries] for d, m in b.diffs}
+    # A's basis comes first in each degree of B
+    maps = {d: [[n if i == j else 0 for j in range(r)] for i in range(ranks[d])] for d, r in a.ranks}
+    degrees = b.degrees()
+    for _ in range(rng.randint(0, _SHEARS)):
+        d = rng.choice(degrees)
+        _shear(rng, ranks[d], (mats.get(d),), (mats.get(d - 1), maps.get(d)))
+    f = ChainMap.of(a, PerfectComplex.of(ranks, mats), maps)
+    h_cone = kunneth(ha, GradedModule.of({0: _CELL_PARTS[n]})).plus(h_other)
+    return f, ha, ha.plus(h_other), h_cone
 
 
 def compact_catalogue() -> list[PerfectComplex]:

@@ -448,14 +448,13 @@ def check_triangle_subadditivity(ctx: VerifyContext) -> CheckRecord:
     failures = []
     n = ctx.cases // 3
     for _ in range(n):
-        a, ha = randgen.random_complex(rng, max_cells=3)
-        b, hb = randgen.random_complex(rng, max_cells=3)
-        f = randgen.random_chain_map(rng, a, b)
-        # the ends' supports from the homology their cells give; only the
-        # cone's is read through homology
-        sa = balmer.supp_object(ha)
-        sb = balmer.supp_object(hb)
-        sc = balmer.supp_object(homology(homalg.cone(f)))
+        # the homology of all three terms is planted; only the cone's is
+        # read through homology, and its support from what that reads
+        f, ha, hb, hc = randgen.random_chain_map(rng)
+        got = homology(homalg.cone(f))
+        if got != hc:
+            failures.append(f"cone homology {got} != {hc}")
+        sa, sb, sc = balmer.supp_object(ha), balmer.supp_object(hb), balmer.supp_object(got)
         if not sc.leq(sa.union(sb)):
             failures.append(f"supp(cone) escapes union: {sc} vs {sa} u {sb}")
         if not sb.leq(sa.union(sc)):
@@ -487,15 +486,18 @@ def check_sigma_tau(ctx: VerifyContext) -> CheckRecord:
         entries.append((y, h, where))
     rng = ctx.rng("sigma-tau")
     for _ in range(20):
-        gens = rng.sample(catalogue, rng.randint(1, 4))
+        # the same draws as sampling the catalogue itself
+        picks = rng.sample(range(len(catalogue)), rng.randint(1, 4))
+        gens = [catalogue[i] for i in picks]
         code = balmer.sigma_loc([homology(g) for g in gens])
-        for y, h, where in entries:
+        tail = f"in thick({picks}) disagrees with subset code {code}"
+        for k, (y, h, where) in enumerate(entries):
             cases += 1
             inside = all(code.contains(x) for x in where)
             if balmer.thick_membership(y, gens) != inside:
-                failures.append("membership probe disagrees with subset code")
+                failures.append(f"membership of catalogue[{k}] {tail}")
             if balmer.tau_loc(code, h) != inside:
-                failures.append("tau membership disagrees with subset code")
+                failures.append(f"tau membership of catalogue[{k}] {tail}")
     for x in [SpecZPoint.closed(p) for p in (2, 3, 5, 7)] + [GENERIC]:
         cases += 1
         try:

@@ -4,17 +4,17 @@ Each row puts one fault into the library and runs one record's check alone
 (or all of ``verify``, for the sigma-tau probes), and asserts that the
 record fails.  The first table puts its faults into ``homalg``: the
 expected side of each of its records is the homology that ``randgen`` knows
-from the cells of its random complexes, which no Smith form computes, so a
-fault in ``homology`` reaches only the side it computes.  The rows after it
-fault ``balmer``'s membership probes, ``verify``'s view of homology,
-``localize_point``, the support that ``balmer`` reads off an object's
-blocks, the torsion factoriser's exponents, ``modcalc._products``, the
-table of tensor and Tor of two blocks, ``Module.plus``, the interning of
-the prime sets that the set algebra builds, the two primitives of that
-algebra, ``intersect`` and ``complement``, in ``PrimeSet`` and in
-``PointSet``, and the primes of a catalogue's spectrum.  The last test
-holds every record of ``verify`` to a fault row, or to the list of those
-still awaiting one, which is ``snf`` alone.
+by construction of its random complexes and chain maps, which no Smith
+form computes, so a fault in ``homology`` reaches only the side it
+computes.  The rows after it fault ``balmer``'s membership probes,
+``verify``'s view of homology, ``localize_point``, the support that
+``balmer`` reads off an object's blocks, the torsion factoriser's
+exponents, ``modcalc._products``, the table of tensor and Tor of two
+blocks, ``Module.plus``, the interning of the prime sets that the set
+algebra builds, the two primitives of that algebra, ``intersect`` and
+``complement``, in ``PrimeSet`` and in ``PointSet``, the primes of a
+catalogue's spectrum, and the Smith forms that ``check_snf`` is handed.
+The last test holds every record of ``verify`` to a fault row.
 """
 
 import json
@@ -23,6 +23,7 @@ import pytest
 
 from ttsupport import balmer, homalg, modcalc, verify, znum
 from ttsupport.cli import MIN_CASES, main
+from ttsupport.homalg import IntMatrix, SNFResult
 from ttsupport.modcalc import Cyclic, GradedModule, Module
 from ttsupport.supportdata import Catalogue, FiniteSpace, SupportDatum
 from ttsupport.znum import PointSet, PrimeSet
@@ -62,17 +63,24 @@ def without_last_factor(m):
     return REAL_SMITH_FACTORS(m)[:-1]
 
 
+def exponents_flattened(factor):
+    # Z/9 read as Z/3: every support stays as it was
+    return tuple(Cyclic.torsion(c.p, 1) for c in REAL_TORSION_CYCLICS(factor))
+
+
+# row id -> (the homalg function replaced, the fault put in its place)
 FAULTS = {
-    "_torsion_cyclics": without_three_primary,
-    "smith_factors": without_last_factor,
+    "_torsion_cyclics": ("_torsion_cyclics", without_three_primary),
+    "exponents_flattened": ("_torsion_cyclics", exponents_flattened),
+    "smith_factors": ("smith_factors", without_last_factor),
 }
 
 # homology-oracle: homology(c) against the cells' homology itself;
 # shift-homology: homology(shift(c, k)) against the cells' homology shifted;
 # tensor-commutes and kunneth-chain-oracle: homology(tensor_chain(a, b))
 # against the Kunneth product of the cells' homology (tensor-commutes also
-# with b, a); triangle-subadditivity: the cone's support through homology
-# against the ends' supports from their cells
+# with b, a); triangle-subadditivity: homology(cone(f)) against the cone
+# homology planted with the chain map, before any support is compared
 RECORDS = {
     "homalg.homology-oracle": verify.check_homology_oracle,
     "homalg.shift-homology": verify.check_shift_homology,
@@ -86,10 +94,12 @@ RECORDS = {
 @pytest.mark.parametrize("record", sorted(RECORDS))
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_record_fails_under_homology_fault(monkeypatch, fault, record):
-    monkeypatch.setattr(homalg, fault, FAULTS[fault])
+    monkeypatch.setattr(homalg, *FAULTS[fault])
     rec = RECORDS[record](verify.VerifyContext(42, 300, 100))
     assert rec.name == record
     assert not rec.passed
+    if record == "balmer.triangle-subadditivity":
+        assert rec.detail.startswith("cone homology ")
 
 
 @fault_row(verify.check_sigma_tau)
@@ -99,8 +109,12 @@ def test_sigma_tau_fails_on_a_wrong_membership_probe(capsys, monkeypatch, probe)
     code = main(["--format", "json", "verify", "--cases", str(MIN_CASES), "--primes-bound", "30"])
     out = capsys.readouterr().out
     assert code == 1
-    failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
-    assert failed == ["17.balmer.sigma-tau-roundtrips"]
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["17.balmer.sigma-tau-roundtrips"]
+    # thick_membership decides through tau_loc, so both faults fail it first
+    assert failed[0]["detail"] == (
+        "membership of catalogue[0] in thick([4, 7]) disagrees with subset code {(2), (3)}"
+    )
 
 
 @fault_row(verify.check_sigma_tau)
@@ -374,7 +388,7 @@ SET_ALGEBRA_FAULTS = [
      "0 != {(2)}"),
     (PrimeSet, "complement", complement_without_two, verify.check_residue, "Z_(2) != Q"),
     (PrimeSet, "complement", complement_dropping_two_from_its_list, verify.check_sigma_tau,
-     "membership probe disagrees with subset code"),
+     "membership of catalogue[3] in thick([4, 7]) disagrees with subset code {(2), (3)}"),
     (PointSet, "intersect", meet_keeping_the_left_generic_flag,
      verify.check_spcl_subset_lattice, "top on ("),
     (PointSet, "intersect", meet_keeping_the_left_generic_flag, verify.check_supp_laws,
@@ -441,17 +455,64 @@ def test_record_fails_when_every_proper_ideal_is_prime(monkeypatch, check, detai
     assert record.detail.startswith(detail)
 
 
-# Records no honest fault has been found for yet.  The list can only shrink:
-# a record that gains a row must leave it.  snf closes with its own check
-# that u * m * v = d, which turns any fault in its elimination into an
-# AssertionError rather than a failed record (ROADMAP item 14).
-AWAITING_FAULT_ROW = {"homalg.snf"}
+REAL_SNF = homalg.snf
 
 
-def test_every_record_has_a_fault_row_or_awaits_one():
-    ctx = verify.VerifyContext(42, MIN_CASES, 30)
-    names = {check: check(ctx).name for check in verify.CHECKS}
-    assert COVERED <= names.keys()
-    without_row = {names[check] for check in verify.CHECKS if check not in COVERED}
-    assert sorted(without_row - AWAITING_FAULT_ROW) == [], "a record arrived with no fault row"
-    assert sorted(AWAITING_FAULT_ROW - without_row) == [], "a record with a row still awaits one"
+def scaled(m, k, rows):
+    """m with each of the given rows multiplied by k."""
+    return IntMatrix(m.rows, m.cols, tuple(
+        tuple(k * x for x in row) if i in rows else row for i, row in enumerate(m.entries)
+    ))
+
+
+def u_first_row_negated(r):
+    # u * m * v is d with its first row negated
+    return SNFResult(scaled(r.u, -1, {0}), r.d, r.v, r.invariant_factors)
+
+
+def u_and_d_doubled(r):
+    # u * m * v = d still holds, but det u is 2^n
+    return SNFResult(scaled(r.u, 2, range(r.u.rows)), scaled(r.d, 2, range(r.d.rows)), r.v,
+                     r.invariant_factors)
+
+
+def factors_reversed(r):
+    return SNFResult(r.u, r.d, r.v, r.invariant_factors[::-1])
+
+
+def last_factor_doubled(r):
+    f = r.invariant_factors
+    return SNFResult(r.u, r.d, r.v, f[:-1] + tuple(2 * x for x in f[-1:]))
+
+
+def last_factor_dropped(r):
+    return SNFResult(r.u, r.d, r.v, r.invariant_factors[:-1])
+
+
+# Each fault wraps snf's result as verify sees it; snf's own closing check
+# that u * m * v = d runs before the wrapper, so it cannot stop the fault.
+# The expected side of check_snf is _minor_gcds and determinant, and neither
+# calls snf.
+SNF_FAULTS = [
+    (u_first_row_negated, "UMV != D for ((-6, 9), (1, -4), (-9, -4), (1, 9))"),
+    (u_and_d_doubled, "transforms not unimodular for ((-6, 9), (1, -4), (-9, -4), (1, 9))"),
+    (factors_reversed, "divisibility chain broken: (2, 1)"),
+    (last_factor_doubled, "minor oracle: prod d_1..d_2 = 2 != 1"),
+    (last_factor_dropped, "rank disagrees with minors for ((-6, 9), (1, -4), (-9, -4), (1, 9))"),
+]
+
+
+@fault_row(verify.check_snf)
+@pytest.mark.parametrize(
+    "fault, detail", SNF_FAULTS, ids=[fault.__name__ for fault, _ in SNF_FAULTS]
+)
+def test_snf_fails_under_a_wrong_smith_form(monkeypatch, fault, detail):
+    monkeypatch.setattr(verify, "snf", lambda m: fault(REAL_SNF(m)))
+    record = verify.check_snf(verify.VerifyContext(42, MIN_CASES, 30))
+    assert record.name == "homalg.snf" and not record.passed
+    assert record.detail == detail
+
+
+def test_every_record_has_a_fault_row():
+    assert [check.__name__ for check in verify.CHECKS if check not in COVERED] == []
+    assert COVERED <= set(verify.CHECKS)
