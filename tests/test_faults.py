@@ -111,7 +111,7 @@ def test_sigma_tau_fails_on_a_wrong_membership_probe(capsys, monkeypatch, probe)
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["17.balmer.sigma-tau-roundtrips"]
-    # thick_membership decides through tau_loc, so both faults fail it first
+    # the one probe is thick_membership, which decides through tau_loc
     assert failed[0]["detail"] == (
         "membership of catalogue[0] in thick([4, 7]) disagrees with subset code {(2), (3)}"
     )
@@ -368,7 +368,7 @@ def complement_keeping_the_generic_flag(self):
 # residue-lemma: Q x Z[1/T] unites all primes with T, and the expected
 #   block Q is Cyclic.rationals(), built in closed form;
 # sigma-tau-roundtrips: sigma(tau(W)) is read off the generators' blocks in
-#   one pass, but the membership probes and prime_to_point decide through
+#   one pass, but the membership probe and prime_to_point decide through
 #   leq, and the expected side is the localisation at each point; a probe
 #   that disagrees with its structure is a failed record, not a crash;
 # spcl-lattice-laws: the expected sides are the random inputs and the

@@ -68,15 +68,58 @@ def test_both_processes_run_checks_and_the_order_is_kept(forked, monkeypatch):
     def check(i):
         def run(ctx):
             time.sleep(0.02)  # the helper starts long before the parent is done
-            return CheckRecord(f"c{i}", True, str(os.getpid()))
+            return CheckRecord(f"c{i}", True, f"{os.getpid()} {time.monotonic_ns()}")
 
         return run
 
     monkeypatch.setattr(verify, "CHECKS", [check(i) for i in range(24)])
     records = verify.run_verify(1, 60, 50).records
     assert [rec.name for rec in records] == [f"{i:02d}.c{i}" for i in range(24)]
-    pids = {rec.detail for rec in records}
-    assert len(pids) == 2 and str(os.getpid()) in pids
+    # each process claims the checks it runs in claim order
+    position = {i: k for k, i in enumerate(verify.CLAIM_ORDER)}
+    runs = {}
+    for i, rec in enumerate(records):
+        pid, when = rec.detail.split()
+        runs.setdefault(pid, []).append((int(when), position[i]))
+    assert len(runs) == 2 and str(os.getpid()) in runs
+    for claimed in runs.values():
+        assert [k for _, k in sorted(claimed)] == sorted(k for _, k in claimed)
+
+
+def test_the_claim_order_is_a_permutation_of_the_checks():
+    # a check left out would never run, and one listed twice would run twice
+    assert sorted(verify.CLAIM_ORDER) == list(range(len(verify.CHECKS)))
+
+
+def test_alone_the_checks_run_in_claim_order(no_fork, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    ran = []
+
+    def check(i):
+        def run(ctx):
+            ran.append(i)
+            return CheckRecord(f"c{i}", True, f"{i} cases")
+
+        return run
+
+    monkeypatch.setattr(verify, "CHECKS", [check(i) for i in range(24)])
+    records = verify.run_verify(1, 60, 50).records
+    assert ran == list(verify.CLAIM_ORDER)
+    assert [rec.name for rec in records] == [f"{i:02d}.c{i}" for i in range(24)]
+
+
+def test_alone_the_first_raising_check_in_claim_order_is_raised(no_fork, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def raising(i):
+        def run(ctx):
+            raise ValueError(f"check {i}")
+
+        return run
+
+    monkeypatch.setattr(verify, "CHECKS", [raising(i) for i in range(24)])
+    with pytest.raises(ValueError, match=f"^check {verify.CLAIM_ORDER[0]}$"):
+        verify.run_verify(1, 60, 50)
 
 
 def test_a_helper_that_dies_costs_only_time(forked, monkeypatch):
