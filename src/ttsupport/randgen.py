@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 
-def random_primeset(rng: random.Random) -> PrimeSet:
-    """At most three of SMALL_PRIMES, as a finite or a cofinite set."""
-    picked = rng.sample(SMALL_PRIMES, rng.randint(0, 3))
+def random_primeset(rng: random.Random, primes: tuple[int, ...] = SMALL_PRIMES) -> PrimeSet:
+    """At most three of primes, as a finite or a cofinite set."""
+    picked = rng.sample(primes, rng.randint(0, 3))
     return PrimeSet.of(picked, finite=rng.random() < 0.5)
 
 

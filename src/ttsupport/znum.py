@@ -10,11 +10,13 @@ Finite and cofinite sets of rational primes are the computable fragment of
 Spec Z used by the rest of the toolkit: localisation loci, torsion loci and
 specialisation-closed subsets are all built from them.  Every value here is
 immutable and every operation is pure.  PrimeSet values are interned in a
-plain dict and live for the rest of the process: a ``verify`` run draws its
-sets from the first ten primes, so the table stops growing at about 2,050.
-An insert is one ``dict.setdefault``, atomic under the GIL because every key
-hashes and compares in C, so concurrent construction keeps one object per
-value without a lock.
+plain dict and live for the rest of the process: a ``verify`` run builds its
+sets from the first ten primes and from a fixed pool of at most three primes
+below 50, so the table holds at most 2,848 of them.  An insert is one
+``dict.setdefault``, atomic under the GIL because every key hashes and
+compares in C, so concurrent construction keeps one object per value without
+a lock; threads that race to link a set to its complement write the same
+two objects.
 """
 
 from __future__ import annotations
@@ -383,9 +385,12 @@ class PrimeSet:
     ``(finite, listed)``, which lives for the rest of the process, so
     equality and hashing are identity, and a set's primes are validated only
     the first time it is built; that they are ints is tested on every call.
+    An interned set keeps its complement in ``_not`` once it is first asked
+    for, and the complement keeps the set, so the derived operations build
+    each complement once.
     """
 
-    __slots__ = ("finite", "primes", "listed")
+    __slots__ = ("finite", "primes", "listed", "_not")
 
     finite: bool
     primes: tuple[int, ...]
@@ -462,7 +467,17 @@ class PrimeSet:
         return PrimeSet._checked(False, a | b)
 
     def complement(self) -> "PrimeSet":
-        return PrimeSet._checked(not self.finite, self.listed)
+        out = self._not
+        if out is None:
+            out = PrimeSet._checked(not self.finite, self.listed)
+            # link only the table's own pair: a set built outside it keeps no
+            # link, and no interned set is linked to one
+            if _PRIMESETS.get((self.finite, self.listed)) is self and (
+                _PRIMESETS.get((out.finite, out.listed)) is out
+            ):
+                object.__setattr__(self, "_not", out)
+                object.__setattr__(out, "_not", self)
+        return out
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
         return self.complement().intersect(other.complement()).complement()
@@ -536,6 +551,7 @@ def _new_primeset(key: tuple[bool, frozenset[int]], primes: tuple[int, ...]) -> 
     object.__setattr__(out, "finite", key[0])
     object.__setattr__(out, "primes", primes)
     object.__setattr__(out, "listed", key[1])
+    object.__setattr__(out, "_not", None)
     return _PRIMESETS.setdefault(key, out)
 
 
@@ -615,9 +631,18 @@ class SpclSubset:
         return self.point_set().contains(x)
 
     def point_set(self) -> "PointSet":
-        if self.is_all:
-            return PointSet(True, PrimeSet.all_primes())
-        return PointSet(False, self.closed)
+        # built once per instance and kept in its __dict__ beside the fields,
+        # where equality, hashing and repr do not look; a plain dict entry is
+        # cheaper to fill than a cached_property
+        cache = self.__dict__
+        points = cache.get("_points")
+        if points is None:
+            if self.is_all:
+                points = PointSet(True, PrimeSet.all_primes())
+            else:
+                points = PointSet(False, self.closed)
+            cache["_points"] = points
+        return points
 
     def complement(self) -> "PointSet":
         return self.point_set().complement()
@@ -682,7 +707,12 @@ class PointSet:
         return PointSet(self.generic and other.generic, self.closed.intersect(other.closed))
 
     def complement(self) -> "PointSet":
-        return PointSet(not self.generic, self.closed.complement())
+        # computed once per instance, kept as SpclSubset.point_set keeps its own
+        cache = self.__dict__
+        out = cache.get("_not")
+        if out is None:
+            out = cache["_not"] = PointSet(not self.generic, self.closed.complement())
+        return out
 
     def union(self, other: "PointSet") -> "PointSet":
         return self.complement().intersect(other.complement()).complement()

@@ -58,8 +58,6 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("verify", "failures.append(f'unit law failed on {x}')"),
         ("verify", "failures.append(f'associativity failed on ({x}, {y}, {z})')"),
         ("verify", "failures.append(f'finitely generated equality failed on ({x}, {y})')"),
-        ("verify", "failures.append(f'l not idempotent at {v}')"),
-        ("verify", "failures.append(f'gamma x l nonzero at {v}')"),
         ("verify", "failures.append(f'H0 of the Koszul complex at {p} nonzero')"),
         ("verify", "failures.append(f'gamma value at {p} is {val}')"),
         ("verify", "failures.append(f'cofinite gamma at {s}: prime {q} mismatch')"),

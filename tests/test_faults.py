@@ -10,11 +10,13 @@ computes.  The rows after it fault ``balmer``'s membership probes,
 ``verify``'s view of homology, ``localize_point``, the support that
 ``balmer`` reads off an object's blocks, the torsion factoriser's
 exponents, ``modcalc._products``, the table of tensor and Tor of two
-blocks, ``Module.plus``, the interning of the prime sets that the set
-algebra builds, the two primitives of that algebra, ``intersect`` and
-``complement``, in ``PrimeSet`` and in ``PointSet``, the primes of a
-catalogue's spectrum, and the Smith forms that ``check_snf`` is handed.
-The last test holds every record of ``verify`` to a fault row.
+blocks, ``Module.plus``, the localisation idempotent ``l_v``, the
+interning of the prime sets that the set algebra builds, the two
+primitives of that algebra, ``intersect`` and ``complement``, in
+``PrimeSet`` and in ``PointSet``, the primes of a catalogue's spectrum, and
+the Smith forms that ``check_snf`` is handed.  Every row starts and ends
+with no interned prime set linked to its complement.  The last test holds
+every record of ``verify`` to a fault row.
 """
 
 import json
@@ -26,7 +28,7 @@ from ttsupport.cli import MIN_CASES, main
 from ttsupport.homalg import IntMatrix, SNFResult
 from ttsupport.modcalc import Cyclic, GradedModule, Module
 from ttsupport.supportdata import Catalogue, FiniteSpace, SupportDatum
-from ttsupport.znum import PointSet, PrimeSet
+from ttsupport.znum import PointSet, PrimeSet, SpclSubset
 
 # the verify checks that some row below makes fail, filled in by fault_row
 COVERED = set()
@@ -40,6 +42,21 @@ def fault_row(*checks):
         return test
 
     return mark
+
+
+@pytest.fixture(autouse=True)
+def cold_complements():
+    # an interned PrimeSet keeps its complement for the process: start every
+    # row from none linked, so that each complement is built again under the
+    # fault, and keep no link made under it.  PointSet and SpclSubset keep
+    # theirs on the instances a row makes and drops.
+    def clear():
+        for s in znum._PRIMESETS.values():
+            object.__setattr__(s, "_not", None)
+
+    clear()
+    yield
+    clear()
 
 
 @pytest.fixture
@@ -246,7 +263,7 @@ def without_prufer_tor(a, b):
 PRODUCT_FAULTS = [
     (first_of_a_torsion_pair, verify.check_table_symmetry, 10, "tensor not symmetric at"),
     (first_of_a_torsion_pair, verify.check_kunneth_laws, 100, "commutativity failed on"),
-    (without_prufer_tor, verify.check_idempotent_laws, 10, "gamma not idempotent at"),
+    (without_prufer_tor, verify.check_idempotent_laws, MIN_CASES, "gamma not idempotent at"),
     (smaller_prime_of_a_torsion_pair, verify.check_supp_laws, MIN_CASES,
      "product support not inside intersection on"),
 ]
@@ -263,6 +280,43 @@ def test_record_fails_under_a_block_product_fault(monkeypatch, fault, check, cas
     record = check(verify.VerifyContext(42, cases, 30))
     assert not record.passed
     assert record.detail.startswith(detail)
+
+
+REAL_L_V = balmer.l_v
+
+
+def l_v_twice(v):
+    # l_V(1) is one block Z[S^-1]; this fault returns the block twice
+    l = REAL_L_V(v)
+    return l.plus(l)
+
+
+def l_v_inverting_one_prime_fewer(v):
+    # l_V(1) inverts every prime of V; this fault leaves V's least prime out
+    if v.is_all:
+        return REAL_L_V(v)
+    least = PrimeSet.of(v.closed.up_to(50)[:1])
+    return REAL_L_V(SpclSubset.closed_points(v.closed.difference(least)))
+
+
+# idempotent-laws compares kunneth(l, l) with l: the expected side holds the
+# doubled block twice, but the product of two doubled blocks holds it four
+# times.  It compares kunneth(g, l) with the constant 0, and g = gamma_V(1) is
+# built from V in closed form, so the Prufer group of the prime that the
+# faulty l leaves uninverted survives the product; l itself stays idempotent.
+L_V_FAULTS = [
+    (l_v_twice, "l not idempotent at closed points of {}"),
+    (l_v_inverting_one_prime_fewer, "gamma x l nonzero at closed points of all primes"),
+]
+
+
+@fault_row(verify.check_idempotent_laws)
+@pytest.mark.parametrize("fault, detail", L_V_FAULTS, ids=[f.__name__ for f, _ in L_V_FAULTS])
+def test_idempotent_laws_fails_under_a_wrong_localisation_idempotent(monkeypatch, fault, detail):
+    monkeypatch.setattr(balmer, "l_v", fault)
+    record = verify.check_idempotent_laws(verify.VerifyContext(42, MIN_CASES, 30))
+    assert record.name == "balmer.idempotent-laws" and not record.passed
+    assert record.detail == detail
 
 
 @fault_row(verify.check_supp_laws)
@@ -283,6 +337,7 @@ def uninterned(cls, finite, primes):
     object.__setattr__(out, "finite", finite)
     object.__setattr__(out, "primes", tuple(sorted(listed)))
     object.__setattr__(out, "listed", listed)
+    object.__setattr__(out, "_not", None)
     return out
 
 
@@ -313,6 +368,21 @@ def test_record_fails_when_the_set_algebra_skips_interning(
     record = check(verify.VerifyContext(42, 10, 30))
     assert not record.passed
     assert record.detail.startswith(detail)
+
+
+def test_no_interned_set_keeps_a_complement_from_outside_the_table(monkeypatch, cold_gamma_point):
+    # under the interning fault every complement is built outside the table;
+    # a set from outside it, kept past the fault, is complemented after it
+    with monkeypatch.context() as fault:
+        fault.setattr(PrimeSet, "_checked", classmethod(uninterned))
+        for check, _ in INTERNING_FAULTS:
+            check(verify.VerifyContext(42, 10, 30))
+        stray = PrimeSet.none()
+    assert stray.complement() is PrimeSet.all_primes()
+    table = znum._PRIMESETS
+    assert stray not in table.values()
+    assert [s for s in table.values() if s._not is not None and s._not is not table.get(
+        (s._not.finite, s._not.listed))] == []
 
 
 REAL_INTERSECT = PrimeSet.intersect

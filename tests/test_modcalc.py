@@ -28,6 +28,7 @@ from ttsupport.modcalc import (
 )
 from oracles import naive_bilinear, naive_kunneth, naive_supp
 from ttsupport.randgen import (
+    SMALL_PRIMES,
     random_complex,
     random_cyclic,
     random_engineered_graded,
@@ -35,7 +36,7 @@ from ttsupport.randgen import (
     random_module,
     random_primeset,
 )
-from ttsupport.verify import _generator_cyclics, run_verify
+from ttsupport.verify import _IDEMPOTENT_PRIMES, _generator_cyclics, run_verify
 from ttsupport.znum import GENERIC, PointSet, PrimeSet, SpecZPoint, primes_up_to
 
 Z = Cyclic.free(PrimeSet.none())
@@ -162,6 +163,13 @@ def _block_entry(kind, primes=None, p=None, k=None):
     return modcalc._CYCLICS.get((kind, primes, p, k))
 
 
+def drawn_by_verify(s):
+    """Whether the prime set s lists only verify's first ten primes, or at
+    most three of the primes that idempotent-laws draws from."""
+    listed = set(s.primes)
+    return listed <= set(SMALL_PRIMES) or len(listed) <= 3 and listed <= set(_IDEMPOTENT_PRIMES)
+
+
 class TestHashConsing:
     def test_every_construction_path_gives_the_same_object(self):
         two = PrimeSet.of([2])
@@ -240,11 +248,16 @@ class TestHashConsing:
 
     def test_verify_fills_the_tables_once(self, checks_in_process):
         # verify's blocks are over its first ten primes and bounded
-        # exponents, so the tables that hold each value for good stop growing
+        # exponents, or over the fixed pool that idempotent-laws draws from,
+        # so a second seed adds to the tables that hold each value for good
+        # only values from a bounded set
         run_verify(1, 60, 50)
-        sizes = len(modcalc._CYCLICS), len(znum._PRIMESETS)
+        cyclics, sets = set(modcalc._CYCLICS.values()), set(znum._PRIMESETS.values())
         run_verify(2, 60, 50)
-        assert (len(modcalc._CYCLICS), len(znum._PRIMESETS)) == sizes
+        new_sets = set(znum._PRIMESETS.values()) - sets
+        new_cyclics = set(modcalc._CYCLICS.values()) - cyclics
+        assert all(drawn_by_verify(s) for s in new_sets)
+        assert all(c.kind != "torsion" and drawn_by_verify(c.primes) for c in new_cyclics)
 
     def test_randgen_keeps_each_drawn_value_once(self):
         # a repeated draw is the interned object, so there are as many

@@ -10,13 +10,17 @@ import signal
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from deadline import within
 from test_faults import first_of_a_torsion_pair
 from ttsupport import modcalc, verify
+from ttsupport.cli import main
 from ttsupport.report import CheckRecord
+
+GOLDEN_VERIFY = Path(__file__).resolve().parent / "golden" / "verify_seed42_cases60_primes50.txt"
 
 
 @pytest.fixture
@@ -106,6 +110,15 @@ def test_alone_the_checks_run_in_claim_order(no_fork, monkeypatch):
     records = verify.run_verify(1, 60, 50).records
     assert ran == list(verify.CLAIM_ORDER)
     assert [rec.name for rec in records] == [f"{i:02d}.c{i}" for i in range(24)]
+
+
+def test_the_report_does_not_depend_on_the_claim_order(no_fork, monkeypatch, capsys):
+    # the set algebra keeps complements and point sets from one check to the
+    # next, so the first check to fill them must not change what another reads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(verify, "CLAIM_ORDER", verify.CLAIM_ORDER[::-1])
+    assert main(["verify", "--seed", "42", "--cases", "60", "--primes-bound", "50"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == GOLDEN_VERIFY.read_bytes()
 
 
 def test_alone_the_first_raising_check_in_claim_order_is_raised(no_fork, monkeypatch):

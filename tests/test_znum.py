@@ -2,6 +2,8 @@ import copy
 import math
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 import sympy
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from deadline import within
 from oracles import primeset_members
+from test_modcalc import drawn_by_verify
 from ttsupport import homalg, znum
 from ttsupport.cli import main
 from ttsupport.verify import run_verify
@@ -407,13 +410,50 @@ class TestHashConsing:
             build()
         assert _entry(True, [2]) is alive[0] and _entry(False, [2]) is alive[1]
 
+    def test_a_set_and_its_complement_link_each_other(self):
+        a = PrimeSet.of([2, 3])
+        b = a.complement()
+        assert b is PrimeSet.cofinite([2, 3]) and a._not is b and b._not is a
+        assert b.complement() is a
+
+    def test_concurrent_complements_link_each_pair_once(self):
+        """Eight threads, more than there are cores, race to take the
+        complements of the same new sets, half of them from the other end;
+        each set ends linked to its one interned complement, and that to it."""
+        # primes between 50000 and 60000, past what the other tests build
+        primes = primes_up_to(60000)[-120:]
+        sets = [PrimeSet.of(primes[i:i + 2], finite=fin) for i in range(0, 120, 2) for fin in (True, False)]
+        barrier = threading.Barrier(8, timeout=30)
+        got = [None] * 8
+
+        def work(t):
+            barrier.wait()
+            got[t] = [s.complement() for s in (sets if t % 2 else sets[::-1])]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(th.is_alive() for th in threads)
+        want = [PrimeSet.of(s.primes, finite=not s.finite) for s in sets]
+        assert all(g == (want if t % 2 else want[::-1]) for t, g in enumerate(got))
+        assert all(s._not is c and c._not is s for s, c in zip(sets, want))
+
     def test_verify_fills_the_table_once(self, checks_in_process):
         # every set verify builds is finite or cofinite over its first ten
-        # primes, so the table that holds each set for good stops growing
+        # primes, or over at most three of the primes below 50 that
+        # idempotent-laws draws from, so the table that holds each set for
+        # good is bounded: a second seed adds only such sets
         run_verify(1, 60, 50)
-        size = len(znum._PRIMESETS)
+        sets = set(znum._PRIMESETS.values())
         run_verify(2, 60, 50)
-        assert len(znum._PRIMESETS) == size
+        assert all(drawn_by_verify(s) for s in set(znum._PRIMESETS.values()) - sets)
 
 
 class TestJsonInt:
