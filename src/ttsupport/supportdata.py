@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cached_property
-from itertools import chain, product
-from operator import itemgetter
+from itertools import chain, compress, product
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, Sequence
 
 from .report import CheckRecord, Report, check
@@ -355,22 +355,27 @@ def _ideal_closure(c: Catalogue):
     smallest closed mask containing it and extra; only the newly added bits
     are examined, each once."""
     n = c.size
+    bits = [1 << i for i in range(n)]
     # unary[i]: what i alone forces in: its shift, its summands and every
     # product k * i (column i, which is row i: the table is commutative)
     unary = [
-        1 << c.shift[i] | sum(1 << x for x in set(row)) for i, row in enumerate(c.tensor)
+        bits[s] | sum(map(bits.__getitem__, set(row))) for s, row in zip(c.shift, c.tensor)
     ]
     for a, b in c.summands:
-        unary[a] |= 1 << b
-    # partners[a][b]: third vertices t of the triangles (a, b, t) and
-    # (b, a, t), forced in once a and b both are; the triangle set is closed
-    # under rotation, so "two out of three" needs only this one direction
+        unary[a] |= bits[b]
+    # partners[a][b]: third vertices t of the triangles (a, b, t)
     partners = [[0] * n for _ in range(n)]
     for a, b, t in c.triangles:
-        bit = 1 << t
-        partners[a][b] |= bit
-        partners[b][a] |= bit
-    pairs = [tuple((b, third) for b, third in enumerate(row) if third) for row in partners]
+        partners[a][b] |= bits[t]
+    # pairs[a]: (1 << b, thirds) for each b with thirds, the third vertices
+    # of the triangles (a, b, t) and (b, a, t), forced in once a and b both
+    # are: row a of partners OR its column a, which leaves the diagonal as it
+    # is.  The triangle set is closed under rotation, so "two out of three"
+    # needs only the first two vertices of each triangle as a pair.
+    pairs = []
+    for row, col in zip(partners, zip(*partners)):
+        both = list(map(or_, row, col))
+        pairs.append(tuple(compress(zip(bits, both), both)))
 
     def close(mask: int, extra: int) -> int:
         todo = extra & ~mask
@@ -380,8 +385,8 @@ def _ideal_closure(c: Catalogue):
             todo ^= low
             i = low.bit_length() - 1
             add = unary[i]
-            for b, third in pairs[i]:
-                if mask >> b & 1:
+            for bit, third in pairs[i]:
+                if mask & bit:
                     add |= third
             add &= ~mask
             mask |= add
@@ -434,7 +439,7 @@ def enumerate_ideals(c: Catalogue) -> list[frozenset[int]]:
                     f"ideals: more than the bound of {MAX_IDEALS} thick tensor-ideals"
                 )
             stack.append((grown, nxt, passed_down))
-    found = [frozenset(i for i in range(n) if m >> i & 1) for m in masks]
+    found = [frozenset(_members(m)) for m in masks]
     found.sort(key=lambda s: (len(s), sorted(s)))
     return found
 

@@ -707,12 +707,7 @@ class PointSet:
         return PointSet(self.generic and other.generic, self.closed.intersect(other.closed))
 
     def complement(self) -> "PointSet":
-        # computed once per instance, kept as SpclSubset.point_set keeps its own
-        cache = self.__dict__
-        out = cache.get("_not")
-        if out is None:
-            out = cache["_not"] = PointSet(not self.generic, self.closed.complement())
-        return out
+        return PointSet(not self.generic, self.closed.complement())
 
     def union(self, other: "PointSet") -> "PointSet":
         return self.complement().intersect(other.complement()).complement()

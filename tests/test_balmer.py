@@ -26,7 +26,6 @@ from ttsupport.balmer import (
 from ttsupport.homalg import ChainMap, IntMatrix, cone, homology, scalar_cone, smith_factors, unit_complex
 from ttsupport.modcalc import Cyclic, GradedModule, Module, kunneth
 from ttsupport.randgen import (
-    SMALL_PRIMES,
     compact_catalogue,
     random_chain_map,
     random_complex,
@@ -150,22 +149,6 @@ class TestGammaPoint:
             gamma_v(SpclSubset.whole_space()), l_v(closed_except())
         )
         assert got == gamma_point(GENERIC)
-
-
-class TestIdempotentLaws:
-    def test_exhaustive_family(self):
-        # verify's idempotent-laws draws its sets from the seed; this sweep,
-        # run once per suite, takes every subset of the first ten primes
-        family = [SpclSubset.whole_space(), SpclSubset.empty()]
-        for r in range(len(SMALL_PRIMES) + 1):
-            for combo in combinations(SMALL_PRIMES, r):
-                family.append(SpclSubset.closed_points(PrimeSet.of(combo)))
-                family.append(SpclSubset.closed_points(PrimeSet.cofinite(combo)))
-        for v in family:
-            g, l = gamma_v(v), l_v(v)
-            assert kunneth(g, g) == g
-            assert kunneth(l, l) == l
-            assert kunneth(g, l).is_zero()
 
 
 class TestSupportObject:

@@ -525,6 +525,36 @@ class TestEnumeration:
             assert enumerate_primes(cat) == naive_primes(cat)
         assert min(seen.values()) >= 4, seen
 
+    @pytest.mark.parametrize("cycles", [(4,), (5,), (2, 3), (3, 4)])
+    def test_against_naive_with_one_triangle_per_long_orbit(self, cycles):
+        # A shift with cycles of two to five objects, with products all zero
+        # so that only the shift and the triangles close the ideals.  One
+        # triangle is listed per orbit, its vertices drawn with repeats and
+        # from 0 and U too, and only catalogues whose rotated set holds some
+        # (a, b, t) without (b, a, t) are checked: two out of three must then
+        # be read from either order of the first two vertices.
+        names = ["0", "U"] + [f"c{i}x{j}" for i, n in enumerate(cycles) for j in range(n)]
+        shift = {}
+        for i, n in enumerate(cycles):
+            for j in range(n):
+                shift[f"c{i}x{j}"] = f"c{i}x{(j + 1) % n}"
+        tensor = {
+            x: {y: y if x == "U" else x if y == "U" else "0" for y in names} for x in names
+        }
+        rng = random.Random(89 + sum(cycles))
+        checked = 0
+        for _ in range(100):
+            if checked == 6:
+                break
+            listed = [tuple(rng.choices(names, k=3)) for _ in range(rng.randint(1, 2))]
+            cat = Catalogue.of(names, "0", "U", tensor, shift, triangles=listed)
+            if all((b, a, t) in cat.triangles for a, b, t in cat.triangles):
+                continue
+            checked += 1
+            assert enumerate_ideals(cat) == naive_ideals(cat)
+            assert enumerate_primes(cat) == naive_primes(cat)
+        assert checked == 6
+
     def test_up_set_lattices_of_16_to_24_objects(self):
         # The ideals of an up-set lattice are the families {c : c <= U}, one
         # per up-set U, and its primes the families {c : p not in c}.
