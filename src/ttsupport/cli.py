@@ -162,9 +162,6 @@ MIN_CASES = 10
 # verify's time grows in proportion to its cases: at this bound it took 28.8 s
 # on one CPU of a 2-core Xeon (Python 3.11), and should finish within 60 s.
 MAX_CASES = 50_000
-# verify's --primes-bound sets how far closed-forms (its case count follows) and
-# primeset-bruteforce sweep the primes; a bound past 100 changed no record.
-MAX_PRIMES_BOUND = 100
 
 
 def _int(text: str) -> int:
@@ -332,17 +329,17 @@ def cmd_catalogue_universal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_verify(args.seed, args.cases, args.primes_bound)
+    report = verify.run_verify(args.seed, args.cases)
     lines = list(report.lines())
     failed = len(report.failures())
     lines.append(
         f"verify: {len(report.records)} checks, {failed} failed "
-        f"(seed {args.seed}, cases {args.cases}, primes-bound {args.primes_bound})"
+        f"(seed {args.seed}, cases {args.cases}, primes-bound {verify.PRIMES_BOUND})"
     )
     payload = {
         "seed": args.seed,
         "cases": args.cases,
-        "primes_bound": args.primes_bound,
+        "primes_bound": verify.PRIMES_BOUND,
         **report.to_json(),
     }
     _emit(args, lines, payload)
@@ -411,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full property suite")
     p.add_argument("--seed", type=_int, default=42)
     p.add_argument("--cases", type=_int_in(MIN_CASES, MAX_CASES), default=500)
-    p.add_argument("--primes-bound", type=_int_in(2, MAX_PRIMES_BOUND), default=100)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -109,9 +109,9 @@ def value_class(cls: type) -> type:
     return cls
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Miller-Rabin with the witness set below is a proven deterministic test for
+# Miller-Rabin with the witnesses above is a proven deterministic test for
 # every n under this bound.  Above it no proven test is implemented, so
 # is_prime refuses what small divisors do not settle rather than guess or
 # run for days.
@@ -144,11 +144,11 @@ def is_prime(n: int) -> bool:
     """
     if n < _TABLE_BOUND:
         return n > 1 and _PRIME_TABLE[n] == 1
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return False
     if n < _MR_PROVEN_BOUND:
-        return all(_is_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+        return all(_is_strong_probable_prime(n, a) for a in _MR_WITNESSES)
     raise _beyond_proven(n)
 
 

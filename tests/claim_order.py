@@ -27,7 +27,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ttsupport import verify  # noqa: E402
 
-PRIMES_BOUND = 100
 WARM_UP_SEED = 0
 # the timed seeds at each size; a run at 5000 cases takes a few seconds
 SEEDS = {500: range(1, 8), 5000: range(1, 4)}
@@ -38,7 +37,7 @@ def check_times(cases: int, seeds) -> list[float]:
     pass that fills the memos a run in a long-lived process keeps warm."""
     samples = [[] for _ in verify.CHECKS]
     for seed in (WARM_UP_SEED, *seeds):
-        ctx = verify.VerifyContext(seed, cases, PRIMES_BOUND)
+        ctx = verify.VerifyContext(seed, cases)
         for i, check in enumerate(verify.CHECKS):
             start = time.perf_counter()
             check(ctx)

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -17,14 +18,14 @@ import sample_commands
 from deadline import within
 from ttsupport import randgen, supportdata, verify, znum
 from ttsupport.balmer import supp_object
-from ttsupport.cli import MAX_CASES, MAX_PRIMES_BOUND, MIN_CASES, build_parser, main
+from ttsupport.cli import MAX_CASES, MIN_CASES, build_parser, main
 from ttsupport.homalg import MAX_RANK, PerfectComplex, homology, tensor_chain
 from ttsupport.modcalc import Cyclic, GradedModule, kunneth
 from ttsupport.supportdata import five_object_model
 from ttsupport.znum import _MR_PROVEN_BOUND, PrimeSet, SpclSubset, primes_up_to
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify_seed42_cases60_primes50.txt"
+GOLDEN_VERIFY = ROOT / "tests" / "golden" / "verify_seed42_cases60_primes100.txt"
 # the first prime past the bound of the proven primality test
 BEYOND_PROVEN = sympy.nextprime(_MR_PROVEN_BOUND)
 GOLDEN_VERIFY_DEFAULT = ROOT / "tests" / "golden" / "verify_seed42_cases500_primes100.txt"
@@ -295,6 +296,20 @@ def test_python_m_runs_the_command_line(monkeypatch, capsys, module, runs):
 
 def test_golden_lists_every_sample_command():
     assert [entry["argv"] for entry in sample_commands.load_golden()] == sample_commands.argvs()
+
+
+def test_readme_shows_the_pinned_commands():
+    # the README's sh blocks show each pinned sample command, in order, and one
+    # verify at the seed and cases of the default golden
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    shown = [argv[1:] for argv in lines if argv[:1] == ["ttsupport"]]
+    assert [argv for argv in shown if argv[0] != "verify"] == sample_commands.COMMANDS
+    [verify_argv] = [argv for argv in shown if argv[0] == "verify"]
+    args = build_parser().parse_args(verify_argv)
+    golden = re.search(r"\(seed (\d+), cases (\d+),", GOLDEN_VERIFY_DEFAULT.read_text())
+    assert (args.seed, args.cases) == (int(golden[1]), int(golden[2]))
 
 
 def _unimodular(rng, n):
@@ -733,12 +748,8 @@ class TestErrors:
             # a larger run is refused, not started: 10^9 cases would run for days
             (["verify", "--cases", str(MAX_CASES + 1)], "--cases", f"[{MIN_CASES}, {MAX_CASES}]"),
             (["verify", "--cases", "1000000000"], "--cases", f"[{MIN_CASES}, {MAX_CASES}]"),
-            (["verify", "--primes-bound", "1"], "--primes-bound", f"[2, {MAX_PRIMES_BOUND}]"),
-            (["verify", "--primes-bound", "1000000000"], "--primes-bound",
-             f"[2, {MAX_PRIMES_BOUND}]"),
         ],
-        ids=["cases-negative", "cases-too-few", "cases-too-many", "cases-billion",
-             "verify-bound-low", "verify-bound-high"],
+        ids=["cases-negative", "cases-too-few", "cases-too-many", "cases-billion"],
     )
     def test_out_of_range_sizes_are_rejected(self, capsys, argv, flag, limit):
         with pytest.raises(SystemExit) as caught:
@@ -774,9 +785,8 @@ class TestErrors:
             (["verify", "--seed", "1_0", "--cases", "10"], "--seed", "1_0"),
             (["verify", "--cases", "1_0"], "--cases", "1_0"),
             (["verify", "--seed", "\u0663"], "--seed", "\u0663"),
-            (["verify", "--primes-bound", " 30"], "--primes-bound", " 30"),
         ],
-        ids=["seed-underscore", "cases-underscore", "seed-arabic-indic", "bound-space"],
+        ids=["seed-underscore", "cases-underscore", "seed-arabic-indic"],
     )
     def test_size_arguments_follow_the_decimal_rule(self, capsys, argv, flag, value):
         with pytest.raises(SystemExit) as caught:
@@ -828,9 +838,14 @@ class TestErrors:
         assert out == ""
         assert err == f"input error: {path}{message}\n"
 
-    def test_prime_takes_no_primes_bound(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["prime", "--closed-except", "5"], ["verify", "--cases", str(MIN_CASES)]],
+        ids=["prime", "verify"],
+    )
+    def test_no_command_takes_a_primes_bound(self, capsys, argv):
         with pytest.raises(SystemExit) as caught:
-            main(["prime", "--closed-except", "5", "--primes-bound", "100"])
+            main([*argv, "--primes-bound", "100"])
         assert caught.value.code == 2
         assert "unrecognized arguments: --primes-bound 100" in capsys.readouterr().err
 
@@ -998,24 +1013,14 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 class TestVerifyCommand:
     def test_small_verify_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--seed", "3", "--cases", "40", "--primes-bound", "30")
+        code, out, _ = run(capsys, "verify", "--seed", "3", "--cases", "40")
         assert code == 0
         assert "0 failed" in out
 
     def test_fewest_cases_run_every_check(self, capsys):
-        code, out, _ = run(capsys, "verify", "--cases", str(MIN_CASES), "--primes-bound", "30")
+        code, out, _ = run(capsys, "verify", "--cases", str(MIN_CASES))
         assert code == 0
         assert " (0 cases)" not in out
-
-    def test_primes_bound_stops_at_100(self, capsys):
-        # a bound past 100 changed no record, so it is refused
-        with pytest.raises(SystemExit) as caught:
-            main(["verify", "--primes-bound", "101"])
-        assert caught.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --primes-bound: " in err and "[2, 100]" in err
-        code, out, err = run(capsys, "verify", "--cases", str(MIN_CASES), "--primes-bound", "100")
-        assert (code, err) == (0, "")
         assert out.endswith(f"(seed 42, cases {MIN_CASES}, primes-bound 100)\n")
 
     def test_byte_identical_across_processes(self, tmp_path):
@@ -1033,8 +1038,6 @@ class TestVerifyCommand:
                     "5",
                     "--cases",
                     "30",
-                    "--primes-bound",
-                    "30",
                 ],
                 capture_output=True,
                 env=env,
@@ -1044,9 +1047,7 @@ class TestVerifyCommand:
         assert outs[0] == outs[1]
 
     def test_matches_committed_snapshot(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--seed", "42", "--cases", "60", "--primes-bound", "50"
-        )
+        code, out, _ = run(capsys, "verify", "--seed", "42", "--cases", "60")
         assert code == 0
         assert out.encode("utf-8") == GOLDEN_VERIFY.read_bytes()
 
@@ -1057,11 +1058,11 @@ class TestVerifyCommand:
 
     def test_json_format(self, capsys):
         code, out, _ = run(
-            capsys, "--format", "json", "verify", "--seed", "3", "--cases", "20",
-            "--primes-bound", "20",
+            capsys, "--format", "json", "verify", "--seed", "3", "--cases", "20"
         )
         assert code == 0
         payload = json.loads(out)
+        assert (payload["seed"], payload["cases"], payload["primes_bound"]) == (3, 20, 100)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 24
 
@@ -1140,7 +1141,7 @@ class TestEnumerationCounts:
     def test_verify_catalogue_checks(self, enumerations):
         # model5 and each random catalogue: one lattice for the ideals, the
         # spectrum, the axioms, the universal map and classify
-        ctx = verify.VerifyContext(42, 500, 100)
+        ctx = verify.VerifyContext(42, 500)
         assert verify.check_model5(ctx).passed
         assert len(enumerations) == 1
         enumerations.clear()

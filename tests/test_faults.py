@@ -4,19 +4,19 @@ Each row puts one fault into the library and runs one record's check alone
 (or all of ``verify``, for the sigma-tau probes), and asserts that the
 record fails.  The first table puts its faults into ``homalg``: the
 expected side of each of its records is the homology that ``randgen`` knows
-by construction of its random complexes and chain maps, which no Smith
-form computes, so a fault in ``homology`` reaches only the side it
-computes.  The rows after it fault ``balmer``'s membership probes,
-``verify``'s view of homology, ``localize_point``, the support that
-``balmer`` reads off an object's blocks, the torsion factoriser's
-exponents, ``modcalc._products``, the table of tensor and Tor of two
-blocks, ``Module.plus``, the localisation idempotent ``l_v``, the
-interning of the prime sets that the set algebra builds, the two
-primitives of that algebra, ``intersect`` and ``complement``, in
-``PrimeSet`` and in ``PointSet``, the primes of a catalogue's spectrum, and
-the Smith forms that ``check_snf`` is handed.  Every row starts and ends
-with no interned prime set linked to its complement.  The last test holds
-every record of ``verify`` to a fault row.
+by construction of its random complexes and chain maps, which no Smith form
+computes, so a fault in ``homology`` reaches only the side it computes.
+The rows after it fault ``homalg.shift``, ``balmer``'s membership probes
+and ``sigma_of_tau``, ``verify``'s view of homology, ``localize_point``,
+the support that ``balmer`` reads off an object's blocks, the torsion
+factoriser's exponents, ``modcalc._products``, the table of tensor and Tor
+of two blocks, ``Module.plus``, the localisation idempotent ``l_v``, the
+interning of the prime sets that the set algebra builds, the two primitives
+of that algebra, ``intersect`` and ``complement``, in ``PrimeSet`` and in
+``PointSet``, the primes of a catalogue's spectrum, and the Smith forms
+that ``check_snf`` is handed.  Every row starts and ends with no interned
+prime set linked to its complement.  The last test holds every record of
+``verify`` to a fault row.
 """
 
 import json
@@ -25,7 +25,7 @@ import pytest
 
 from ttsupport import balmer, homalg, modcalc, verify, znum
 from ttsupport.cli import MIN_CASES, main
-from ttsupport.homalg import IntMatrix, SNFResult
+from ttsupport.homalg import IntMatrix, PerfectComplex, SNFResult
 from ttsupport.modcalc import Cyclic, GradedModule, Module
 from ttsupport.supportdata import Catalogue, FiniteSpace, SupportDatum
 from ttsupport.znum import PointSet, PrimeSet, SpclSubset
@@ -112,18 +112,39 @@ RECORDS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_record_fails_under_homology_fault(monkeypatch, fault, record):
     monkeypatch.setattr(homalg, *FAULTS[fault])
-    rec = RECORDS[record](verify.VerifyContext(42, 300, 100))
+    rec = RECORDS[record](verify.VerifyContext(42, 300))
     assert rec.name == record
     assert not rec.passed
     if record == "balmer.triangle-subadditivity":
         assert rec.detail.startswith("cone homology ")
 
 
+REAL_SHIFT = homalg.shift
+
+
+def shift_signed_for_positive_k_only(c, k):
+    # shift^k scales the differential by (-1)^k; this fault leaves it
+    # unscaled for k < 0
+    if k >= 0:
+        return REAL_SHIFT(c, k)
+    return PerfectComplex.of({n - k: r for n, r in c.ranks}, {n - k: m for n, m in c.diffs})
+
+
+@fault_row(verify.check_shift_homology)
+def test_shift_homology_fails_when_a_shift_keeps_the_differential_sign(monkeypatch):
+    # homology cannot see the sign of a differential, so only the round trip
+    # shift(shift(c, k), -k) == c, which compares the complexes, fails
+    monkeypatch.setattr(homalg, "shift", shift_signed_for_positive_k_only)
+    record = verify.check_shift_homology(verify.VerifyContext(42, MIN_CASES))
+    assert record.name == "homalg.shift-homology" and not record.passed
+    assert record.detail == "shift inverse failed at 1"
+
+
 @fault_row(verify.check_sigma_tau)
 @pytest.mark.parametrize("probe", ["thick_membership", "tau_loc"])
 def test_sigma_tau_fails_on_a_wrong_membership_probe(capsys, monkeypatch, probe):
     monkeypatch.setattr(balmer, probe, lambda *args: True)
-    code = main(["--format", "json", "verify", "--cases", str(MIN_CASES), "--primes-bound", "30"])
+    code = main(["--format", "json", "verify", "--cases", str(MIN_CASES)])
     out = capsys.readouterr().out
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
@@ -142,11 +163,28 @@ def test_sigma_tau_fails_when_a_round_trip_raises(monkeypatch):
         raise AssertionError("probe recovered (0), structure says (2)")
 
     monkeypatch.setattr(balmer, "prime_to_point", disagreeing)
-    record = verify.check_sigma_tau(verify.VerifyContext(42, MIN_CASES, 30))
+    record = verify.check_sigma_tau(verify.VerifyContext(42, MIN_CASES))
     assert not record.passed
     assert record.detail == (
         "phi-inverse of phi((2)) gives AssertionError('probe recovered (0), structure says (2)')"
     )
+
+
+REAL_SIGMA_OF_TAU = balmer.sigma_of_tau
+
+
+def sigma_of_tau_without_the_generic_generator(w):
+    # sigma(tau(W)) joins the support of gamma_(0) when W holds (0); this
+    # fault leaves that generator out
+    return REAL_SIGMA_OF_TAU(PointSet(False, w.closed))
+
+
+@fault_row(verify.check_sigma_tau)
+def test_sigma_tau_fails_when_the_generic_generator_is_dropped(monkeypatch):
+    monkeypatch.setattr(balmer, "sigma_of_tau", sigma_of_tau_without_the_generic_generator)
+    record = verify.check_sigma_tau(verify.VerifyContext(42, MIN_CASES))
+    assert record.name == "balmer.sigma-tau-roundtrips" and not record.passed
+    assert record.detail == "sigma(tau(W)) != W at {(0)}"
 
 
 @fault_row(verify.check_supp_agreement)
@@ -162,7 +200,7 @@ def test_supp_agreement_fails_when_homology_drops_torsion(monkeypatch):
         )
 
     monkeypatch.setattr(verify, "homology", torsion_free)
-    record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
+    record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES))
     assert not record.passed
     assert record.detail.startswith("abstract vs homological support differ")
 
@@ -177,7 +215,7 @@ def test_supp_agreement_fails_when_localize_point_ignores_torsion(monkeypatch):
         return real(x, Module(tuple(cm for cm in m.parts if cm[0].kind != "torsion")))
 
     monkeypatch.setattr(modcalc, "localize_point", blind)
-    record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES, 30))
+    record = verify.check_supp_agreement(verify.VerifyContext(42, MIN_CASES))
     assert not record.passed
     assert record.detail.startswith("pointwise probes disagree")
 
@@ -193,7 +231,7 @@ def test_zero_detection_fails_when_supports_skip_free_blocks(monkeypatch):
         return REAL_SUPP_BLOCKS(c for c in blocks if c.kind != "free")
 
     monkeypatch.setattr(balmer, "supp_blocks", without_free)
-    record = verify.check_zero_detection(verify.VerifyContext(42, MIN_CASES, 30))
+    record = verify.check_zero_detection(verify.VerifyContext(42, MIN_CASES))
     assert not record.passed
     assert record.detail.startswith("zero detection failed on {2: Z[1/11,1/13] + 2*Z[1/17]}")
 
@@ -210,7 +248,7 @@ def test_local_to_global_fails_when_localize_point_ignores_prufer(monkeypatch):
         return real(x, Module(tuple(cm for cm in m.parts if cm[0].kind != "prufer")))
 
     monkeypatch.setattr(balmer, "localize_point", blind)
-    record = verify.check_ltg(verify.VerifyContext(42, 30, 100))
+    record = verify.check_ltg(verify.VerifyContext(42, 30))
     assert not record.passed
     assert record.detail.startswith("{every (p) except p in {5, 7}} != the localisations at (2)")
 
@@ -225,7 +263,7 @@ def test_closed_forms_fails_when_homology_lowers_an_exponent(monkeypatch):
         )
 
     monkeypatch.setattr(homalg, "_torsion_cyclics", lowered)
-    record = verify.check_closed_forms(verify.VerifyContext(42, MIN_CASES, 30))
+    record = verify.check_closed_forms(verify.VerifyContext(42, MIN_CASES))
     assert record.name == "balmer.closed-forms" and not record.passed
     assert record.detail.startswith("truncation step 2^1 has homology")
 
@@ -248,6 +286,22 @@ def smaller_prime_of_a_torsion_pair(a, b):
     return REAL_PRODUCTS(a, b)
 
 
+def integers_kill_torsion(a, b):
+    # Z x Z/p^k is Z/p^k; this fault answers zero
+    free = a if a.kind == "free" else b
+    if {a.kind, b.kind} == {"free", "torsion"} and free.primes.is_empty():
+        return None, None
+    return REAL_PRODUCTS(a, b)
+
+
+def zero_for_unequal_exponents(a, b):
+    # Z/p^j x Z/p^k and its Tor are Z/p^min(j,k); this fault answers zero
+    # for both when j != k
+    if a.kind == b.kind == "torsion" and a.p == b.p and a.k != b.k:
+        return None, None
+    return REAL_PRODUCTS(a, b)
+
+
 def without_prufer_tor(a, b):
     tensor, tor = REAL_PRODUCTS(a, b)
     return tensor, None if a.kind == b.kind == "prufer" else tor
@@ -256,16 +310,21 @@ def without_prufer_tor(a, b):
 # table-symmetry compares tensor_mod and tor_mod of (a, b) with those of
 # (b, a), and kunneth-laws kunneth(x, y) with kunneth(y, x): the fault answers
 # with its first argument, so swapping them moves the wrong answer to the
-# other side; idempotent-laws compares kunneth(g, g) with g = gamma_v(v),
+# other side, and its unit law compares kunneth(Z, x) with x; idempotent-laws compares kunneth(g, g) with g = gamma_v(v),
 # whose Prufer family is built in closed form, and only Tor keeps it in g x g;
 # supp-laws compares the support of kunneth(x, y) with the meet of the
-# supports of x and y, which are read off their own blocks with no product
+# supports of x and y, which are read off their own blocks with no product,
+# and asks equality of the two when x and y are finitely generated; 60 cases
+# draw no pair of torsion blocks of one prime and unequal exponents, so 500
 PRODUCT_FAULTS = [
     (first_of_a_torsion_pair, verify.check_table_symmetry, 10, "tensor not symmetric at"),
     (first_of_a_torsion_pair, verify.check_kunneth_laws, 100, "commutativity failed on"),
     (without_prufer_tor, verify.check_idempotent_laws, MIN_CASES, "gamma not idempotent at"),
+    (integers_kill_torsion, verify.check_kunneth_laws, 60, "unit law failed on"),
     (smaller_prime_of_a_torsion_pair, verify.check_supp_laws, MIN_CASES,
      "product support not inside intersection on"),
+    (zero_for_unequal_exponents, verify.check_supp_laws, 500,
+     "finitely generated equality failed on"),
 ]
 
 
@@ -273,11 +332,12 @@ PRODUCT_FAULTS = [
 @pytest.mark.parametrize(
     "fault, check, cases, detail",
     PRODUCT_FAULTS,
-    ids=["table-symmetry", "kunneth-laws", "idempotent-laws", "supp-laws"],
+    ids=["table-symmetry", "kunneth-laws", "idempotent-laws", "kunneth-laws-unit", "supp-laws",
+         "supp-laws-finitely-generated"],
 )
 def test_record_fails_under_a_block_product_fault(monkeypatch, fault, check, cases, detail):
     monkeypatch.setattr(modcalc, "_products", fault)
-    record = check(verify.VerifyContext(42, cases, 30))
+    record = check(verify.VerifyContext(42, cases))
     assert not record.passed
     assert record.detail.startswith(detail)
 
@@ -314,7 +374,7 @@ L_V_FAULTS = [
 @pytest.mark.parametrize("fault, detail", L_V_FAULTS, ids=[f.__name__ for f, _ in L_V_FAULTS])
 def test_idempotent_laws_fails_under_a_wrong_localisation_idempotent(monkeypatch, fault, detail):
     monkeypatch.setattr(balmer, "l_v", fault)
-    record = verify.check_idempotent_laws(verify.VerifyContext(42, MIN_CASES, 30))
+    record = verify.check_idempotent_laws(verify.VerifyContext(42, MIN_CASES))
     assert record.name == "balmer.idempotent-laws" and not record.passed
     assert record.detail == detail
 
@@ -324,7 +384,7 @@ def test_supp_laws_fails_when_plus_drops_its_left_summand(monkeypatch):
     # the sum law compares the support of x.plus(y) with the union of the
     # supports of x and y, each read off its own blocks with no sum formed
     monkeypatch.setattr(Module, "plus", lambda self, other: other)
-    record = verify.check_supp_laws(verify.VerifyContext(42, 30, 100))
+    record = verify.check_supp_laws(verify.VerifyContext(42, 30))
     assert record.name == "modcalc.supp-laws" and not record.passed
     assert record.detail.startswith("sum law failed on")
 
@@ -365,7 +425,7 @@ def test_record_fails_when_the_set_algebra_skips_interning(
     monkeypatch, cold_gamma_point, check, detail
 ):
     monkeypatch.setattr(PrimeSet, "_checked", classmethod(uninterned))
-    record = check(verify.VerifyContext(42, 10, 30))
+    record = check(verify.VerifyContext(42, 10))
     assert not record.passed
     assert record.detail.startswith(detail)
 
@@ -376,7 +436,7 @@ def test_no_interned_set_keeps_a_complement_from_outside_the_table(monkeypatch, 
     with monkeypatch.context() as fault:
         fault.setattr(PrimeSet, "_checked", classmethod(uninterned))
         for check, _ in INTERNING_FAULTS:
-            check(verify.VerifyContext(42, 10, 30))
+            check(verify.VerifyContext(42, 10))
         stray = PrimeSet.none()
     assert stray.complement() is PrimeSet.all_primes()
     table = znum._PRIMESETS
@@ -491,7 +551,7 @@ def test_record_fails_under_a_set_algebra_fault(
     monkeypatch, cold_gamma_point, cls, name, fault, check, detail
 ):
     monkeypatch.setattr(cls, name, fault)
-    record = check(verify.VerifyContext(42, MIN_CASES, 100))
+    record = check(verify.VerifyContext(42, MIN_CASES))
     assert not record.passed
     assert record.detail.startswith(detail)
 
@@ -520,7 +580,7 @@ SPECTRUM_FAULTS = [
 def test_record_fails_when_every_proper_ideal_is_prime(monkeypatch, check, detail):
     # a plain property: a cached_property set on a made class has no name to cache under
     monkeypatch.setattr(Catalogue, "spectrum", property(every_proper_ideal_prime))
-    record = check(verify.VerifyContext(42, MIN_CASES, 30))
+    record = check(verify.VerifyContext(42, MIN_CASES))
     assert not record.passed
     assert record.detail.startswith(detail)
 
@@ -578,7 +638,7 @@ SNF_FAULTS = [
 )
 def test_snf_fails_under_a_wrong_smith_form(monkeypatch, fault, detail):
     monkeypatch.setattr(verify, "snf", lambda m: fault(REAL_SNF(m)))
-    record = verify.check_snf(verify.VerifyContext(42, MIN_CASES, 30))
+    record = verify.check_snf(verify.VerifyContext(42, MIN_CASES))
     assert record.name == "homalg.snf" and not record.passed
     assert record.detail == detail
 

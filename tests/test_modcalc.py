@@ -251,9 +251,9 @@ class TestHashConsing:
         # exponents, or over the fixed pool that idempotent-laws draws from,
         # so a second seed adds to the tables that hold each value for good
         # only values from a bounded set
-        run_verify(1, 60, 50)
+        run_verify(1, 60)
         cyclics, sets = set(modcalc._CYCLICS.values()), set(znum._PRIMESETS.values())
-        run_verify(2, 60, 50)
+        run_verify(2, 60)
         new_sets = set(znum._PRIMESETS.values()) - sets
         new_cyclics = set(modcalc._CYCLICS.values()) - cyclics
         assert all(drawn_by_verify(s) for s in new_sets)

@@ -140,9 +140,9 @@ ROWS = [
     ),
     (
         VerifyContext,
-        lambda: VerifyContext(42, 500, 100),
-        lambda: VerifyContext(42, 60, 100),
-        "VerifyContext(seed=42, cases=500, primes_bound=100)",
+        lambda: VerifyContext(42, 500),
+        lambda: VerifyContext(42, 60),
+        "VerifyContext(seed=42, cases=500)",
     ),
     (SpecZPoint, lambda: SpecZPoint(3), lambda: SpecZPoint(5), "SpecZPoint(p=3)"),
     (

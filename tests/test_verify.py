@@ -20,7 +20,7 @@ from ttsupport import modcalc, verify
 from ttsupport.cli import main
 from ttsupport.report import CheckRecord
 
-GOLDEN_VERIFY = Path(__file__).resolve().parent / "golden" / "verify_seed42_cases60_primes50.txt"
+GOLDEN_VERIFY = Path(__file__).resolve().parent / "golden" / "verify_seed42_cases60_primes100.txt"
 
 
 @pytest.fixture
@@ -46,8 +46,8 @@ def no_fork(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def in_process(seed, cases, primes_bound):
-    ctx = verify.VerifyContext(seed, cases, primes_bound)
+def in_process(seed, cases):
+    ctx = verify.VerifyContext(seed, cases)
     return tuple(
         CheckRecord(f"{i:02d}.{rec.name}", rec.passed, rec.detail)
         for i, rec in enumerate(f(ctx) for f in verify.CHECKS)
@@ -56,16 +56,16 @@ def in_process(seed, cases, primes_bound):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_forked_records_are_the_in_process_records(forked, seed):
-    assert verify.run_verify(seed, 60, 50).records == in_process(seed, 60, 50)
+    assert verify.run_verify(seed, 60).records == in_process(seed, 60)
 
 
 def test_forked_records_under_a_fault(forked, monkeypatch):
     # fails table-symmetry and kunneth-chain-oracle; no memoised value
     # holds a product of two torsion blocks of one prime
     monkeypatch.setattr(modcalc, "_products", first_of_a_torsion_pair)
-    want = in_process(42, 60, 50)
+    want = in_process(42, 60)
     assert not all(rec.passed for rec in want)
-    assert verify.run_verify(42, 60, 50).records == want
+    assert verify.run_verify(42, 60).records == want
 
 
 def test_both_processes_run_checks_and_the_order_is_kept(forked, monkeypatch):
@@ -77,7 +77,7 @@ def test_both_processes_run_checks_and_the_order_is_kept(forked, monkeypatch):
         return run
 
     monkeypatch.setattr(verify, "CHECKS", [check(i) for i in range(24)])
-    records = verify.run_verify(1, 60, 50).records
+    records = verify.run_verify(1, 60).records
     assert [rec.name for rec in records] == [f"{i:02d}.c{i}" for i in range(24)]
     # each process claims the checks it runs in claim order
     position = {i: k for k, i in enumerate(verify.CLAIM_ORDER)}
@@ -107,7 +107,7 @@ def test_alone_the_checks_run_in_claim_order(no_fork, monkeypatch):
         return run
 
     monkeypatch.setattr(verify, "CHECKS", [check(i) for i in range(24)])
-    records = verify.run_verify(1, 60, 50).records
+    records = verify.run_verify(1, 60).records
     assert ran == list(verify.CLAIM_ORDER)
     assert [rec.name for rec in records] == [f"{i:02d}.c{i}" for i in range(24)]
 
@@ -117,7 +117,7 @@ def test_the_report_does_not_depend_on_the_claim_order(no_fork, monkeypatch, cap
     # next, so the first check to fill them must not change what another reads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(verify, "CLAIM_ORDER", verify.CLAIM_ORDER[::-1])
-    assert main(["verify", "--seed", "42", "--cases", "60", "--primes-bound", "50"]) == 0
+    assert main(["verify", "--seed", "42", "--cases", "60"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == GOLDEN_VERIFY.read_bytes()
 
 
@@ -132,7 +132,7 @@ def test_alone_the_first_raising_check_in_claim_order_is_raised(no_fork, monkeyp
 
     monkeypatch.setattr(verify, "CHECKS", [raising(i) for i in range(24)])
     with pytest.raises(ValueError, match=f"^check {verify.CLAIM_ORDER[0]}$"):
-        verify.run_verify(1, 60, 50)
+        verify.run_verify(1, 60)
 
 
 def test_a_helper_that_dies_costs_only_time(forked, monkeypatch):
@@ -147,7 +147,7 @@ def test_a_helper_that_dies_costs_only_time(forked, monkeypatch):
         return run
 
     monkeypatch.setattr(verify, "CHECKS", [dying(f) for f in verify.CHECKS])
-    assert verify.run_verify(1, 60, 50).records == in_process(1, 60, 50)
+    assert verify.run_verify(1, 60).records == in_process(1, 60)
 
 
 def test_a_failed_fork_runs_every_check_in_process(forked, monkeypatch):
@@ -155,7 +155,7 @@ def test_a_failed_fork_runs_every_check_in_process(forked, monkeypatch):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", fork)
-    assert verify.run_verify(2, 60, 50).records == in_process(2, 60, 50)
+    assert verify.run_verify(2, 60).records == in_process(2, 60)
 
 
 def test_a_check_that_raises_reaches_the_caller(forked, monkeypatch):
@@ -164,7 +164,7 @@ def test_a_check_that_raises_reaches_the_caller(forked, monkeypatch):
 
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:5] + [broken] + verify.CHECKS[6:])
     with pytest.raises(ValueError, match="^no such block$") as caught:
-        verify.run_verify(1, 60, 50)
+        verify.run_verify(1, 60)
     assert caught.traceback[-1].name == "broken"
 
 
@@ -172,7 +172,7 @@ def test_an_expired_deadline_leaves_no_process(forked, monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", [lambda ctx: time.sleep(30)] * 24)
     start = time.monotonic()
     with pytest.raises(TimeoutError):
-        within(1, lambda: verify.run_verify(1, 60, 50))
+        within(1, lambda: verify.run_verify(1, 60))
     assert time.monotonic() - start < 10
 
 
@@ -182,10 +182,10 @@ def test_a_traced_or_profiled_run_stays_in_process(no_fork, hook):
     previous = get()
     put(previous or (lambda frame, event, arg: None))
     try:
-        records = verify.run_verify(1, 60, 50).records
+        records = verify.run_verify(1, 60).records
     finally:
         put(previous)
-    assert records == in_process(1, 60, 50)
+    assert records == in_process(1, 60)
 
 
 @pytest.mark.parametrize("affinity", [True, False])
@@ -195,7 +195,7 @@ def test_one_usable_cpu_stays_in_process(no_fork, monkeypatch, affinity):
     else:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert verify.run_verify(1, 60, 50).records == in_process(1, 60, 50)
+    assert verify.run_verify(1, 60).records == in_process(1, 60)
 
 
 @pytest.mark.parametrize("procfs", [True, False])
@@ -209,12 +209,12 @@ def test_a_second_thread_stays_in_process(no_fork, monkeypatch, procfs):
     waiter = threading.Thread(target=release.wait, args=(30,))
     waiter.start()
     try:
-        records = verify.run_verify(1, 60, 50).records
+        records = verify.run_verify(1, 60).records
     finally:
         release.set()
         waiter.join(timeout=30)
     assert not waiter.is_alive()
-    assert records == in_process(1, 60, 50)
+    assert records == in_process(1, 60)
 
 
 def test_a_plain_process_with_two_cpus_forks(monkeypatch):

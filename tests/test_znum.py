@@ -450,9 +450,9 @@ class TestHashConsing:
         # primes, or over at most three of the primes below 50 that
         # idempotent-laws draws from, so the table that holds each set for
         # good is bounded: a second seed adds only such sets
-        run_verify(1, 60, 50)
+        run_verify(1, 60)
         sets = set(znum._PRIMESETS.values())
-        run_verify(2, 60, 50)
+        run_verify(2, 60)
         assert all(drawn_by_verify(s) for s in set(znum._PRIMESETS.values()) - sets)
 
 
