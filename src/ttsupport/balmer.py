@@ -275,9 +275,6 @@ class CompactPrime:
     point: SpecZPoint
     defining: SpclSubset  # Z(point); membership is supp inside this
 
-    def contains(self, c: PerfectComplex) -> bool:
-        return tau_loc(self.defining.point_set(), homology(c))
-
     def __str__(self) -> str:
         return f"prime at {self.point}"
 

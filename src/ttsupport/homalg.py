@@ -340,13 +340,12 @@ def smith_factors(m: IntMatrix) -> tuple[int, ...]:
     No entry grows past M.
 
     Thin shapes, most of the calls that homology makes, are answered in
-    closed form: a single row or column has the gcd of its entries as its
-    one factor, and a 2 x 2 matrix has d1 = gcd of its entries and
+    closed form: a matrix of at most one row or column has the gcd of its
+    entries as its one factor (none when that gcd is 0, as for an empty
+    matrix), and a 2 x 2 matrix has d1 = gcd of its entries and
     d1 * d2 = |det|.
     """
-    if m.rows == 0 or m.cols == 0:
-        return ()
-    if m.rows == 1 or m.cols == 1:
+    if m.rows <= 1 or m.cols <= 1:
         g = gcd(*chain.from_iterable(m.entries))
         return (g,) if g else ()
     if m.rows == m.cols == 2:
@@ -688,8 +687,6 @@ def tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     Each differential is written straight into one zero matrix, at the block
     offsets of its source and target.
     """
-    if a.is_zero() or b.is_zero():
-        return PerfectComplex.of({})
     rank_a, rank_b = a._rank_of, b._rank_of
     diff_a, diff_b = a.diff_of, b.diff_of
     lo, hi = a.lo + b.lo, a.hi + b.hi

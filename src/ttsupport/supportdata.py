@@ -330,10 +330,12 @@ class SupportDatum:
         """The datum of a JSON file for a catalogue of the given objects: point
         names, order pairs [x, y] (y in the closure of x), and sigma."""
         json_shape(data, dict, where)
+        for key in ("points", "sigma"):
+            if key not in data:
+                raise ValueError(f"{where}: {key}: missing")
         try:
             points = json_shape(data["points"], list, "points", "a list of point names")
-            # list(): a string or an object is checked as what iterating it gives
-            order = list(data.get("order", []))
+            order = json_shape(data.get("order", []), list, "order", "a list of point-name pairs")
             json_items(order, list, "order", "a pair of point names", 2)
             space = FiniteSpace.of(points, order)
             sigma = json_shape(data["sigma"], dict, "sigma")

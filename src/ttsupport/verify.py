@@ -672,31 +672,36 @@ CHECKS = [
 # longest first, so that the two finish together (Graham 1969).  Each time
 # is the median in one warm process at 500 and 5000 cases (2-core Xeon,
 # Python 3.11); tests/claim_order.py measures them again.
-CLAIM_ORDER = (
-    9,  # kunneth-chain-oracle, 84 / 973 ms
-    16,  # triangle-subadditivity, 44 / 449 ms
-    21,  # supp-agreement, 42 / 434 ms
-    3,  # snf, 37 / 386 ms
-    1,  # spcl-lattice-laws, 16 / 164 ms
-    19,  # local-to-global, 14 / 144 ms
-    13,  # separation, 13 / 133 ms
-    6,  # tensor-commutes, 13 / 127 ms
-    17,  # sigma-tau-roundtrips, 13 / 11 ms
-    4,  # homology-oracle, 10 / 105 ms
-    18,  # residue-lemma, 10 / 103 ms
-    5,  # shift-homology, 9 / 119 ms
-    14,  # zero-detection, 9 / 91 ms
-    10,  # supp-laws, 9 / 86 ms
-    8,  # kunneth-laws, 6 / 53 ms
-    11,  # idempotent-laws, 3.9 / 38 ms
-    23,  # random-catalogues, 3 / 31 ms
-    0,  # primeset-bruteforce, 3 / 25 ms
-    7,  # table-symmetry, 0.8 / 0.9 ms
-    12,  # closed-forms, 0.6 / 0.6 ms
-    2,  # point-functors, 0.4 / 0.4 ms
-    20,  # localization-triangles, 0.3 / 0.3 ms
-    22,  # model5, 0.4 / 0.3 ms
-    15,  # gamma-uniqueness, 0.2 / 0.2 ms
+CLAIM_ORDER = tuple(
+    map(
+        CHECKS.index,
+        (
+            check_kunneth_chain_oracle,  # 84 / 973 ms
+            check_triangle_subadditivity,  # 44 / 449 ms
+            check_supp_agreement,  # 42 / 434 ms
+            check_snf,  # 37 / 386 ms
+            check_spcl_subset_lattice,  # 16 / 164 ms
+            check_ltg,  # 14 / 144 ms
+            check_separation,  # 13 / 133 ms
+            check_tensor_commutes,  # 13 / 127 ms
+            check_sigma_tau,  # 13 / 11 ms
+            check_homology_oracle,  # 10 / 105 ms
+            check_residue,  # 10 / 103 ms
+            check_shift_homology,  # 9 / 119 ms
+            check_zero_detection,  # 9 / 91 ms
+            check_supp_laws,  # 9 / 86 ms
+            check_kunneth_laws,  # 6 / 53 ms
+            check_idempotent_laws,  # 3.9 / 38 ms
+            check_random_catalogues,  # 3 / 31 ms
+            check_primeset_bruteforce,  # 3 / 25 ms
+            check_table_symmetry,  # 0.8 / 0.9 ms
+            check_closed_forms,  # 0.6 / 0.6 ms
+            check_point_functors,  # 0.4 / 0.4 ms
+            check_localization_triangles,  # 0.3 / 0.3 ms
+            check_model5,  # 0.4 / 0.3 ms
+            check_gamma_uniqueness,  # 0.2 / 0.2 ms
+        ),
+    )
 )
 
 

@@ -378,7 +378,7 @@ class PrimeSet:
     them as a frozenset.
 
     ``intersect`` and ``complement`` are the only primitives of the Boolean
-    algebra: ``union``, ``difference`` and ``leq`` are written through them,
+    algebra: ``union`` and ``difference`` are written through them,
     so a fault in either reaches every operation.
 
     Values are interned: every constructor returns the one instance for
@@ -470,13 +470,8 @@ class PrimeSet:
         out = self._not
         if out is None:
             out = PrimeSet._checked(not self.finite, self.listed)
-            # link only the table's own pair: a set built outside it keeps no
-            # link, and no interned set is linked to one
-            if _PRIMESETS.get((self.finite, self.listed)) is self and (
-                _PRIMESETS.get((out.finite, out.listed)) is out
-            ):
-                object.__setattr__(self, "_not", out)
-                object.__setattr__(out, "_not", self)
+            object.__setattr__(self, "_not", out)
+            object.__setattr__(out, "_not", self)
         return out
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
@@ -484,10 +479,6 @@ class PrimeSet:
 
     def difference(self, other: "PrimeSet") -> "PrimeSet":
         return self.intersect(other.complement())
-
-    def leq(self, other: "PrimeSet") -> bool:
-        """Subset order on the underlying sets."""
-        return self.difference(other).is_empty()
 
     def up_to(self, bound: int) -> list[int]:
         """Member primes <= bound."""
@@ -735,11 +726,6 @@ class PointSet:
 
     def to_json(self) -> dict:
         return {"generic": self.generic, "closed": self.closed.to_json()}
-
-    @classmethod
-    def from_json(cls, data: object, where: str = "points") -> "PointSet":
-        generic = json_shape(json_shape(data, dict, where).get("generic"), bool, f"{where}.generic")
-        return cls(generic, PrimeSet.from_json(data.get("closed"), f"{where}.closed"))
 
 
 def v_of_point(x: SpecZPoint) -> SpclSubset:

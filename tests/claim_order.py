@@ -10,9 +10,11 @@ after a warm-up pass, as the median over fixed seeds at 500 and 5000 cases;
 prints the checks longest first with the order that gives; and prints the
 simulated two-process finish time (makespan) of the registry order, the
 committed ``CLAIM_ORDER`` and the fresh order, beside the lower bound
-max(sum / 2, longest).  Rerun it when the cost of a check changes, and copy
-the fresh order into ``CLAIM_ORDER`` if it finishes sooner.  It measures
-time, so it is not a test; it needs only the standard library.
+max(sum / 2, longest).  ``CLAIM_ORDER`` names the checks by function, and
+the fresh order is printed the same way.  Rerun it when the cost of a check
+changes, and copy the fresh order into ``CLAIM_ORDER`` if it finishes
+sooner.  It measures time, so it is not a test; it needs only the standard
+library.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def main() -> int:
         print(f"--cases {cases}, median over seeds {seeds.start}-{seeds.stop - 1}, ms:")
         for i in fresh:
             print(f"  {i:2d}  {verify.CHECKS[i].__name__:32s} {times[i] * 1e3:8.1f}")
-        print(f"  longest first: {fresh}")
+        print(f"  longest first: {', '.join(verify.CHECKS[i].__name__ for i in fresh)}")
         bound = max(sum(times) / 2, max(times))
         for label, order in (
             ("registry order", range(n)),

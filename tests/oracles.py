@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 
 from ttsupport.homalg import ChainMap, IntMatrix, PerfectComplex, snf
-from ttsupport.modcalc import GradedModule, Module, supp_cyclic, tensor_mod, tor_mod
+from ttsupport.modcalc import Cyclic, GradedModule, Module, tensor_mod, tor_mod
 from ttsupport.znum import PointSet, PrimeSet, primes_up_to
 
 
@@ -235,6 +235,20 @@ def naive_cone(f: ChainMap) -> PerfectComplex:
         ]
         diffs[n] = block(grid, [ra2, rb1], [ra1, rb])
     return PerfectComplex.of(ranks, diffs)
+
+
+def supp_cyclic(c: Cyclic) -> PointSet:
+    """Support of one block as a subset of Spec Z.
+
+    A localisation Z[T^-1] survives at the generic point and at every closed
+    point not inverted; torsion lives at its prime; a Prufer family lives at
+    the primes of the family (all torsion, no generic point).
+    """
+    if c.kind == "free":
+        return PointSet(True, c.primes.complement())
+    if c.kind == "torsion":
+        return PointSet(False, PrimeSet.of([c.p]))
+    return PointSet(False, c.primes)
 
 
 def naive_supp(x: Module | GradedModule) -> PointSet:

@@ -408,8 +408,9 @@ class TestSigmaTau:
 class TestPointPrimeDictionary:
     def test_membership_of_cones(self):
         prime2 = point_to_prime(SpecZPoint.closed(2))
-        assert prime2.contains(scalar_cone(3))
-        assert not prime2.contains(scalar_cone(2))
+        closed = prime2.defining.point_set()
+        assert tau_loc(closed, homology(scalar_cone(3)))
+        assert not tau_loc(closed, homology(scalar_cone(2)))
 
     def test_generic_is_torsion_ideal(self):
         v = closed_except()  # all closed points: complexes with torsion homology

@@ -420,13 +420,11 @@ _DATUM = {
 }
 
 
-# how each reader is run on a file; "points" has no command, so PointSet.from_json
-# is called with the file's JSON and its path
+# how each reader is run on a file
 READERS = {
     "complex": ["homology"],
     "module": ["support", "--object"],
     "subset": ["idempotent", "--subset"],
-    "points": None,
     "catalogue": ["catalogue-spc"],
     "datum": ["catalogue-universal", str(SAMPLES / "model5.json"), "--datum"],
 }
@@ -521,11 +519,6 @@ MALFORMED = [
                  id="subset-primes-list"),
     pytest.param("subset", {"kind": "closed", "primes": {"mode": "finite", "primes": ["x"]}},
                  ".primes.primes[0]: expected an integer, got 'x'", id="subset-prime"),
-    pytest.param("points", "all", ": expected an object", id="pointset-string"),
-    pytest.param("points", {"generic": "yes", "closed": {"mode": "finite", "primes": []}},
-                 ".generic: expected a boolean", id="points-generic"),
-    pytest.param("points", {"generic": True, "closed": []}, ".closed: expected an object",
-                 id="points-closed-list"),
     pytest.param("catalogue", [], ": expected an object", id="catalogue-list"),
     pytest.param("catalogue", _with(_MODEL5, zero=None), ".zero: missing", id="catalogue-no-zero"),
     pytest.param("catalogue", _with(_MODEL5, objects="0UABS"),
@@ -552,10 +545,14 @@ MALFORMED = [
     pytest.param("catalogue", {"objects": ["A", "B"], "zero": "A", "unit": "B", "tensor": _TABLE},
                  ".tensor: unit not neutral at B", id="tensor-unit"),
     pytest.param("datum", [], ": expected an object", id="datum-list"),
-    pytest.param("datum", _with(_DATUM, points=None),
-                 ": malformed datum ('points')", id="no-points"),
+    pytest.param("datum", _with(_DATUM, points=None), ": points: missing", id="no-points"),
+    pytest.param("datum", _with(_DATUM, sigma=None), ": sigma: missing", id="no-sigma"),
+    pytest.param("datum", _with(_DATUM, order=5), ": order: expected a list of point-name pairs",
+                 id="order-integer"),
     pytest.param("datum", _with(_DATUM, points="pq"), ": points: expected a list of point names",
                  id="datum-points-string"),
+    pytest.param("datum", _with(_DATUM, points=[["p"], "q"]),
+                 ": malformed datum (unhashable type: 'list')", id="datum-point-list"),
     pytest.param("datum", _with(_DATUM, order=[["p", "q"], ["p", "q", "p"]]),
                  ": order[1]: expected a pair of point names", id="order-triple"),
     pytest.param("datum", _with(_DATUM, order=[["p", "r"]]),
@@ -828,11 +825,6 @@ class TestErrors:
     def test_malformed_input_is_rejected(self, capsys, tmp_path, reader, payload, message):
         path = tmp_path / "input.json"
         path.write_text(payload if isinstance(payload, _Raw) else json.dumps(payload))
-        if READERS[reader] is None:
-            with pytest.raises(ValueError) as caught:
-                znum.PointSet.from_json(payload, str(path))
-            assert str(caught.value) == f"{path}{message}"
-            return
         code, out, err = run(capsys, *READERS[reader], str(path))
         assert code == 2
         assert out == ""

@@ -13,10 +13,10 @@ factoriser's exponents, ``modcalc._products``, the table of tensor and Tor
 of two blocks, ``Module.plus``, the localisation idempotent ``l_v``, the
 interning of the prime sets that the set algebra builds, the two primitives
 of that algebra, ``intersect`` and ``complement``, in ``PrimeSet`` and in
-``PointSet``, the primes of a catalogue's spectrum, and the Smith forms
-that ``check_snf`` is handed.  Every row starts and ends with no interned
-prime set linked to its complement.  The last test holds every record of
-``verify`` to a fault row.
+``PointSet``, the point functors V and Z, ``gamma_v``, the primes of a
+catalogue's spectrum, and the Smith forms that ``check_snf`` is handed.
+Every row starts and ends with no interned prime set linked to its
+complement.  The last test holds every record of ``verify`` to a fault row.
 """
 
 import json
@@ -27,6 +27,7 @@ from ttsupport import balmer, homalg, modcalc, verify, znum
 from ttsupport.cli import MIN_CASES, main
 from ttsupport.homalg import IntMatrix, PerfectComplex, SNFResult
 from ttsupport.modcalc import Cyclic, GradedModule, Module
+from ttsupport.randgen import SMALL_PRIMES
 from ttsupport.supportdata import Catalogue, FiniteSpace, SupportDatum
 from ttsupport.znum import PointSet, PrimeSet, SpclSubset
 
@@ -430,21 +431,6 @@ def test_record_fails_when_the_set_algebra_skips_interning(
     assert record.detail.startswith(detail)
 
 
-def test_no_interned_set_keeps_a_complement_from_outside_the_table(monkeypatch, cold_gamma_point):
-    # under the interning fault every complement is built outside the table;
-    # a set from outside it, kept past the fault, is complemented after it
-    with monkeypatch.context() as fault:
-        fault.setattr(PrimeSet, "_checked", classmethod(uninterned))
-        for check, _ in INTERNING_FAULTS:
-            check(verify.VerifyContext(42, 10))
-        stray = PrimeSet.none()
-    assert stray.complement() is PrimeSet.all_primes()
-    table = znum._PRIMESETS
-    assert stray not in table.values()
-    assert [s for s in table.values() if s._not is not None and s._not is not table.get(
-        (s._not.finite, s._not.listed))] == []
-
-
 REAL_INTERSECT = PrimeSet.intersect
 REAL_COMPLEMENT = PrimeSet.complement
 
@@ -481,7 +467,7 @@ def complement_keeping_the_generic_flag(self):
 
 
 # PrimeSet.intersect and complement are the primitives of the set algebra:
-# union, difference and leq are written through them; PointSet's union and
+# union and difference are written through them; PointSet's union and
 # leq are written through its own two, which read PrimeSet's, and
 # SpclSubset's lattice through PointSet's.
 # primeset-bruteforce: the model applies Python's set operations to the
@@ -556,6 +542,80 @@ def test_record_fails_under_a_set_algebra_fault(
     assert record.detail.startswith(detail)
 
 
+REAL_V_OF_POINT = znum.v_of_point
+REAL_Z_OF_POINT = znum.z_of_point
+
+
+def v_of_generic_without_it(x):
+    # V((0)) is the whole space; this fault gives the closed points alone
+    if x.is_generic:
+        return SpclSubset.closed_points(PrimeSet.all_primes())
+    return REAL_V_OF_POINT(x)
+
+
+def z_of_closed_holding_it(x):
+    # Z((p)) is every point but (p) and (0); this fault gives every closed point
+    if x.is_generic:
+        return REAL_Z_OF_POINT(x)
+    return SpclSubset.closed_points(PrimeSet.all_primes())
+
+
+def v_of_closed_with_the_next_prime(x):
+    # V((p)) is {(p)}; this fault also holds the next prime of SMALL_PRIMES
+    if x.is_generic or x.p == SMALL_PRIMES[-1]:
+        return REAL_V_OF_POINT(x)
+    i = SMALL_PRIMES.index(x.p)
+    return SpclSubset.closed_points(PrimeSet.of(SMALL_PRIMES[i : i + 2]))
+
+
+# The expected side of point-functors is the closure property itself, which
+# no functor computes: x lies in V(x), x does not lie in Z(x), and y lies in
+# Z(x) exactly when x does not lie in V(y).  The third row faults V alone:
+# Z((3)), unfaulted, still holds (2), while the faulted V((2)) holds (3).
+POINT_FUNCTOR_FAULTS = [
+    ("v_of_point", v_of_generic_without_it, "(0) not in V((0))"),
+    ("z_of_point", z_of_closed_holding_it, "(2) in Z((2))"),
+    ("v_of_point", v_of_closed_with_the_next_prime,
+     "Z((3)) membership of (2) disagrees with closure test"),
+]
+
+
+@fault_row(verify.check_point_functors)
+@pytest.mark.parametrize(
+    "name, fault, detail",
+    POINT_FUNCTOR_FAULTS,
+    ids=[fault.__name__ for _, fault, _ in POINT_FUNCTOR_FAULTS],
+)
+def test_point_functors_fails_under_a_wrong_point_functor(monkeypatch, name, fault, detail):
+    monkeypatch.setattr(znum, name, fault)
+    record = verify.check_point_functors(verify.VerifyContext(42, MIN_CASES))
+    assert record.name == "znum.point-functors" and not record.passed
+    assert record.detail.startswith(detail)
+
+
+REAL_GAMMA_V = balmer.gamma_v
+
+
+def gamma_v_without_its_smallest_prime(v):
+    # gamma of the closed points of S is the Prufer family of S; this fault
+    # drops the smallest prime of a finite S of two or more primes
+    if not v.is_all and v.closed.finite and len(v.closed.primes) > 1:
+        v = SpclSubset.closed_points(PrimeSet.of(v.closed.primes[1:]))
+    return REAL_GAMMA_V(v)
+
+
+@fault_row(verify.check_gamma_uniqueness)
+def test_gamma_uniqueness_fails_when_gamma_v_drops_a_prime(monkeypatch, cold_gamma_point):
+    # the expected side is gamma_point((p)), which reads gamma_v of the one
+    # prime p only, where the fault changes nothing
+    monkeypatch.setattr(balmer, "gamma_v", gamma_v_without_its_smallest_prime)
+    record = verify.check_gamma_uniqueness(verify.VerifyContext(42, MIN_CASES))
+    assert record.name == "balmer.gamma-uniqueness" and not record.passed
+    assert record.detail.startswith(
+        "pair (closed points of {2, 3, 5}; closed points of {3, 5}) gives 0, expected {1: Z(2^oo)}"
+    )
+
+
 def every_proper_ideal_prime(cat):
     # a proper ideal is prime only when it holds no product of two objects
     # outside it; this fault takes every proper ideal as prime
@@ -582,6 +642,45 @@ def test_record_fails_when_every_proper_ideal_is_prime(monkeypatch, check, detai
     monkeypatch.setattr(Catalogue, "spectrum", property(every_proper_ideal_prime))
     record = check(verify.VerifyContext(42, MIN_CASES))
     assert not record.passed
+    assert record.detail.startswith(detail)
+
+
+REAL_SPECTRUM = Catalogue.spectrum
+
+
+def spectrum_without_points(cat):
+    return SupportDatum.of(FiniteSpace.of([], []), [frozenset()] * cat.size)
+
+
+def spectrum_without_its_largest_prime(cat):
+    # the largest prime is a maximal proper ideal: every maximal proper ideal is prime
+    spectrum = REAL_SPECTRUM.func(cat)
+    largest = max(spectrum.space.points, key=len)
+    primes = [p for p in spectrum.space.points if p != largest]
+    order = [(p, q) for p in primes for q in primes if q <= p]
+    return SupportDatum.of(FiniteSpace.of(primes, order), [s - {largest} for s in spectrum.sigma])
+
+
+# The expected side of random-catalogues is cat.ideals, which Close-by-One
+# enumerates without the spectrum: the spectrum of a nonzero catalogue is
+# not empty, and each maximal proper ideal among cat.ideals is one of its
+# points.
+RANDOM_SPECTRUM_FAULTS = [
+    (spectrum_without_points, "spectrum of a random catalogue is empty"),
+    (spectrum_without_its_largest_prime, "a maximal proper ideal is not prime"),
+]
+
+
+@fault_row(verify.check_random_catalogues)
+@pytest.mark.parametrize(
+    "fault, detail",
+    RANDOM_SPECTRUM_FAULTS,
+    ids=[fault.__name__ for fault, _ in RANDOM_SPECTRUM_FAULTS],
+)
+def test_random_catalogues_fails_under_a_wrong_spectrum(monkeypatch, fault, detail):
+    monkeypatch.setattr(Catalogue, "spectrum", property(fault))
+    record = verify.check_random_catalogues(verify.VerifyContext(42, MIN_CASES))
+    assert record.name == "supportdata.random-catalogues" and not record.passed
     assert record.detail.startswith(detail)
 
 

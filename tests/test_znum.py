@@ -276,15 +276,12 @@ class TestPrimeSet:
                 (PrimeSet.intersect, set.intersection),
                 (PrimeSet.difference, set.difference),
                 (lambda a, b: a.complement(), lambda x, y: set(primes_up_to(1000)) - x),
-                (PrimeSet.leq, set.issubset),
             ]
         ),
     )
     def test_bruteforce_semantics(self, a, b, ops):
         method, model = ops
-        got = method(a, b)
-        if isinstance(got, PrimeSet):
-            got = primeset_members(got, 1000)
+        got = primeset_members(method(a, b), 1000)
         assert got == model(primeset_members(a, 1000), primeset_members(b, 1000))
 
     @given(primesets)
@@ -556,7 +553,3 @@ class TestPointSet:
         assert a.point_set().union(a.complement()).is_everything()
         assert a.point_set().intersect(a.complement()).is_empty()
         assert a.leq(b) == a.point_set().leq(b.point_set())
-
-    def test_json_roundtrip(self):
-        w = PointSet(True, PrimeSet.cofinite([2, 11]))
-        assert PointSet.from_json(w.to_json()) == w
