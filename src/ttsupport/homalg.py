@@ -542,9 +542,6 @@ class PerfectComplex:
     def degrees(self) -> list[int]:
         return [n for n, _ in self.ranks]
 
-    def is_zero(self) -> bool:
-        return not self.ranks
-
     def to_json(self) -> dict:
         return {
             "ranks": {str(n): r for n, r in self.ranks},
@@ -635,7 +632,7 @@ def _torsion_cyclics(factor: int) -> tuple[Cyclic, ...]:
     cannot settle: a prime past the proven primality bound, or a split
     beyond its rho budget.
     """
-    return tuple(Cyclic.torsion(int(p), int(e)) for p, e in sorted(factorint(factor).items()))
+    return tuple(Cyclic.torsion(p, e) for p, e in sorted(factorint(factor).items()))
 
 
 _Z = Cyclic.free(PrimeSet.none())

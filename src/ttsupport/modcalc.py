@@ -51,8 +51,6 @@ __all__ = [
     "supp_mod",
 ]
 
-_KIND_ORDER = {"free": 0, "torsion": 1, "prufer": 2}
-
 # A torsion order from this bound up prints as p^k: Python converts no more
 # digits by default, and p^k from a file can be too large to compute at all.
 _PRINT_BOUND = 10**4300
@@ -106,10 +104,6 @@ class Cyclic:
     def __new__(
         cls, kind: str, primes: PrimeSet | None = None, p: int | None = None, k: int | None = None
     ) -> "Cyclic":
-        if not (p is None or type(p) is int) or not (k is None or type(k) is int):
-            # 2.0 or True would find the interned block of an equal int before
-            # validation; _check_cyclic refuses such a field whatever the kind
-            _check_cyclic(kind, primes, p, k)
         return _interned_cyclic((kind, primes, p, k))
 
     @classmethod
@@ -119,8 +113,6 @@ class Cyclic:
 
     @classmethod
     def torsion(cls, p: int, k: int) -> "Cyclic":
-        if type(p) is not int or type(k) is not int:
-            _check_cyclic("torsion", None, p, k)  # refuses them, as in __new__
         return _interned_cyclic(("torsion", None, p, k))
 
     @classmethod
@@ -197,12 +189,16 @@ _CYCLICS: dict[tuple, Cyclic] = {}
 
 def _interned_cyclic(key: tuple) -> Cyclic:
     """The interned block for key = (kind, primes, p, k), validated if new."""
+    kind, primes, p, k = key
+    if not (p is None or type(p) is int) or not (k is None or type(k) is int):
+        # 2.0 or True would find the interned block of an equal int before
+        # validation; _check_cyclic refuses such a field whatever the kind
+        _check_cyclic(kind, primes, p, k)
     try:
         out = _CYCLICS.get(key)
     except TypeError:  # an unhashable field, which validation rejects
         out = None
     if out is None:
-        kind, primes, p, k = key
         _check_cyclic(kind, primes, p, k)
         out = object.__new__(Cyclic)
         object.__setattr__(out, "kind", kind)
@@ -346,7 +342,8 @@ def _one(c: Cyclic) -> Module:
 
 
 def _pair(a: Cyclic, b: Cyclic) -> tuple[Cyclic, Cyclic]:
-    if _KIND_ORDER[a.kind] <= _KIND_ORDER[b.kind]:
+    # a sort key starts with the kind: free 0, torsion 1, prufer 2
+    if a._sort_key[0] <= b._sort_key[0]:
         return a, b
     return b, a
 

@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, product
 from operator import itemgetter, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .report import CheckRecord, Report, check
 from .znum import json_items, json_shape, value_class
@@ -41,6 +41,9 @@ __all__ = [
 
 MAX_OBJECTS = 24
 MAX_IDEALS = 1 << 14
+
+# what a point name of a datum file may be: any JSON value but a list or an object
+_SCALARS = (str, int, float, type(None))
 
 
 class CatalogueError(ValueError):
@@ -68,8 +71,8 @@ class Catalogue:
         unit: str,
         tensor: Mapping[str, Mapping[str, str]],
         shift: Mapping[str, str] | None = None,
-        summands: Iterable[tuple[str, str]] = (),
-        triangles: Iterable[tuple[str, str, str]] = (),
+        summands: Collection[tuple[str, str]] = (),
+        triangles: Collection[tuple[str, str, str]] = (),
     ) -> "Catalogue":
         names = tuple(objects)
         if len(set(names)) != len(names):
@@ -79,9 +82,14 @@ class Catalogue:
         index = {name: i for i, name in enumerate(names)}
 
         def look(name: str, where: str) -> int:
-            if name not in index:
-                raise CatalogueError(f"{where}: unknown object {name!r}")
-            return index[name]
+            try:
+                return index[name]
+            except (KeyError, TypeError):  # TypeError: a name that is a list, say
+                raise CatalogueError(f"{where}: unknown object {name!r}") from None
+
+        def known(name) -> bool:
+            # the type first: a name that is a list cannot be looked up
+            return type(name) is str and name in index
 
         z = look(zero, "zero")
         u = look(unit, "unit")
@@ -97,17 +105,17 @@ class Catalogue:
                 raise CatalogueError(f"tensor: missing row for {a!r}")
             try:
                 table.append(tuple([index[row[b]] for b in names]))
-            except KeyError:
+            except (KeyError, TypeError):
                 # name the first missing entry or unknown object of the row
-                for b in names:
-                    if b not in row:
-                        raise CatalogueError(f"tensor.{a}: missing entry for {b!r}") from None
-                    look(row[b], f"tensor.{a}.{b}")
-                raise
+                b = next(b for b in names if b not in row or not known(row[b]))
+                if b not in row:
+                    raise CatalogueError(f"tensor.{a}: missing entry for {b!r}") from None
+                raise CatalogueError(f"tensor.{a}.{b}: unknown object {row[b]!r}") from None
         try:
             sm = frozenset((index[a], index[b]) for a, b in summands)
-        except KeyError as exc:
-            raise CatalogueError(f"summands: unknown object {exc.args[0]!r}") from None
+        except (KeyError, TypeError):
+            x = next(x for x in chain.from_iterable(summands) if not known(x))
+            raise CatalogueError(f"summands: unknown object {x!r}") from None
         # Close the triangle list under rotation; the rotation is forced by
         # the shift table so listing one representative is enough.  Rotation
         # permutes the finite set of triples, so each orbit comes back to its
@@ -116,8 +124,9 @@ class Catalogue:
         # last round added, all at once, and keeps those not yet seen.
         try:
             added = {(index[a], index[b], index[c]) for a, b, c in triangles}
-        except KeyError as exc:
-            raise CatalogueError(f"triangles: unknown object {exc.args[0]!r}") from None
+        except (KeyError, TypeError):
+            x = next(x for x in chain.from_iterable(triangles) if not known(x))
+            raise CatalogueError(f"triangles: unknown object {x!r}") from None
         tri = set(added)
         while added:
             added = {(b, c, shift_map[a]) for a, b, c in added} - tri
@@ -224,7 +233,9 @@ class Catalogue:
             for key in ("objects", "zero", "unit", "tensor"):
                 if key not in data:
                     raise ValueError(f"{where}.{key}: missing")
-            json_shape(data["objects"], list, f"{where}.objects", "a list of object names")
+            objects = json_shape(data["objects"], list, f"{where}.objects", "a list of object names")
+            # Catalogue.of rejects any other name that is not a string as unknown
+            json_items(objects, str, f"{where}.objects", "an object name")
             shift = data.get("shift")
             if shift is not None:
                 json_shape(shift, dict, f"{where}.shift")
@@ -237,11 +248,7 @@ class Catalogue:
                 )
                 for key, arity, shape in (("summands", 2, "pair"), ("triangles", 3, "triple"))
             )
-            return cls.of(
-                data["objects"], data["zero"], data["unit"], tensor, shift, summands, triangles
-            )
-        except (TypeError, KeyError) as exc:
-            raise CatalogueError(f"{where}: malformed table ({exc})") from None
+            return cls.of(objects, data["zero"], data["unit"], tensor, shift, summands, triangles)
         except CatalogueError as exc:
             raise CatalogueError(f"{where}.{exc}") from None
         except ValueError as exc:  # a shape, whose message names its location
@@ -335,8 +342,11 @@ class SupportDatum:
                 raise ValueError(f"{where}: {key}: missing")
         try:
             points = json_shape(data["points"], list, "points", "a list of point names")
+            json_items(points, _SCALARS, "points", "a point name")
             order = json_shape(data.get("order", []), list, "order", "a list of point-name pairs")
             json_items(order, list, "order", "a pair of point names", 2)
+            for i, pair in enumerate(order):
+                json_items(pair, _SCALARS, f"order[{i}]", "a point name")
             space = FiniteSpace.of(points, order)
             sigma = json_shape(data["sigma"], dict, "sigma")
             for name in objects:
@@ -344,9 +354,9 @@ class SupportDatum:
                     raise ValueError(f"sigma missing object {name!r}")
             values = {name: sigma[name] for name in objects}
             json_items(values, list, "sigma", "a list of point names")
+            for name, value in values.items():
+                json_items(value, _SCALARS, f"sigma.{name}", "a point name")
             return cls.of(space, values.values())
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{where}: malformed datum ({exc})") from None
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 

@@ -312,9 +312,10 @@ _SHAPES = {dict: "an object", list: "a list", bool: "a boolean"}
 
 
 def json_shape(x, kind: type, where: str, what: str | None = None, *, size=None, key=None):
-    """x if it is a kind (dict, list or bool), with size items or holding key
-    when either is given; otherwise ValueError naming where and what was
-    expected, by default the JSON name of kind."""
+    """x if it is a kind (a type or, as for isinstance, a tuple of types), with
+    size items or holding key when either is given; otherwise ValueError naming
+    where and what was expected, by default the JSON name of kind (so what is
+    required when kind is a tuple)."""
     if isinstance(x, kind) and (size is None or len(x) == size) and (key is None or key in x):
         return x
     raise ValueError(f"{where}: expected {what or _SHAPES[kind]}")
@@ -325,7 +326,8 @@ def json_items(xs, kind: type, where: str, what: str | None = None, size: int | 
     values), which one scan of their types and lengths shows in the common
     case; otherwise json_shape's error for the first that fails."""
     items = xs.values() if type(xs) is dict else xs
-    if {kind} != set(map(type, items)) or size is not None and {size} != set(map(len, items)):
+    kinds = set(kind) if type(kind) is tuple else {kind}
+    if not set(map(type, items)) <= kinds or size is not None and {size} != set(map(len, items)):
         names = [f".{k}" for k in xs] if type(xs) is dict else [f"[{i}]" for i in range(len(xs))]
         for name, x in zip(names, items):
             json_shape(x, kind, where + name, what, size=size)

@@ -36,10 +36,6 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("homalg", "raise AssertionError('smith normal form internal check failed')"),
         ("homalg", "raise AssertionError('modular smith form internal check failed')"),
     ],
-    "Catalogue.of's defensive re-raise: each KeyError of a tensor row is a missing"
-    " entry or an unknown object, which the loop above it names": [
-        ("supportdata", "raise"),
-    ],
     "the body of verify's forked helper, which runs in the child process alone": [
         ("verify", "try:"),
         ("verify", "signal.pthread_sigmask(signal.SIG_SETMASK, mask)"),
@@ -55,8 +51,6 @@ ALLOWED: dict[str, list[tuple[str, str]]] = {
         ("verify", "failures.append(f'gamma value at {p} is {val}')"),
         ("verify", "failures.append(f'cofinite gamma at {s}: prime {q} mismatch')"),
         ("verify", "failures.append(f'invertibility certificate failed at {q}')"),
-        ("verify", "failures.append('universal map verification failed')"),
-        ("verify", "failures.append('universal map from the spectrum is not the identity')"),
     ],
 }
 

@@ -168,7 +168,7 @@ def naive_tensor_chain(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     """Total tensor complex with the Koszul sign, one block matrix per
     differential: the (i, j) -> (i+1, j) block is dA x 1 and the
     (i, j) -> (i, j+1) block is (-1)^i 1 x dB, each a Kronecker product."""
-    if a.is_zero() or b.is_zero():
+    if not a.ranks or not b.ranks:
         return PerfectComplex.of({})
 
     def blocks(n: int) -> list[tuple[int, int, int, int]]:

@@ -278,18 +278,13 @@ def test_sample_command_matches_golden(monkeypatch, entry):
     assert sample_commands.run_in_process(entry["argv"]) == entry
 
 
-@pytest.mark.parametrize(
-    "module, runs",
-    [("ttsupport", "ttsupport.__main__"), ("ttsupport.cli", "ttsupport.cli")],
-    ids=["ttsupport", "ttsupport.cli"],
-)
-def test_python_m_runs_the_command_line(monkeypatch, capsys, module, runs):
+def test_python_m_runs_the_command_line(monkeypatch, capsys):
     # run in this process, as python -m would run it; runpy warns when the
     # module it runs is already imported
-    monkeypatch.delitem(sys.modules, runs, raising=False)
-    monkeypatch.setattr(sys, "argv", [module, "prime", "--closed-except", "5"])
+    monkeypatch.delitem(sys.modules, "ttsupport.__main__", raising=False)
+    monkeypatch.setattr(sys, "argv", ["ttsupport", "prime", "--closed-except", "5"])
     with pytest.raises(SystemExit) as caught:
-        runpy.run_module(module, run_name="__main__")
+        runpy.run_module("ttsupport", run_name="__main__")
     assert caught.value.code == 0
     assert capsys.readouterr().out == "point: (5)\n"
 
@@ -542,6 +537,22 @@ MALFORMED = [
                  ".triangles[0]: expected a triple of object names", id="triangle-pair"),
     pytest.param("catalogue", _with(_MODEL5, zero="Z"),
                  ".zero: unknown object 'Z'", id="zero-unknown"),
+    pytest.param("catalogue", _with(_MODEL5, objects=["0", "U", ["A"], "B", "S"]),
+                 ".objects[2]: expected an object name", id="object-list"),
+    pytest.param("catalogue", _with(_MODEL5, zero=["0"]),
+                 ".zero: unknown object ['0']", id="zero-list"),
+    pytest.param("catalogue", _with(_MODEL5, unit=0),
+                 ".unit: unknown object 0", id="unit-number"),
+    pytest.param("catalogue", _with(_MODEL5, shift={**_MODEL5["shift"], "A": ["A"]}),
+                 ".shift.A: unknown object ['A']", id="shift-value-list"),
+    pytest.param("catalogue",
+                 _with(_MODEL5, tensor={**_MODEL5["tensor"], "A": {**_MODEL5["tensor"]["A"],
+                                                                   "B": ["0"]}}),
+                 ".tensor.A.B: unknown object ['0']", id="tensor-entry-list"),
+    pytest.param("catalogue", _with(_MODEL5, summands=[["S", "A"], ["S", ["B"]]]),
+                 ".summands: unknown object ['B']", id="summand-member-list"),
+    pytest.param("catalogue", _with(_MODEL5, triangles=[[["A"], "S", "B"]]),
+                 ".triangles: unknown object ['A']", id="triangle-member-list"),
     pytest.param("catalogue", {"objects": ["A", "B"], "zero": "A", "unit": "B", "tensor": _TABLE},
                  ".tensor: unit not neutral at B", id="tensor-unit"),
     pytest.param("datum", [], ": expected an object", id="datum-list"),
@@ -552,7 +563,12 @@ MALFORMED = [
     pytest.param("datum", _with(_DATUM, points="pq"), ": points: expected a list of point names",
                  id="datum-points-string"),
     pytest.param("datum", _with(_DATUM, points=[["p"], "q"]),
-                 ": malformed datum (unhashable type: 'list')", id="datum-point-list"),
+                 ": points[0]: expected a point name", id="datum-point-list"),
+    pytest.param("datum", _with(_DATUM, order=[["p", {"q": 1}]]),
+                 ": order[0][1]: expected a point name", id="order-point-object"),
+    pytest.param("datum",
+                 _with(_DATUM, sigma={"0": [], "U": ["p", ["q"]], "A": ["p"], "B": ["q"], "S": []}),
+                 ": sigma.U[1]: expected a point name", id="sigma-point-list"),
     pytest.param("datum", _with(_DATUM, order=[["p", "q"], ["p", "q", "p"]]),
                  ": order[1]: expected a pair of point names", id="order-triple"),
     pytest.param("datum", _with(_DATUM, order=[["p", "r"]]),

@@ -14,7 +14,8 @@ of two blocks, ``Module.plus``, the localisation idempotent ``l_v``, the
 interning of the prime sets that the set algebra builds, the two primitives
 of that algebra, ``intersect`` and ``complement``, in ``PrimeSet`` and in
 ``PointSet``, the point functors V and Z, ``gamma_v``, the primes of a
-catalogue's spectrum, and the Smith forms that ``check_snf`` is handed.
+catalogue's spectrum, the universal map to the spectrum, and the Smith
+forms that ``check_snf`` is handed.
 Every row starts and ends with no interned prime set linked to its
 complement.  The last test holds every record of ``verify`` to a fault row.
 """
@@ -23,12 +24,12 @@ import json
 
 import pytest
 
-from ttsupport import balmer, homalg, modcalc, verify, znum
+from ttsupport import balmer, homalg, modcalc, supportdata, verify, znum
 from ttsupport.cli import MIN_CASES, main
 from ttsupport.homalg import IntMatrix, PerfectComplex, SNFResult
 from ttsupport.modcalc import Cyclic, GradedModule, Module
 from ttsupport.randgen import SMALL_PRIMES
-from ttsupport.supportdata import Catalogue, FiniteSpace, SupportDatum
+from ttsupport.supportdata import Catalogue, FiniteSpace, SupportDatum, UniversalMapResult
 from ttsupport.znum import PointSet, PrimeSet, SpclSubset
 
 # the verify checks that some row below makes fail, filled in by fault_row
@@ -682,6 +683,44 @@ def test_random_catalogues_fails_under_a_wrong_spectrum(monkeypatch, fault, deta
     record = verify.check_random_catalogues(verify.VerifyContext(42, MIN_CASES))
     assert record.name == "supportdata.random-catalogues" and not record.passed
     assert record.detail.startswith(detail)
+
+
+REAL_UNIVERSAL_MAP = supportdata.universal_map
+
+
+def universal_map_of_the_complements(d, c):
+    # each object's support read as the points outside it
+    points = frozenset(d.space.points)
+    return REAL_UNIVERSAL_MAP(SupportDatum(d.space, tuple(points - s for s in d.sigma)), c)
+
+
+def apply_to_the_next_point(self, x):
+    # the image of the point after x, the last point going to the first
+    points = [y for y, _ in self.mapping]
+    return dict(self.mapping)[points[(points.index(x) + 1) % len(points)]]
+
+
+# Each row replaces (owner, name) with its fault.
+MODEL5_FAULTS = [
+    # the expected side is c.spectrum, which only the datum handed in differs from
+    (supportdata, "universal_map", universal_map_of_the_complements,
+     "universal map verification failed"),
+    # the expected side is c.spectrum's own points, which apply does not change
+    (UniversalMapResult, "apply", apply_to_the_next_point,
+     "universal map from the spectrum is not the identity"),
+]
+
+
+@fault_row(verify.check_model5)
+@pytest.mark.parametrize(
+    "owner, name, fault, detail", MODEL5_FAULTS,
+    ids=[fault.__name__ for _, _, fault, _ in MODEL5_FAULTS],
+)
+def test_model5_fails_under_a_wrong_universal_map(monkeypatch, owner, name, fault, detail):
+    monkeypatch.setattr(owner, name, fault)
+    record = verify.check_model5(verify.VerifyContext(42, MIN_CASES))
+    assert record.name == "supportdata.model5" and not record.passed
+    assert record.detail == detail
 
 
 REAL_SNF = homalg.snf

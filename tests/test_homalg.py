@@ -772,7 +772,7 @@ class TestTensor:
             assert homology(tensor_chain(a, b)) == homology(tensor_chain(b, a))
 
     def test_zero_factor(self):
-        assert tensor_chain(PerfectComplex.of({}), mult_complex(2)).is_zero()
+        assert tensor_chain(PerfectComplex.of({}), mult_complex(2)) == PerfectComplex.of({})
 
     def test_matches_kronecker_block_oracle(self):
         rng = random.Random(29)
